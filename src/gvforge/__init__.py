@@ -7,9 +7,8 @@ certificates), cli (command-line front end), enclosure (interval substrate).
 """
 
 from .enclosure import HighReal, PASS, FAIL, INDETERMINATE
-from .errors import (BoundaryContact, CapacityError, ConditionFailure,
-                     DomainError, GvforgeError, IndeterminateError,
-                     TauSearchError)
+from .errors import (CapacityError, ConditionFailure, DomainError,
+                     GvforgeError, IndeterminateError, TauSearchError)
 from .numtheory import (PrimeTable, chebyshev_theta, kronecker_symbol,
                         log_integral, nth_prime, prime_count_ap, primorial_D,
                         sieve_primes)

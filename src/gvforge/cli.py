@@ -5,8 +5,8 @@ verify (re-check a code file), certify (parameter certificate at q), and
 tower (class-field-tower criterion for a discriminant).
 
 Exit codes: 0 success, 1 argument or domain error, 2 failed or undecidable
-check, 3 capacity refusal. Given identical arguments (including --seed) the
-output bytes are identical.
+check, 3 capacity refusal. Given identical arguments the output bytes are
+identical.
 """
 
 import argparse
@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,23 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global options; same config (seed included) means same output bytes."""
-
-    command: str
-    seed: Optional[int]
-    threads: int
-    sieve_limit: Optional[int]
-    output: Optional[str]
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(command=args.command, seed=args.seed, threads=args.threads,
-                   sieve_limit=args.sieve_limit,
-                   output=getattr(args, "output", None))
 
 
 def _fraction(text: str) -> Fraction:
@@ -87,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="gvforge",
         description="codes from quadratic-field lattices and certified rate bounds")
-    p.add_argument("--seed", type=int, default=None,
-                   help="determinism token recorded in the run config")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads for pairwise scans")
     p.add_argument("--sieve-limit", type=int, default=None,
@@ -160,7 +140,7 @@ def _parse_factors(text: Optional[str]):
         raise DomainError("bad --factors list %r" % text)
 
 
-def cmd_bounds(args, cfg: RunConfig) -> int:
+def cmd_bounds(args) -> int:
     deltas = []
     if args.delta:
         deltas.extend(args.delta)
@@ -195,11 +175,10 @@ def cmd_bounds(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args, cfg: RunConfig) -> int:
+def cmd_construct(args) -> int:
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
     code = ln.build_code(K, args.r, args.q, args.G,
-                         start_grid=args.grid, max_grid=args.max_grid,
-                         seed=cfg.seed)
+                         start_grid=args.grid, max_grid=args.max_grid)
     text = ln.format_code_file(code)
     summary = ("n=%d M=%d d_bound=%d target=%d\n"
                % (code.n, len(code.codewords), code.n + 1 - code.G,
@@ -213,7 +192,7 @@ def cmd_construct(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     code = ln.read_code_file(args.path)
     bad_symbol = None
     for i, w in enumerate(code.codewords):
@@ -223,7 +202,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
                 break
         if bad_symbol:
             break
-    check = ln.verify_code(code, threads=cfg.threads)
+    check = ln.verify_code(code, threads=args.threads)
     required_d = code.n + 1 - code.G
     ok = check.ok and bad_symbol is None
     print("M=%d d=%d n=%d" % (check.M, check.d, code.n))
@@ -255,7 +234,7 @@ def _certificate_text(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_certify(args, cfg: RunConfig) -> int:
+def cmd_certify(args) -> int:
     if args.schedule == "theorem1" and args.C0 is None:
         raise DomainError("--schedule theorem1 requires --C0")
     cert = bd.certify(args.q, schedule=args.schedule, C0=args.C0)
@@ -268,7 +247,7 @@ def cmd_certify(args, cfg: RunConfig) -> int:
     return EXIT_CHECK
 
 
-def cmd_tower(args, cfg: RunConfig) -> int:
+def cmd_tower(args) -> int:
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
     if not args.genus_only and K.disc < 0 and -K.disc <= qf.CLASS_GROUP_CAP:
         summary = qf.class_group_imaginary(K)
@@ -301,8 +280,8 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
-        return _DISPATCH[args.command](args, RunConfig.from_args(args))
-    except (DomainError, FileNotFoundError) as e:
+        return _DISPATCH[args.command](args)
+    except (DomainError, OSError, UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except (ConditionFailure, IndeterminateError) as e:

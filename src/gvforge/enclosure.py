@@ -10,7 +10,7 @@ silently coerced to a boolean. Width is always available for reporting.
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv
+from mpmath import iv, libmp
 
 PREC_BITS = 120
 iv.prec = PREC_BITS
@@ -48,14 +48,19 @@ def width(x) -> mpmath.mpf:
     return mpmath.mpf(enc(x).delta)
 
 
+def _ends(x):
+    """The endpoints of an enclosure as raw mpf tuples, never rounded."""
+    return enc(x)._mpi_
+
+
 def contains(x, value) -> bool:
-    """True when the enclosure of x contains the exact rational `value`."""
-    x = enc(x)
-    if isinstance(value, Fraction):
-        lo = mpmath.mpf(x.a) * value.denominator
-        hi = mpmath.mpf(x.b) * value.denominator
-        return lo <= value.numerator <= hi
-    return mpmath.mpf(x.a) <= value <= mpmath.mpf(x.b)
+    """True when the enclosure of x contains the exact number `value`."""
+    if isinstance(value, mpmath.mpf):
+        value = Fraction(*libmp.to_rational(value._mpf_))
+    value = Fraction(value)  # exact for ints, floats and Fractions
+    den, num = libmp.from_int(value.denominator), libmp.from_int(value.numerator)
+    lo, hi = (libmp.mpf_mul(e, den) for e in _ends(x))
+    return libmp.mpf_le(lo, num) and libmp.mpf_le(num, hi)
 
 
 def log(x) -> HighReal:
@@ -81,20 +86,20 @@ def log2() -> HighReal:
 
 def le_status(lhs, rhs) -> str:
     """Certify lhs <= rhs: pass/fail only when every point pair agrees."""
-    lhs, rhs = enc(lhs), enc(rhs)
-    if mpmath.mpf(lhs.b) <= mpmath.mpf(rhs.a):
+    (l_lo, l_hi), (r_lo, r_hi) = _ends(lhs), _ends(rhs)
+    if libmp.mpf_le(l_hi, r_lo):
         return PASS
-    if mpmath.mpf(lhs.a) > mpmath.mpf(rhs.b):
+    if libmp.mpf_gt(l_lo, r_hi):
         return FAIL
     return INDETERMINATE
 
 
 def lt_status(lhs, rhs) -> str:
     """Certify lhs < rhs strictly."""
-    lhs, rhs = enc(lhs), enc(rhs)
-    if mpmath.mpf(lhs.b) < mpmath.mpf(rhs.a):
+    (l_lo, l_hi), (r_lo, r_hi) = _ends(lhs), _ends(rhs)
+    if libmp.mpf_lt(l_hi, r_lo):
         return PASS
-    if mpmath.mpf(lhs.a) >= mpmath.mpf(rhs.b):
+    if libmp.mpf_ge(l_lo, r_hi):
         return FAIL
     return INDETERMINATE
 
@@ -111,24 +116,21 @@ def is_positive(x) -> str:
     return gt_status(x, iv.mpf(0))
 
 
-def floor_exact(x) -> int:
-    """Floor of an enclosure, when unambiguous."""
-    x = enc(x)
-    lo = int(mpmath.floor(mpmath.mpf(x.a)))
-    hi = int(mpmath.floor(mpmath.mpf(x.b)))
+def _round_exact(x, rnd) -> int:
+    lo, hi = (libmp.to_int(e, rnd) for e in _ends(x))
     if lo != hi:
         raise IndeterminateFloor(x)
     return lo
+
+
+def floor_exact(x) -> int:
+    """Floor of an enclosure, when unambiguous."""
+    return _round_exact(x, libmp.round_floor)
 
 
 def ceil_exact(x) -> int:
     """Ceiling of an enclosure, when unambiguous."""
-    x = enc(x)
-    lo = int(mpmath.ceil(mpmath.mpf(x.a)))
-    hi = int(mpmath.ceil(mpmath.mpf(x.b)))
-    if lo != hi:
-        raise IndeterminateFloor(x)
-    return lo
+    return _round_exact(x, libmp.round_ceiling)
 
 
 class IndeterminateFloor(Exception):

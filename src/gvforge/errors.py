@@ -29,10 +29,6 @@ class TauSearchError(CapacityError):
     """
 
 
-class BoundaryContact(GvforgeError):
-    """A lattice point cannot be strictly classified against a box face."""
-
-
 class ConditionFailure(GvforgeError):
     """A named parameter condition failed; .failures lists the condition names."""
 

@@ -1,14 +1,14 @@
 """Code construction from quadratic-field lattices.
 
 The ring of integers embeds into R^2 (real pair or complex-as-real pair);
-an open axis-aligned box of volume r^G placed by a certified translate
+an open axis-aligned box of volume 2^-t r^G placed by a searched translate
 captures at least ceil(r^G / sqrt|disc|) lattice points, and reduction of
 those points modulo n prime ideals of norm in [r, q] yields length-n words
 over [0, q) with minimum distance at least n + 1 - G.
 
-Box membership is decided with interval arithmetic: every point is either
-certainly inside or certainly outside, and a point that cannot be separated
-from a face raises BoundaryContact (the search then nudges the translate).
+Box membership is exact: every face test is the sign of a + b sqrt(m) +
+c sqrt(R) with integers a, b, c, settled by squaring. A point on a face is
+outside. Floats only rank translates and guess where exact searches start.
 """
 
 import math
@@ -16,20 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 from mpmath import iv
 
 from . import enclosure as enc
-from . import numtheory as nt
-from .errors import BoundaryContact, CapacityError, DomainError, TauSearchError
+from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
                         prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
 _GRID_OFFSET = Fraction(1, 1 << 20)
-_BUMP = Fraction(1, 1 << 40)
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,12 @@ class LatticeEmbedding:
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Open box (tau_1, tau_1 + rho) x (tau_2, tau_2 + rho), side enclosed."""
+    """Open box (tau_1, tau_1 + rho) x (tau_2, tau_2 + rho).
+
+    The exact translate is tau = B shift for rational basis coordinates
+    shift, or (-rho/2, -rho/2) when shift is None; the enclosures rho, tau1
+    and tau2 are for reporting only.
+    """
 
     rho: object
     tau1: object
@@ -60,7 +62,8 @@ class BoxSpec:
     G: int
     grid: int
     cell: tuple
-    bumps: int
+    shift: Optional[tuple]
+    bumps = 0  # exact membership never retries a box; trace tooling reads it
 
 
 @dataclass(frozen=True)
@@ -86,26 +89,23 @@ class CodeCheck:
     worst_pair: Optional[tuple]
 
 
+def _integer_basis(K: QuadraticField):
+    """Rows (p, q, e) with x_k = (p u + q v + e v sqrt(m)) / 2, and m."""
+    if K.disc % 4 == 0:
+        rows = ((2, 0, 0), (0, 0, 2)) if K.disc < 0 else ((2, 0, 2), (2, 0, -2))
+    else:
+        rows = ((2, 1, 0), (0, 0, 1)) if K.disc < 0 else ((2, 1, 1), (2, 1, -1))
+    return rows, abs(K.radicand)
+
+
 def make_embedding(K: QuadraticField) -> LatticeEmbedding:
     """Minkowski-style embedding of the ring of integers of K into R^2."""
-    D = K.disc
-    if D % 4 == 0:
-        d = K.radicand
-        if D < 0:
-            root = iv.sqrt(iv.mpf(-d))
-            b = (iv.mpf(1), iv.mpf(0), iv.mpf(0), root)
-        else:
-            root = iv.sqrt(iv.mpf(d))
-            b = (iv.mpf(1), root, iv.mpf(1), -root)
-    else:
-        if D < 0:
-            root = iv.sqrt(iv.mpf(-D))
-            b = (iv.mpf(1), iv.mpf(1) / 2, iv.mpf(0), root / 2)
-        else:
-            root = iv.sqrt(iv.mpf(D))
-            b = (iv.mpf(1), (1 + root) / 2, iv.mpf(1), (1 - root) / 2)
-    covol = iv.sqrt(iv.mpf(abs(D))) / (2 ** K.t)
-    return LatticeEmbedding(field=K, b00=b[0], b01=b[1], b10=b[2], b11=b[3],
+    rows, m = _integer_basis(K)
+    root = iv.sqrt(iv.mpf(m))
+    (b00, b01), (b10, b11) = ((iv.mpf(p) / 2, (q + e * root) / 2)
+                              for p, q, e in rows)
+    covol = iv.sqrt(iv.mpf(abs(K.disc))) / (2 ** K.t)
+    return LatticeEmbedding(field=K, b00=b00, b01=b01, b10=b10, b11=b11,
                             covolume=covol)
 
 
@@ -125,28 +125,58 @@ def minkowski_target(r: int, G: int, abs_disc: int) -> int:
     return t
 
 
-def _tau_from_cell(E: LatticeEmbedding, i, j, g: int, bumps: int):
-    si = Fraction(i, g) + _GRID_OFFSET
-    sj = Fraction(j, g) + _GRID_OFFSET
-    shift = enc.enc(_BUMP * bumps) if bumps else 0
-    t1 = E.b00 * enc.enc(si) + E.b01 * enc.enc(sj) + shift
-    t2 = E.b10 * enc.enc(si) + E.b11 * enc.enc(sj) + shift
-    return t1, t2
+def box_at(E: LatticeEmbedding, r: int, G: int, shift, grid: int = 0,
+           cell: tuple = (-1, -1)) -> BoxSpec:
+    """The box of side rho(r, G) at basis coordinates shift (None: centred)."""
+    rho = box_side(E.field, r, G)
+    if shift is None:
+        t1 = t2 = -rho / 2
+    else:
+        shift = tuple(Fraction(s) for s in shift)
+        si, sj = (enc.enc(s) for s in shift)
+        t1 = E.b00 * si + E.b01 * sj
+        t2 = E.b10 * si + E.b11 * sj
+    return BoxSpec(rho=rho, tau1=t1, tau2=t2, r=r, G=G, grid=grid, cell=cell,
+                   shift=shift)
 
 
-def _float_count(bf, tau1: float, tau2: float, rho: float, pad: float = 0.0) -> int:
-    """Approximate open-box lattice count (float arithmetic, numpy over u)."""
+def _sign(a: int, b: int, m: int) -> int:
+    """Sign of a + b sqrt(m), m > 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > b * b * m) - (a * a < b * b * m))
+
+
+def _face_sign(a: int, b: int, m: int, c: int, R: int) -> int:
+    """Sign of a + b sqrt(m) + c sqrt(R), m, R > 0, decided by squaring."""
+    s, sc = _sign(a, b, m), (c > 0) - (c < 0)
+    if s * sc >= 0:
+        return s or sc
+    return s * _sign(a * a + b * b * m - c * c * R, 2 * a * b, m)
+
+
+def _first_true(pred, v: int) -> int:
+    """Least integer v with pred(v), for pred false then true; v is a guess."""
+    while pred(v - 1):
+        v -= 1
+    while not pred(v):
+        v += 1
+    return v
+
+
+def _reach(K: QuadraticField, r: int, G: int):
+    """R = (2 rho)^2, and P = isqrt(R) + 1 > 2 rho, both integers."""
+    R = r ** G * 2 ** (2 - K.t)
+    return R, math.isqrt(R) + 1
+
+
+def _float_columns(bf, tau1: float, tau2: float, rho: float, u: np.ndarray):
+    """Float guesses of each column's v-range [lo, hi] inside the open box.
+
+    alive is False where a face that does not depend on v excludes u.
+    """
     b00, b01, b10, b11 = bf
-    det = b00 * b11 - b01 * b10
-    corners_u = []
-    for x0 in (tau1, tau1 + rho):
-        for x1 in (tau2, tau2 + rho):
-            corners_u.append((b11 * x0 - b01 * x1) / det)
-    u_lo = math.floor(min(corners_u)) - 1
-    u_hi = math.ceil(max(corners_u)) + 1
-    if u_hi - u_lo > 4 * 10 ** 6:
-        raise CapacityError("u-range %d too large" % (u_hi - u_lo))
-    u = np.arange(u_lo, u_hi + 1, dtype=np.float64)
     vlo = np.full_like(u, -np.inf)
     vhi = np.full_like(u, np.inf)
     alive = np.ones(len(u), dtype=bool)
@@ -154,100 +184,83 @@ def _float_count(bf, tau1: float, tau2: float, rho: float, pad: float = 0.0) -> 
         a = bu * u
         hi = lo + rho
         if abs(bv) < 1e-300:
-            alive &= (a > lo - pad) & (a < hi + pad)
+            alive &= (a > lo) & (a < hi)
         else:
-            w1 = (lo - pad - a) / bv
-            w2 = (hi + pad - a) / bv
-            lo_v = np.minimum(w1, w2)
-            hi_v = np.maximum(w1, w2)
-            vlo = np.maximum(vlo, lo_v)
-            vhi = np.minimum(vhi, hi_v)
+            w1 = (lo - a) / bv
+            w2 = (hi - a) / bv
+            vlo = np.maximum(vlo, np.minimum(w1, w2))
+            vhi = np.minimum(vhi, np.maximum(w1, w2))
     # the basis is invertible, so at least one coordinate bounds v
-    counts = np.floor(vhi - 1e-12) - np.ceil(vlo + 1e-12) + 1
-    counts = np.where(alive & np.isfinite(vlo) & np.isfinite(vhi),
-                      np.maximum(counts, 0), 0)
-    return int(counts.sum())
+    return np.ceil(vlo + 1e-12), np.floor(vhi - 1e-12), alive
 
 
-def _candidate_points(bf, tau1: float, tau2: float, rho: float):
-    """Superset of box members: float ranges padded generously."""
-    b00, b01, b10, b11 = bf
-    det = b00 * b11 - b01 * b10
-    scale = abs(tau1) + abs(tau2) + rho + 1.0
-    pad = 1e-9 * scale + 1e-9
-    corners_u = []
-    for x0 in (tau1, tau1 + rho):
-        for x1 in (tau2, tau2 + rho):
-            corners_u.append((b11 * x0 - b01 * x1) / det)
-    u_lo = math.floor(min(corners_u)) - 2
-    u_hi = math.ceil(max(corners_u)) + 2
-    for u in range(u_lo, u_hi + 1):
-        vlo, vhi = -math.inf, math.inf
-        ok = True
-        for (bu, bv, lo) in ((b00, b01, tau1), (b10, b11, tau2)):
-            a = bu * u
-            hi = lo + rho
-            if abs(bv) < 1e-300:
-                if not (lo - pad < a < hi + pad):
-                    ok = False
-                    break
-            else:
-                w1 = (lo - pad - a) / bv
-                w2 = (hi + pad - a) / bv
-                vlo = max(vlo, min(w1, w2))
-                vhi = min(vhi, max(w1, w2))
-        if not ok or vlo > vhi:
+def _columns(E: LatticeEmbedding, box: BoxSpec):
+    """Yield (u, v_min, v_max) for each u whose column meets the open box.
+
+    Face k of the box is sigma (p_k U + q_k V + e_k V sqrt(m)) + c sqrt(R) > 0
+    with U = S u - n_1, V = S v - n_2 for the translate's common denominator
+    S. Each face is monotone in v, so a column's points are a v-interval
+    found by stepping from the float guess. Every box point has
+    -2 rho < u - floor(s_1) < 2 rho + 1 (|u| < 2 rho when centred), so the
+    u-range [floor(s_1) - P, floor(s_1) + P] of _reach is exact.
+    """
+    rows, m = _integer_basis(E.field)
+    R, P = _reach(E.field, box.r, box.G)
+    if box.shift is None:
+        S, n1, n2, c0 = 2, 0, 0, 1  # 4 (x + rho/2) = 4 x + sqrt(R)
+    else:
+        s1, s2 = box.shift
+        S = math.lcm(s1.denominator, s2.denominator)
+        n1, n2, c0 = int(s1 * S), int(s2 * S), 0
+    faces = {-1: [], 0: [], 1: []}  # by the sign of their slope in v
+    for p, q, e in rows:
+        slope = _sign(q, e, m)
+        for sigma, c in ((1, c0), (-1, S - c0)):
+            faces[sigma * slope].append((sigma * p, sigma * q, sigma * e, c))
+
+    def inside(group, u, v):
+        U, V = S * u - n1, S * v - n2
+        return all(_face_sign(p * U + q * V, e * V, m, c, R) > 0
+                   for p, q, e, c in faces[group])
+
+    u0 = math.floor(box.shift[0]) if box.shift else 0
+    los, his, _ = _float_columns(
+        E.floats, float(enc.midpoint(box.tau1)), float(enc.midpoint(box.tau2)),
+        float(enc.midpoint(box.rho)), np.arange(u0 - P, u0 + P + 1.0))
+    for u, lo, hi in zip(range(u0 - P, u0 + P + 1), los.tolist(), his.tolist()):
+        if not inside(0, u, 0):
             continue
-        for v in range(math.ceil(vlo) - 1, math.floor(vhi) + 2):
-            yield (u, v)
+        lo = _first_true(lambda v: inside(1, u, v), int(lo))
+        hi = -_first_true(lambda w: inside(-1, u, -w), -int(hi))
+        if lo <= hi:
+            yield u, lo, hi
 
 
-def _classify(E: LatticeEmbedding, box_tau1, box_tau2, rho, u: int, v: int) -> bool:
-    """True if strictly inside, False if strictly outside; else BoundaryContact."""
-    x0 = E.b00 * u + E.b01 * v
-    x1 = E.b10 * u + E.b11 * v
-    for x, lo in ((x0, box_tau1), (x1, box_tau2)):
-        left = x - lo          # must be > 0
-        right = lo + rho - x   # must be > 0
-        l_lo, l_hi = mpmath.mpf(left.a), mpmath.mpf(left.b)
-        r_lo, r_hi = mpmath.mpf(right.a), mpmath.mpf(right.b)
-        if l_hi <= 0 or r_hi <= 0:
-            return False
-        if l_lo <= 0 or r_lo <= 0:
-            raise BoundaryContact("lattice point (%d, %d) touches a box face" % (u, v))
-    return True
-
-
-def _exact_points(E: LatticeEmbedding, tau1, tau2, rho) -> list:
-    bf = E.floats
-    t1f, t2f = float(enc.midpoint(tau1)), float(enc.midpoint(tau2))
-    rf = float(enc.midpoint(rho))
-    pts = []
-    for (u, v) in _candidate_points(bf, t1f, t2f, rf):
-        if _classify(E, tau1, tau2, rho, u, v):
-            pts.append((u, v))
-    pts.sort()
-    return pts
+def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
+    return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
 
 
 def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
-             max_grid: int = 1024, seed=None) -> BoxSpec:
+             max_grid: int = 1024) -> BoxSpec:
     """Certified translate: the open box holds >= ceil(r^G/sqrt|disc|) points.
 
-    Deterministic: grid translates of the basis cell are scored in floats,
-    the best few are re-counted exactly in interval arithmetic, and ties go
-    to the lexicographically smallest grid cell. Boundary contacts nudge the
-    translate by 2^-40 per attempt. Exhausting every grid up to max_grid
-    raises TauSearchError (retry with a larger max_grid); an under-counted
-    box is never returned.
+    Deterministic: grid translates of the basis cell are ranked by a float
+    estimate, the best six and the centred box are counted exactly, and a
+    later candidate wins only with a strictly larger count. Exhausting every
+    grid up to max_grid raises TauSearchError (retry with a larger
+    max_grid); an under-counted box is never returned.
     """
     K = E.field
     target = minkowski_target(r, G, abs(K.disc))
     if r ** G > OMEGA_CAP * math.isqrt(abs(K.disc)) + OMEGA_CAP:
         raise CapacityError("expected point count exceeds cap %d" % OMEGA_CAP)
-    rho = box_side(K, r, G)
-    rho_f = float(enc.midpoint(rho))
+    centred = box_at(E, r, G, None)
+    centred_count = _count(E, centred)
+    rho_f = float(enc.midpoint(centred.rho))
     bf = E.floats
+    # every grid cell has floor(s_1) = 0, so one u-range serves them all
+    P = _reach(K, r, G)[1]
+    us = np.arange(-P, P + 1.0)
     g = start_grid
     while g <= max_grid:
         scored = []
@@ -257,41 +270,24 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
                 sj = j / g + float(_GRID_OFFSET)
                 t1 = bf[0] * si + bf[1] * sj
                 t2 = bf[2] * si + bf[3] * sj
-                scored.append((-_float_count(bf, t1, t2, rho_f), i, j))
+                lo, hi, alive = _float_columns(bf, t1, t2, rho_f, us)
+                score = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum()
+                scored.append((-int(score), i, j))
         scored.sort()
-        best = None
+        best, best_count = None, -1
         for (negscore, i, j) in scored[:6]:
             if -negscore < target and best is not None:
                 break
-            for bumps in range(8):
-                t1, t2 = _tau_from_cell(E, i, j, g, bumps)
-                try:
-                    pts = _exact_points(E, t1, t2, rho)
-                except BoundaryContact:
-                    continue
-                if best is None or len(pts) > best[0]:
-                    best = (len(pts), i, j, bumps)
-                break
-        # centered fallback covers sparse boxes the coarse grid misses
-        for bumps in range(8):
-            t1 = -rho / 2 + enc.enc(_BUMP * bumps)
-            t2 = -rho / 2 + enc.enc(_BUMP * bumps)
-            try:
-                pts = _exact_points(E, t1, t2, rho)
-            except BoundaryContact:
-                continue
-            if best is None or len(pts) > best[0]:
-                best = (len(pts), -1, -1, bumps)
-            break
-        if best is not None and best[0] >= target:
-            count, i, j, bumps = best
-            if (i, j) == (-1, -1):
-                t1 = -rho / 2 + enc.enc(_BUMP * bumps)
-                t2 = -rho / 2 + enc.enc(_BUMP * bumps)
-            else:
-                t1, t2 = _tau_from_cell(E, i, j, g, bumps)
-            return BoxSpec(rho=rho, tau1=t1, tau2=t2, r=r, G=G,
-                           grid=g, cell=(i, j), bumps=bumps)
+            box = box_at(E, r, G, (Fraction(i, g) + _GRID_OFFSET,
+                                   Fraction(j, g) + _GRID_OFFSET), g, (i, j))
+            count = _count(E, box)
+            if count > best_count:
+                best, best_count = box, count
+        # the centred box covers sparse boxes the coarse grid misses
+        if centred_count > best_count:
+            best, best_count = box_at(E, r, G, None, g), centred_count
+        if best_count >= target:
+            return best
         g *= 2
     raise TauSearchError(
         "no translate certified %d points up to grid %d; retry with a finer grid"
@@ -300,7 +296,7 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
 
 def enumerate_omega(E: LatticeEmbedding, box: BoxSpec) -> list:
     """Exact sorted list of lattice (u, v) strictly inside the box."""
-    return _exact_points(E, box.tau1, box.tau2, box.rho)
+    return [(u, v) for u, lo, hi in _columns(E, box) for v in range(lo, hi + 1)]
 
 
 def residue_symbol(a, P: PrimeIdealRecord, q: int) -> int:
@@ -318,7 +314,7 @@ def residue_symbol(a, P: PrimeIdealRecord, q: int) -> int:
 
 
 def build_code(K: QuadraticField, r: int, q: int, G: int,
-               start_grid: int = 64, max_grid: int = 1024, seed=None) -> LenstraCode:
+               start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
     """Construct the length-n code over [0, q) from the field K.
 
     Requires 2 <= r <= q, 1 <= G <= n where n is the number of prime ideals
@@ -339,7 +335,7 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
         raise DomainError(
             "box volume too small: r^(2G)=%d < |disc|=%d" % (r ** (2 * G), abs(K.disc)))
     E = make_embedding(K)
-    box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid, seed=seed)
+    box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid)
     omega = enumerate_omega(E, box)
     if len(omega) > OMEGA_CAP:
         raise CapacityError("omega size %d exceeds cap %d" % (len(omega), OMEGA_CAP))
@@ -487,10 +483,11 @@ def norm_gap_check(code: LenstraCode) -> bool:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (m, PAIRWISE_CAP))
     K_T = 0 if code.disc % 4 == 0 else 1
     K_N = -(code.disc // 4) if code.disc % 4 == 0 else (1 - code.disc) // 4
-    r, G, n = code.r, code.G, code.n
+    r, G = code.r, code.G
     if r ** G > 1 << 60:
         raise CapacityError("r^G too large for vectorized norm scan")
-    powers = np.array([r ** e for e in range(n + 1)], dtype=np.int64)
+    # agreeing in G or more positions already fails, so r^G caps the powers
+    powers = np.array([r ** e for e in range(G)], dtype=np.int64)
     uv = np.asarray(omega, dtype=np.int64)
     arr = np.asarray(code.codewords, dtype=np.int64)
     upper = r ** G
@@ -502,7 +499,7 @@ def norm_gap_check(code: LenstraCode) -> bool:
             dv = uv[i + 1:, 1] - uv[i, 1]
             norms = np.abs(du * du + K_T * du * dv + K_N * dv * dv)
             agree = (arr[i + 1:] == arr[i]).sum(axis=1)
-            if int(agree.max(initial=0)) >= len(powers):
+            if int(agree.max(initial=0)) >= G:
                 return False
             lower = powers[agree]
             if not bool(np.all((norms >= lower) & (norms < upper))):

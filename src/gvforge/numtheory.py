@@ -6,9 +6,9 @@ are exact integers (searchsorted), never estimates. Transcendental quantities
 returned as interval enclosures from `enclosure`.
 """
 
+import copy
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +119,15 @@ class PrimeTable:
         b = int(np.searchsorted(arr, hi, side="right"))
         return max(b - a, 0)
 
+    def upto(self, x: int) -> "PrimeTable":
+        """A view holding only the primes <= x; it shares this table's arrays."""
+        view = copy.copy(self)
+        view.limit = x
+        for name in ("primes", "primes_1mod4", "primes_3mod4"):
+            arr = getattr(self, name)
+            setattr(view, name, arr[:int(np.searchsorted(arr, x, side="right"))])
+        return view
+
     def nth(self, i: int) -> int:
         """p_i with p_1 = 2."""
         if i < 1:
@@ -136,8 +145,8 @@ class PrimeTable:
 _table: PrimeTable = None
 
 
-def table_for(limit: int) -> PrimeTable:
-    """Shared growing table covering at least `limit`."""
+def _shared_table(limit: int) -> PrimeTable:
+    """The shared growing table, covering at least `limit`."""
     global _table
     limit = max(int(limit), 1 << 10)
     if limit > _sieve_cap:
@@ -145,6 +154,11 @@ def table_for(limit: int) -> PrimeTable:
     if _table is None or _table.limit < limit:
         _table = PrimeTable(max(limit, limit + limit // 4))
     return _table
+
+
+def table_for(limit: int) -> PrimeTable:
+    """The primes <= limit: a view of the shared growing table."""
+    return _shared_table(limit).upto(int(limit))
 
 
 def nth_prime(i: int) -> int:
@@ -155,7 +169,7 @@ def nth_prime(i: int) -> int:
         return [2, 3, 5, 7, 11][i - 1]
     # Rosser-type upper bound p_i < i (ln i + ln ln i) for i >= 6
     bound = int(i * (math.log(i) + math.log(math.log(i)))) + 16
-    return table_for(bound).nth(i)
+    return _shared_table(bound).nth(i)
 
 
 def prime_count_ap(x: int, modulus: int, residue: int) -> int:
@@ -183,7 +197,6 @@ def chebyshev_theta(x: int) -> enc.HighReal:
     if x < 2:
         return iv.mpf(0)
     primes = table_for(int(x)).primes
-    primes = primes[primes <= x]
     total = iv.mpf(0)
     prod = 1
     for p in primes:

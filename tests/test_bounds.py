@@ -204,6 +204,25 @@ def test_theorem2_schedule_exact_rounding():
         assert s.k == ((s.ell - 2) ** 2 - 4 * (s.ell - 2)) // 4 - 2
 
 
+def test_theorem2_schedule_past_double_precision():
+    # r = ceil((1 - eps)^2 q) has 53 bits here; a 53-bit endpoint rounding
+    # once gave ...076
+    q = 10 ** 16
+    with mp.workdps(80):
+        eps = 1 / mp.cbrt(mp.log(q))
+        want = int(mp.ceil((1 - eps) ** 2 * q))
+    assert bd.theorem2_schedule(q).r == want == 4892580115977077
+
+
+def test_endpoint_comparisons_keep_full_precision():
+    tiny = Fraction(1, 2 ** 100)
+    assert encl.le_status(1 + tiny, 1) == encl.FAIL
+    assert encl.lt_status(1, 1 + tiny) == encl.PASS
+    assert encl.ceil_exact(2 ** 60 + Fraction(1, 3)) == 2 ** 60 + 1
+    assert encl.floor_exact(2 ** 60 + Fraction(1, 3)) == 2 ** 60
+    assert not encl.contains(2 ** 70 + 1, 2 ** 70)
+
+
 def test_theorem1_schedule():
     s = bd.theorem1_schedule(Q42, Fraction(5, 2))
     assert s.r == 2114029880298

@@ -72,7 +72,7 @@ def test_bounds_bad_q(capsys):
 def test_bounds_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        code, _, _ = run(capsys, "--seed", "7", "bounds", "--q", "256",
+        code, _, _ = run(capsys, "bounds", "--q", "256",
                          "--delta-grid", "1/10:9/10:1/5",
                          "--output", str(path))
         assert code == 0
@@ -233,6 +233,18 @@ def test_verify_malformed_and_missing(capsys, tmp_path):
     assert code == 1 and "error:" in err
     code, out, err = run(capsys, "verify", str(tmp_path / "absent.txt"))
     assert code == 1
+
+
+def test_verify_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 1 and err.startswith("error:")
+
+
+def test_verify_binary_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "code.bin"
+    path.write_bytes(b"# lenstra \xff\xfe\x00\x81\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err.startswith("error:")
 
 
 # ------------------------------------------------------------------ tower

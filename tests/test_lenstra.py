@@ -2,8 +2,8 @@
 
 The enumeration oracle re-embeds the lattice with plain 60-digit mpmath
 floats and scans a padded rectangle; it shares no code path with the
-interval classifier it checks, and it asserts every point it classifies is
-far from the box faces.
+exact integer classifier it checks, and it asserts every point it
+classifies is far from the box faces.
 """
 
 import itertools
@@ -118,12 +118,26 @@ def test_half_shifted_box_on_gaussian_lattice():
     K = qf.make_field(-4)
     E = ln.make_embedding(K)
     eps = Fraction(1, 1 << 20)
-    tau = encl.enc(Fraction(-1, 2) + eps)
-    box = ln.BoxSpec(rho=ln.box_side(K, 9, 1), tau1=tau, tau2=tau,
-                     r=9, G=1, grid=0, cell=(-1, -1), bumps=0)
+    tau = Fraction(-1, 2) + eps
+    box = ln.box_at(E, 9, 1, (tau, tau))
     pts = ln.enumerate_omega(E, box)
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert brute_box_count(-4, box) == 4
+
+
+def test_faces_through_lattice_points_exclude_them():
+    # tau = (0, 0), rho = 3/sqrt(2): the lower faces u = 0 and v = 0 pass
+    # through lattice points, which an open box leaves out
+    E = ln.make_embedding(qf.make_field(-4))
+    box = ln.box_at(E, 9, 1, (0, 0))
+    assert ln.enumerate_omega(E, box) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    # centred at rho = 2 (r^G = 8), the faces x = +-1 hold lattice points
+    centred = ln.box_at(E, 2, 3, None)
+    assert ln.enumerate_omega(E, centred) == [(0, 0)]
+    # disc 8, x = (u + v sqrt 2, u - v sqrt 2) in (0, 2)^2: (0, 0) and
+    # (2, 0) sit on corners, and only (1, 0) is inside
+    E8 = ln.make_embedding(qf.make_field(8))
+    assert ln.enumerate_omega(E8, ln.box_at(E8, 4, 1, (0, 0))) == [(1, 0)]
 
 
 def test_find_tau_meets_target():
@@ -348,7 +362,8 @@ def test_distance_scan_matches_itertools(rng):
 
 def test_norm_gap_check():
     K = qf.make_field(-4)
-    for args in ((9, 13, 1), (9, 13, 3)):
+    # (9, 200, 1) has n = 43 positions, and 9^43 overflows int64
+    for args in ((9, 13, 1), (9, 13, 3), (9, 200, 1)):
         assert ln.norm_gap_check(ln.build_code(K, *args))
     code = ln.build_code(K, 9, 13, 1)
     # duplicating a lattice point forces N(a-b) = 0 below r^agree

@@ -118,6 +118,15 @@ def test_count_3mod4_in_window():
     assert table.count_3mod4_in(600, 799) == by_scan
 
 
+def test_table_for_stops_at_x():
+    nt.table_for(10 ** 5)  # grow the shared table well past x
+    table = nt.table_for(100)
+    assert table.limit == 100
+    assert table.primes.tolist() == [n for n in range(2, 101)
+                                     if trial_division_is_prime(n)]
+    assert table.primes_1mod4[-1] == 97 and table.primes_3mod4[-1] == 83
+
+
 def test_nth_prime():
     assert [nt.nth_prime(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
     assert nt.nth_prime(125) == 691
