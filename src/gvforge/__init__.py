@@ -20,9 +20,9 @@ from .lenstra import (BoxSpec, LatticeEmbedding, LenstraCode, build_code,
                       enumerate_omega, find_tau, make_embedding,
                       norm_gap_check, residue_symbol, verify_code)
 from .bounds import (BoundPoint, Certificate, ParamWitness, Schedule,
-                     a_rq_upper_bounds, certify, certify_theorem2,
-                     check_conditions, final_inequality_scan, gv_asymptotic,
-                     gv_bound, growth_proxy, nfc_bound, plotkin_bound,
-                     search_params, theorem1_schedule, theorem2_schedule)
+                     a_rq_upper_bounds, certify, check_conditions,
+                     final_inequality_scan, gv_asymptotic, gv_bound,
+                     growth_proxy, nfc_bound, plotkin_bound, search_params,
+                     theorem1_schedule, theorem2_schedule)
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ C_LOGD_BOUND = Fraction(2901, 10 ** 4)       # log(D)/(2k) stays below this
 C_FINAL_A = Fraction(37, 10)                 # ell * (C_FINAL_A + log ell + log log ell)
 C_FINAL_B = Fraction(-139, 100)              # ... <= C_FINAL_B + C_FINAL_C * (k-ish)
 C_FINAL_C = Fraction(58, 100)
-C_AVG = None  # 1/(1 - log(2/sqrt(pi))), built lazily as an enclosure
 
 _ELIGIBLE_Q = None
 _DLOG_CACHE = {}
@@ -458,10 +457,6 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         overall = enc.PASS
     return Certificate(q=q, schedule=sch.name, witness=witness,
                        checks=tuple(checks), overall=overall)
-
-
-def certify_theorem2(q: int) -> Certificate:
-    return certify(q, "theorem2")
 
 
 def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:

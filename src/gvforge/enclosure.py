@@ -53,11 +53,16 @@ def _ends(x):
     return enc(x)._mpi_
 
 
+def as_fraction(value) -> Fraction:
+    """The exact rational value of an int, float, Fraction or mpf."""
+    if isinstance(value, mpmath.mpf):
+        return Fraction(*libmp.to_rational(value._mpf_))
+    return Fraction(value)
+
+
 def contains(x, value) -> bool:
     """True when the enclosure of x contains the exact number `value`."""
-    if isinstance(value, mpmath.mpf):
-        value = Fraction(*libmp.to_rational(value._mpf_))
-    value = Fraction(value)  # exact for ints, floats and Fractions
+    value = as_fraction(value)
     den, num = libmp.from_int(value.denominator), libmp.from_int(value.numerator)
     lo, hi = (libmp.mpf_mul(e, den) for e in _ends(x))
     return libmp.mpf_le(lo, num) and libmp.mpf_le(num, hi)

@@ -22,7 +22,7 @@ from mpmath import iv
 from . import enclosure as enc
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
-                        prime_ideals_in_norm_range)
+                        is_fundamental, prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
@@ -385,6 +385,9 @@ def parse_code_file(text: str) -> LenstraCode:
         raise DomainError("line 1: bad header (%s)" % e) from None
     if len(tau) != 2:
         raise DomainError("line 1: tau must have two coordinates")
+    if not is_fundamental(disc):
+        raise DomainError("line 1: disc=%d is not a fundamental discriminant"
+                          % disc)
     words = []
     for idx, line in enumerate(lines[1:], start=2):
         if not line.strip():

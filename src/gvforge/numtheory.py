@@ -1,7 +1,10 @@
 """Exact prime tables and certified analytic number theory helpers.
 
-Primes come from a segmented sieve of Eratosthenes into numpy arrays; counts
-are exact integers (searchsorted), never estimates. Transcendental quantities
+Primes come from a segmented sieve of Eratosthenes over the odd numbers into
+uint32 numpy arrays (exact below the 2^32 hard cap); counts are exact
+integers (searchsorted with uint32 keys), never estimates. One shared table
+per process serves every query and grows geometrically from its own limit,
+never from the request. Transcendental quantities
 (log of a primorial, Chebyshev theta, the offset logarithmic integral) are
 returned as interval enclosures from `enclosure`.
 """
@@ -43,7 +46,12 @@ def sieve_cap() -> int:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as a uint32 array.
+
+    uint32 is exact: the hard cap is 2^32, and the largest prime below it
+    is 4294967291. Only odd numbers are sieved, one `_WINDOW` of the number
+    line at a time; 2 is prepended.
+    """
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be >= 2, got %r" % limit)
@@ -56,22 +64,34 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p::p] = False
-    base_primes = np.flatnonzero(base)
+    base_primes = np.flatnonzero(base)[1:].tolist()  # odd base primes
 
-    chunks = []
+    chunks = [np.array([2], dtype=np.uint32)]
     for lo in range(0, limit + 1, _WINDOW):
         hi = min(lo + _WINDOW, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
+        # slot j holds the odd number lo + 1 + 2j (lo is even)
+        seg = np.ones((hi - lo) // 2, dtype=bool)
         if lo == 0:
-            seg[:2] = False
+            seg[0] = False  # 1
         for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg[start - lo::p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            if start % 2 == 0:
+                start += p
+            seg[(start - lo - 1) // 2::p] = False
+        chunks.append((np.flatnonzero(seg) * 2 + (lo + 1)).astype(np.uint32))
+    return np.concatenate(chunks)
+
+
+def _rank(arr: np.ndarray, x: int, side: str) -> int:
+    """np.searchsorted on a uint32 prime array with a uint32 key.
+
+    A Python int key would make numpy cast the whole array to int64 on
+    every call. Clamping is exact: 0 and 2^32 are not prime.
+    """
+    key = np.uint32(min(max(int(x), 0), HARD_SIEVE_CAP - 1))
+    return int(np.searchsorted(arr, key, side=side))
 
 
 class PrimeTable:
@@ -80,9 +100,11 @@ class PrimeTable:
     def __init__(self, limit: int):
         self.limit = int(limit)
         self.primes = sieve_primes(self.limit)
-        res = self.primes % 4
-        self.primes_1mod4 = self.primes[res == 1]
-        self.primes_3mod4 = self.primes[res == 3]
+        odd = self.primes[1:]
+        is3 = (odd & 2).astype(bool)  # p = 3 (mod 4) for odd p
+        self.primes_3mod4 = odd[is3]
+        np.logical_not(is3, out=is3)
+        self.primes_1mod4 = odd[is3]
 
     def __len__(self):
         return len(self.primes)
@@ -90,7 +112,7 @@ class PrimeTable:
     def count(self, x: int) -> int:
         """pi(x), exact. Requires x <= limit."""
         self._check(x)
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return _rank(self.primes, x, "right")
 
     def count_ap(self, x: int, modulus: int, residue: int) -> int:
         """Primes p <= x with p = residue (mod modulus); modulus in {1, 4}."""
@@ -109,15 +131,17 @@ class PrimeTable:
             return 1 if x >= 2 else 0
         else:
             return 0
-        return int(np.searchsorted(arr, x, side="right"))
+        return _rank(arr, x, "right")
+
+    def primes_3mod4_in(self, lo: int, hi: int) -> np.ndarray:
+        """The primes p = 3 (mod 4) with lo <= p <= hi, ascending (a view)."""
+        self._check(hi)
+        arr = self.primes_3mod4
+        return arr[_rank(arr, lo, "left"):_rank(arr, hi, "right")]
 
     def count_3mod4_in(self, lo: int, hi: int) -> int:
         """Primes p = 3 (mod 4) with lo <= p <= hi, exact."""
-        self._check(hi)
-        arr = self.primes_3mod4
-        a = int(np.searchsorted(arr, lo, side="left"))
-        b = int(np.searchsorted(arr, hi, side="right"))
-        return max(b - a, 0)
+        return len(self.primes_3mod4_in(lo, hi))
 
     def upto(self, x: int) -> "PrimeTable":
         """A view holding only the primes <= x; it shares this table's arrays."""
@@ -125,7 +149,7 @@ class PrimeTable:
         view.limit = x
         for name in ("primes", "primes_1mod4", "primes_3mod4"):
             arr = getattr(self, name)
-            setattr(view, name, arr[:int(np.searchsorted(arr, x, side="right"))])
+            setattr(view, name, arr[:_rank(arr, x, "right")])
         return view
 
     def nth(self, i: int) -> int:
@@ -146,13 +170,20 @@ _table: PrimeTable = None
 
 
 def _shared_table(limit: int) -> PrimeTable:
-    """The shared growing table, covering at least `limit`."""
+    """The shared table, covering at least `limit`.
+
+    It grows geometrically from its own limit (by at least a quarter, up to
+    the sieve cap), so a run of small increases re-sieves only
+    logarithmically often, while a jump to a large limit sieves exactly
+    that limit.
+    """
     global _table
     limit = max(int(limit), 1 << 10)
     if limit > _sieve_cap:
         raise CapacityError("limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
     if _table is None or _table.limit < limit:
-        _table = PrimeTable(max(limit, limit + limit // 4))
+        old = _table.limit if _table else 0
+        _table = PrimeTable(min(max(limit, old + old // 4), _sieve_cap))
     return _table
 
 
@@ -235,12 +266,16 @@ def log_integral(x) -> enc.HighReal:
     positive; once k >= 2u the term ratio stays below 1/2, so the dropped
     tail is below twice the first dropped term and is added as an interval.
     """
-    if isinstance(x, (int, Fraction)) and x == 2:
-        return iv.mpf(0)
-    xe = enc.enc(x)
-    if mpmath.mpf(xe.a) < 2:
+    if isinstance(x, enc.HighReal):
+        below = enc.ge_status(x, 2) != enc.PASS
+    else:
+        exact = enc.as_fraction(x)
+        below = exact < 2
+        if exact == 2:
+            return iv.mpf(0)
+    if below:
         raise DomainError("log_integral requires x >= 2")
-    u_x = iv.log(xe)
+    u_x = iv.log(enc.enc(x))
     u_2 = iv.log(iv.mpf(2))
     return (iv.log(u_x) + _li_series(u_x)) - (iv.log(u_2) + _li_series(u_2))
 

@@ -321,12 +321,8 @@ def candidate_Sc(K: QuadraticField, r: int, q: int, ell: int) -> list:
     hi = math.isqrt(q)
     if hi < lo:
         return []
-    table = nt.table_for(hi)
-    arr = table.primes_3mod4
-    a = int(np.searchsorted(arr, lo, side="left"))
-    b = int(np.searchsorted(arr, hi, side="right"))
     out = []
-    for p in arr[a:b]:
+    for p in nt.table_for(hi).primes_3mod4_in(lo, hi):
         p = int(p)
         if nt.kronecker_symbol(K.disc, p) == -1:
             out.append(PrimeIdealRecord(p, INERT, p * p, 0, None))

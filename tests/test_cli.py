@@ -235,6 +235,16 @@ def test_verify_malformed_and_missing(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_rejects_a_header_disc_that_is_not_fundamental(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    for disc in (0, 1, -3 * 4, 8 * 9):
+        path.write_text("# lenstra q=13 r=9 G=1 disc=%d n=3 tau=0,0\n"
+                        "0 0 0\n1 1 1\n" % disc)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1: disc=%d" % disc)
+
+
 def test_verify_directory_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(tmp_path))
     assert code == 1 and err.startswith("error:")

@@ -6,6 +6,7 @@ root scans), and enclosures are bracketed by convexity quadrature.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -20,14 +21,22 @@ from gvforge.errors import CapacityError, DomainError
 from conftest import trial_division_is_prime
 
 
-def bytearray_prime_count(limit: int) -> int:
+def bytearray_sieve(limit: int) -> bytearray:
     """Classic one-shot sieve on a bytearray; no numpy, no segmentation."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return sum(flags)
+    return flags
+
+
+def bytearray_prime_count(limit: int) -> int:
+    return sum(bytearray_sieve(limit))
+
+
+def bytearray_primes(limit: int) -> np.ndarray:
+    return np.flatnonzero(np.frombuffer(bytearray_sieve(limit), dtype=np.uint8))
 
 
 def overlap(x, y) -> bool:
@@ -54,6 +63,59 @@ def test_sieve_small_lists():
     assert nt.sieve_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(DomainError):
         nt.sieve_primes(1)
+
+
+WINDOW_EDGES = [k * nt._WINDOW + d for k in (1, 2) for d in (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("limit", list(range(2, 41)) + WINDOW_EDGES)
+def test_sieve_matches_bytearray_oracle(limit):
+    got = nt.sieve_primes(limit)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, bytearray_primes(limit))
+
+
+def test_table_residue_split_matches_oracle():
+    limit = WINDOW_EDGES[-1]
+    want = bytearray_primes(limit)
+    table = nt.PrimeTable(limit)
+    for arr in (table.primes, table.primes_1mod4, table.primes_3mod4):
+        assert arr.dtype == np.uint32
+    assert np.array_equal(table.primes, want)
+    assert np.array_equal(table.primes_1mod4, want[want % 4 == 1])
+    assert np.array_equal(table.primes_3mod4, want[want % 4 == 3])
+
+
+def test_table_queries_do_not_copy_the_table():
+    """A Python-int searchsorted key would cast the uint32 table to int64."""
+    table = nt.table_for(10 ** 7)
+    x = 10 ** 7 - 1
+    queries = (lambda: table.count(x), lambda: table.count_ap(x, 4, 1),
+               lambda: table.count_ap(x, 4, 3),
+               lambda: table.count_3mod4_in(3, x), lambda: table.upto(x))
+    tracemalloc.start()
+    try:
+        for query in queries:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            query()
+            assert tracemalloc.get_traced_memory()[1] - before < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_table_grows_from_its_own_limit(monkeypatch):
+    sieved = []
+    sieve = nt.sieve_primes
+    monkeypatch.setattr(nt, "sieve_primes",
+                        lambda limit: sieved.append(limit) or sieve(limit))
+    monkeypatch.setattr(nt, "_table", None)
+    nt.table_for(2000)
+    nt.table_for(2001)   # a small step grows by a quarter of the table
+    nt.table_for(2400)   # already covered
+    nt.table_for(10 ** 6)  # a jump sieves exactly what was asked
+    assert sieved == [2000, 2500, 10 ** 6]
+    assert nt.table_for(10 ** 6).count(10 ** 6) == 78498
 
 
 def test_sieve_cap_enforced():
@@ -221,6 +283,11 @@ def test_log_integral_edges():
     assert encl.midpoint(nt.log_integral(Fraction(2))) == 0
     with pytest.raises(DomainError):
         nt.log_integral(1.5)
+    # below 2 by less than a double's resolution, as a rational and enclosed
+    just_below = Fraction(2) - Fraction(1, 2 ** 100)
+    for x in (just_below, encl.enc(just_below)):
+        with pytest.raises(DomainError):
+            nt.log_integral(x)
     v = nt.log_integral(Fraction(5, 2))
     lo, hi = quadrature_bracket(2.0, 2.5, 4000)
     assert lo - 1e-9 <= float(encl.midpoint(v)) <= hi + 1e-9
