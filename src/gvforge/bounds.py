@@ -12,12 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-from mpmath import iv
-
 from . import enclosure as enc
 from . import numtheory as nt
-from .errors import CapacityError, ConditionFailure, DomainError, IndeterminateError
+from .enclosure import iv
+from .errors import ConditionFailure, DomainError, IndeterminateError
 
 # rational constants used by the certified inequality chain
 C_SQRT_FACTOR = Fraction(6745, 10 ** 4)      # (1 - eps) stays above this
@@ -126,14 +124,14 @@ class ScanResult:
     min_margin: object  # HighReal
 
 
-def _as_fraction(delta) -> Fraction:
-    if isinstance(delta, Fraction):
-        return delta
-    if isinstance(delta, int):
-        return Fraction(delta)
-    if isinstance(delta, float):
-        return Fraction(delta)
-    raise DomainError("delta must be int, float, or Fraction, got %r" % (delta,))
+def _delta(delta) -> Fraction:
+    """delta as an exact Fraction, checked to lie in (0, 1)."""
+    if not isinstance(delta, (int, float, Fraction)):
+        raise DomainError("delta must be int, float, or Fraction, got %r" % (delta,))
+    dfrac = Fraction(delta)
+    if not 0 < dfrac < 1:
+        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    return dfrac
 
 
 def _check_q(q: int) -> int:
@@ -148,9 +146,7 @@ def gv_bound(q: int, delta) -> enc.HighReal:
     Exactly zero (a zero-width enclosure) once delta >= 1 - 1/q.
     """
     _check_q(q)
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    dfrac = _delta(delta)
     if dfrac >= Fraction(q - 1, q):
         return iv.mpf(0)
     d = enc.enc(dfrac)
@@ -162,9 +158,7 @@ def gv_bound(q: int, delta) -> enc.HighReal:
 def gv_asymptotic(q: int, delta) -> enc.HighReal:
     """First-order form 1 - delta - h(delta)/log q (natural-log entropy h)."""
     _check_q(q)
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    dfrac = _delta(delta)
     d = enc.enc(dfrac)
     h = -d * iv.log(d) - (1 - d) * iv.log(1 - d)
     return 1 - d - h / iv.log(iv.mpf(q))
@@ -173,9 +167,7 @@ def gv_asymptotic(q: int, delta) -> enc.HighReal:
 def plotkin_bound(q: int, delta) -> enc.HighReal:
     """Plotkin rate upper bound; affine piece evaluated in exact rationals."""
     _check_q(q)
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    dfrac = _delta(delta)
     val = 1 - dfrac * Fraction(q, q - 1)
     if val <= 0:
         return iv.mpf(0)
@@ -191,9 +183,7 @@ def nfc_bound(q: int, delta, witness: ParamWitness) -> enc.HighReal:
     _check_q(q)
     if witness.q != q:
         raise DomainError("witness was certified at q=%d, not q=%d" % (witness.q, q))
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    dfrac = _delta(delta)
     d = enc.enc(dfrac)
     logq = iv.log(iv.mpf(q))
     return ((1 - d) * iv.log(iv.mpf(witness.r)) - witness.D_log / (2 * witness.k)) / logq
@@ -203,15 +193,6 @@ def _dlog(ell: int):
     if ell not in _DLOG_CACHE:
         _DLOG_CACHE[ell] = nt.primorial_D(ell)[1]
     return _DLOG_CACHE[ell]
-
-
-def _count_Nq(q: int, r: int, p_ell: int) -> int:
-    """Primes p = 3 (mod 4), p > p_ell, r <= p^2 <= q. Exact."""
-    lo = max(p_ell + 1, math.isqrt(max(r - 1, 0)) + 1)
-    hi = math.isqrt(q)
-    if hi < lo:
-        return 0
-    return nt.table_for(hi).count_3mod4_in(lo, hi)
 
 
 def _evaluate_conditions(q: int, r: int, ell: int, k: int):
@@ -231,10 +212,7 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int):
     ok2 = k >= 1 and lhs2 <= rhs2
     rows.append(("condition2_k_within_quadratic", lhs2, rhs2, rhs2 - lhs2, ok2))
     p_ell = nt.nth_prime(ell)
-    if r >= 2:
-        Nq = _count_Nq(q, r, p_ell)
-    else:
-        Nq = 0
+    Nq = len(nt.inert_window(q, r, p_ell)) if r >= 2 else 0
     ok3 = k >= 1 and Nq >= 2 * k
     rows.append(("condition3_enough_inert_primes", 2 * k, Nq, Nq - 2 * k, ok3))
     witness = None
@@ -254,6 +232,20 @@ def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
     return witness
 
 
+def _schedule(name: str, q: int, eps_fn, eligible: bool) -> Schedule:
+    """The tail both schedules share: r = ceil((1-eps)^2 q), ell =
+    floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
+
+    eps_fn rebuilds eps from exact inputs, so resolve_int can raise the
+    precision until the ceiling is unambiguous.
+    """
+    r = enc.resolve_int(lambda: (1 - eps_fn()) ** 2 * q, enc.ceil_exact)
+    ell = nt.int_nth_root(q, 6)
+    k = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
+    return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=k,
+                    eligible=eligible)
+
+
 def theorem2_schedule(q: int) -> Schedule:
     """Main parameter schedule: eps = (log q)^(-1/3), r = ceil((1-eps)^2 q),
     ell = floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
@@ -267,12 +259,7 @@ def theorem2_schedule(q: int) -> Schedule:
     def _eps():
         return 1 / enc.root(iv.log(iv.mpf(q)), 3)
 
-    eps = _eps()
-    r = enc.resolve_int(lambda: (1 - _eps()) ** 2 * q, enc.ceil_exact)
-    ell = nt.int_nth_root(q, 6)
-    k = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
-    return Schedule(name="theorem2", q=q, eps=eps, r=r, ell=ell, k=k,
-                    eligible=q >= eligible_q_floor())
+    return _schedule("theorem2", q, _eps, q >= eligible_q_floor())
 
 
 def theorem1_schedule(q: int, C0) -> Schedule:
@@ -296,11 +283,7 @@ def theorem1_schedule(q: int, C0) -> Schedule:
     ok = (enc.gt_status(eps, 0) == enc.PASS and enc.lt_status(eps, 1) == enc.PASS)
     if not ok:
         raise DomainError("eps outside (0, 1) for q=%d, C0=%s" % (q, C0))
-    r = enc.resolve_int(lambda: (1 - _eps()) ** 2 * q, enc.ceil_exact)
-    ell = nt.int_nth_root(q, 6)
-    k = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
-    return Schedule(name="theorem1", q=q, eps=eps, r=r, ell=ell, k=k,
-                    eligible=True)
+    return _schedule("theorem1", q, _eps, True)
 
 
 def _mk_check(name: str, lhs, rhs, ok=None) -> CertCheck:
@@ -469,9 +452,7 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
     to smaller (ell, r).
     """
     _check_q(q)
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+    dfrac = _delta(delta)
     if budget < 1:
         raise DomainError("budget must be >= 1")
     gv = gv_bound(q, dfrac)
@@ -481,11 +462,8 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
         num = (2 ** i - 1) ** 2 * q
         den = 4 ** i
         r_candidates.append(-(-num // den))  # ceil((1 - 2^-i)^2 q)
-    sch = None
-    if q >= 3:
-        sch = theorem2_schedule(q)
-        if sch.eligible:
-            r_candidates.append(sch.r)
+    if q >= eligible_q_floor():
+        r_candidates.append(theorem2_schedule(q).r)
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))
 
     ell_hi = 2 * nt.int_nth_root(q, 6) + 2
@@ -496,8 +474,7 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
             if k_quad < 1:
                 continue
             p_ell = nt.nth_prime(ell)
-            Nq = _count_Nq(q, r, p_ell)
-            k = min(k_quad, Nq // 2)
+            k = min(k_quad, len(nt.inert_window(q, r, p_ell)) // 2)
             if k < 1:
                 continue
             try:
@@ -509,15 +486,6 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
             key = (mid, -ell, -r)
             if best is None or key > best[0]:
                 best = (key, w, val)
-    if sch is not None and sch.eligible:
-        try:
-            w = check_conditions(q, sch.r, sch.ell, sch.k)
-            val = nfc_bound(q, dfrac, w)
-            key = (enc.midpoint(val), -sch.ell, -sch.r)
-            if best is None or key > best[0]:
-                best = (key, w, val)
-        except ConditionFailure:
-            pass
     if best is None:
         return SearchOutcome(q=q, delta=dfrac, witness=None, nfc=None, gv=gv,
                              beats_gv=None, note="no certified witness in budget")
@@ -555,9 +523,7 @@ def a_rq_upper_bounds(r: int, q: int):
 def growth_proxy(q: int, delta, rate_lower) -> enc.HighReal:
     """log(1/(1 - delta - rate)) / log(q); needs rate certifiably < 1 - delta."""
     _check_q(q)
-    dfrac = _as_fraction(delta)
-    if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1)")
+    dfrac = _delta(delta)
     gap = 1 - enc.enc(dfrac) - enc.enc(rate_lower)
     if enc.gt_status(gap, 0) != enc.PASS:
         raise DomainError("rate bound must be certifiably below 1 - delta")

@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--delta-grid", type=_delta_grid, default=None,
                    help="start:stop:step over relative distances")
     b.add_argument("--budget", type=int, default=6,
-                   help="witness search budget (eps halvings)")
+                   help="witness search budget (eps halvings); 6 rather than "
+                        "the library's 8, which gave the same rows on the "
+                        "2^20, 2^30 and 10^15 sweeps at about 1.2x the time")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--output", default=None)
 
@@ -194,23 +196,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     code = ln.read_code_file(args.path)
-    bad_symbol = None
-    for i, w in enumerate(code.codewords):
-        for s in w:
-            if not 0 <= s < code.q:
-                bad_symbol = (i, s)
-                break
-        if bad_symbol:
-            break
     check = ln.verify_code(code, threads=args.threads)
     required_d = code.n + 1 - code.G
-    ok = check.ok and bad_symbol is None
     print("M=%d d=%d n=%d" % (check.M, check.d, code.n))
     print("required: M >= %d, d >= %d, injective, symbols in [0, %d)"
           % (check.min_target, required_d, code.q))
-    if bad_symbol is not None:
+    if check.bad_symbol is not None:
         print("fail: word %d has symbol %d outside [0, %d)"
-              % (bad_symbol[0], bad_symbol[1], code.q))
+              % (check.bad_symbol[0], check.bad_symbol[1], code.q))
     if not check.injective:
         print("fail: duplicate codewords (M=%d of %d rows)"
               % (check.M, len(code.codewords)))
@@ -219,8 +212,8 @@ def cmd_verify(args) -> int:
               % (check.worst_pair[0], check.worst_pair[1], check.d, required_d))
     if check.M < check.min_target:
         print("fail: M=%d below the volume target %d" % (check.M, check.min_target))
-    print("ok" if ok else "FAILED")
-    return EXIT_OK if ok else EXIT_CHECK
+    print("ok" if check.ok else "FAILED")
+    return EXIT_OK if check.ok else EXIT_CHECK
 
 
 def _certificate_text(cert) -> str:

@@ -1,18 +1,23 @@
 """Certified real arithmetic on interval enclosures.
 
 HighReal values are mpmath interval numbers (outward-rounded endpoints) at a
-working precision of 120 bits, comfortably past 30 significant digits. Every
-comparison that decides a check goes through the three-way helpers here and
-returns "pass", "fail", or "indeterminate"; a straddling enclosure is never
-silently coerced to a boolean. Width is always available for reporting.
+working precision of 120 bits, comfortably past 30 significant digits. They
+come from `iv`, a private interval context, so importing the package leaves
+the global `mpmath.iv` precision alone; every module imports `iv` from here.
+Every comparison that decides a check goes through the three-way helpers
+here and returns "pass", "fail", or "indeterminate"; a straddling enclosure
+is never silently coerced to a boolean. Width is always available for
+reporting.
 """
 
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv, libmp
+from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 PREC_BITS = 120
+iv = MPIntervalContext()
 iv.prec = PREC_BITS
 
 # The interval number type, used in annotations elsewhere.
@@ -68,25 +73,9 @@ def contains(x, value) -> bool:
     return libmp.mpf_le(lo, num) and libmp.mpf_le(num, hi)
 
 
-def log(x) -> HighReal:
-    return iv.log(enc(x))
-
-
-def exp(x) -> HighReal:
-    return iv.exp(enc(x))
-
-
-def sqrt(x) -> HighReal:
-    return iv.sqrt(enc(x))
-
-
 def root(x, k: int) -> HighReal:
     """k-th root of a positive enclosure via exp(log(x)/k); exact-int k."""
     return iv.exp(iv.log(enc(x)) / k)
-
-
-def log2() -> HighReal:
-    return iv.log(iv.mpf(2))
 
 
 def le_status(lhs, rhs) -> str:

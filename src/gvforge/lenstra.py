@@ -17,12 +17,13 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from mpmath import iv
 
 from . import enclosure as enc
+from .enclosure import iv
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
-                        is_fundamental, prime_ideals_in_norm_range)
+                        is_fundamental, make_field,
+                        prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
@@ -81,12 +82,16 @@ class LenstraCode:
 
 @dataclass(frozen=True)
 class CodeCheck:
+    """The verdict of verify_code; bad_symbol is the first (word, symbol)
+    whose symbol lies outside [0, q), or None."""
+
     M: int
     d: int
     ok: bool
     injective: bool
     min_target: int
     worst_pair: Optional[tuple]
+    bad_symbol: Optional[tuple]
 
 
 def _integer_basis(K: QuadraticField):
@@ -114,6 +119,23 @@ def box_side(K: QuadraticField, r: int, G: int):
     if r < 2 or G < 1:
         raise DomainError("need r >= 2 and G >= 1")
     return iv.sqrt(iv.mpf(r ** G) / (2 ** K.t))
+
+
+def _pow_above(r: int, e: int, bound: int) -> bool:
+    """r^e > bound for r >= 2, e >= 0, without building a power far past it."""
+    return e > bound.bit_length() or r ** e > bound
+
+
+def _check_domain(r: int, q: int, G: int, n: int, disc: int) -> None:
+    """The construction's parameter domain: 2 <= r <= q, 1 <= G <= n and
+    r^(2G) >= |disc|, so the box out-volumes the lattice cell."""
+    if not 2 <= r <= q:
+        raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
+    if not 1 <= G <= n:
+        raise DomainError("need 1 <= G <= n, got G=%r n=%r" % (G, n))
+    if not _pow_above(r, 2 * G, abs(disc) - 1):
+        raise DomainError("box volume too small: r^(2G)=%d < |disc|=%d"
+                          % (r ** (2 * G), abs(disc)))
 
 
 def minkowski_target(r: int, G: int, abs_disc: int) -> int:
@@ -317,23 +339,12 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
                start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
     """Construct the length-n code over [0, q) from the field K.
 
-    Requires 2 <= r <= q, 1 <= G <= n where n is the number of prime ideals
-    with norm in [r, q], and r^(2G) >= |disc| so the box out-volumes the
-    lattice cell.
+    Requires 2 <= r <= q, 1 <= G <= n for the n prime ideals with norm in
+    [r, q], and r^(2G) >= |disc|, so the box out-volumes the lattice cell.
     """
-    if not 2 <= r <= q:
-        raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
-    if G < 1:
-        raise DomainError("need G >= 1")
     ideals = prime_ideals_in_norm_range(K, r, q)
     n = len(ideals)
-    if n < 1:
-        raise DomainError("no prime ideals with norm in [%d, %d]" % (r, q))
-    if G > n:
-        raise DomainError("G=%d exceeds the number of ideals n=%d" % (G, n))
-    if r ** (2 * G) < abs(K.disc):
-        raise DomainError(
-            "box volume too small: r^(2G)=%d < |disc|=%d" % (r ** (2 * G), abs(K.disc)))
+    _check_domain(r, q, G, n, K.disc)
     E = make_embedding(K)
     box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid)
     omega = enumerate_omega(E, box)
@@ -388,6 +399,10 @@ def parse_code_file(text: str) -> LenstraCode:
     if not is_fundamental(disc):
         raise DomainError("line 1: disc=%d is not a fundamental discriminant"
                           % disc)
+    try:
+        _check_domain(r, q, G, n, disc)
+    except DomainError as e:
+        raise DomainError("line 1: %s" % e) from None
     words = []
     for idx, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -413,7 +428,6 @@ def _distance_scan(arr: np.ndarray, threads: int = 1):
     """Exact min Hamming distance and an argmin pair over all row pairs."""
     m, n = arr.shape
     block = max(1, min(512, (1 << 22) // max(1, m * n)))
-    best = (n + 1, None)
 
     def scan(lo):
         hi = min(lo + block, m - 1)
@@ -433,43 +447,43 @@ def _distance_scan(arr: np.ndarray, threads: int = 1):
             results = list(ex.map(scan, starts))
     else:
         results = [scan(lo) for lo in starts]
-    for d, pair in results:
-        if d < best[0] or (d == best[0] and best[1] is None):
-            best = (d, pair)
-        elif d == best[0] and pair is not None and best[1] is not None:
-            best = (d, min(best[1], pair))
-    return best
+    # smallest d, then the smallest pair
+    return min(results)
 
 
 def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
-    """Exact verification: distinct count, min distance, and the two bounds.
+    """Exact verification: symbol range, distinct count, min distance, and
+    the two bounds.
 
-    ok requires M >= ceil(r^G/sqrt|disc|), an injective word map, and
-    d >= n + 1 - G (skipped when M < 2; a single word has d = n by
-    convention).
+    ok requires every symbol in [0, q), M >= ceil(r^G/sqrt|disc|), an
+    injective word map, and d >= n + 1 - G (a single word has d = n by
+    convention). A target above PAIRWISE_CAP is refused, since no file
+    within the cap can meet it.
     """
     words = code.codewords
     total = len(words)
     if total > PAIRWISE_CAP:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (total, PAIRWISE_CAP))
+    if _pow_above(code.r, 2 * code.G, PAIRWISE_CAP ** 2 * abs(code.disc)):
+        raise CapacityError("volume target exceeds pairwise cap %d" % PAIRWISE_CAP)
     M = len(set(words))
     injective = (M == total)
     target = minkowski_target(code.r, code.G, abs(code.disc))
-    if total < 2:
-        d = code.n
-        ok = injective and M >= target
-        return CodeCheck(M=M, d=d, ok=ok, injective=injective,
-                         min_target=target, worst_pair=None)
-    dtype = np.uint8 if code.q <= 255 else np.int64
-    try:
-        arr = np.asarray(words, dtype=dtype)
-    except (OverflowError, ValueError):
-        # corrupted inputs may carry symbols outside [0, q)
-        arr = np.asarray(words, dtype=np.int64)
-    d, pair = _distance_scan(arr, threads=threads)
-    ok = injective and M >= target and d >= code.n + 1 - code.G
-    return CodeCheck(M=M, d=d, ok=ok, injective=injective,
-                     min_target=target, worst_pair=pair)
+    bad_symbol = next(((i, s) for i, w in enumerate(words) for s in w
+                       if not 0 <= s < code.q), None)
+    d, pair = code.n, None
+    if total >= 2:
+        if bad_symbol is None and code.q <= 1 << 63:
+            arr = np.asarray(words, np.uint8 if code.q <= 255 else np.int64)
+        else:
+            # the scan needs only equality, and dense labels fit int64
+            labels = {s: i for i, s in enumerate({s for w in words for s in w})}
+            arr = np.asarray([[labels[s] for s in w] for w in words], np.int64)
+        d, pair = _distance_scan(arr, threads=threads)
+    ok = (bad_symbol is None and injective and M >= target
+          and d >= code.n + 1 - code.G)
+    return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,
+                     worst_pair=pair, bad_symbol=bad_symbol)
 
 
 def norm_gap_check(code: LenstraCode) -> bool:
@@ -484,8 +498,7 @@ def norm_gap_check(code: LenstraCode) -> bool:
         return True
     if m > PAIRWISE_CAP:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (m, PAIRWISE_CAP))
-    K_T = 0 if code.disc % 4 == 0 else 1
-    K_N = -(code.disc // 4) if code.disc % 4 == 0 else (1 - code.disc) // 4
+    K = make_field(code.disc)
     r, G = code.r, code.G
     if r ** G > 1 << 60:
         raise CapacityError("r^G too large for vectorized norm scan")
@@ -500,7 +513,7 @@ def norm_gap_check(code: LenstraCode) -> bool:
         for i in range(lo, hi):
             du = uv[i + 1:, 0] - uv[i, 0]
             dv = uv[i + 1:, 1] - uv[i, 1]
-            norms = np.abs(du * du + K_T * du * dv + K_N * dv * dv)
+            norms = np.abs(K.norm(du, dv))
             agree = (arr[i + 1:] == arr[i]).sum(axis=1)
             if int(agree.max(initial=0)) >= G:
                 return False

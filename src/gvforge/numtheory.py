@@ -12,13 +12,12 @@ returned as interval enclosures from `enclosure`.
 import copy
 import math
 import os
-from fractions import Fraction
 
-import numpy as np
-from mpmath import iv
 import mpmath
+import numpy as np
 
 from . import enclosure as enc
+from .enclosure import iv
 from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
@@ -207,13 +206,20 @@ def prime_count_ap(x: int, modulus: int, residue: int) -> int:
     """Exact count of primes p <= x in the residue class; modulus in {1, 4}."""
     if x < 0:
         raise DomainError("x must be >= 0")
-    if x < 2:
-        if modulus not in (1, 4):
-            raise DomainError("modulus must be 1 or 4, got %r" % modulus)
-        if not 0 <= residue < modulus:
-            raise DomainError("residue %r out of range mod %d" % (residue, modulus))
-        return 0
     return table_for(int(x)).count_ap(int(x), modulus, residue)
+
+
+def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
+    """The primes p = 3 (mod 4) with p > p_ell and r <= p^2 <= q (r >= 1).
+
+    These are the candidate inert primes of the construction; ascending,
+    as a view of the shared table.
+    """
+    lo = max(p_ell + 1, math.isqrt(r - 1) + 1)
+    hi = math.isqrt(q)
+    if hi < lo:
+        return np.empty(0, dtype=np.uint32)
+    return table_for(hi).primes_3mod4_in(lo, hi)
 
 
 _CHUNK_BITS = 4000

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from mpmath import iv
 
 from . import enclosure as enc
 from . import numtheory as nt
+from .enclosure import iv
 from .errors import CapacityError, DomainError
 
 SPLIT = "split"
@@ -83,7 +83,6 @@ class PrimeIdealRecord:
 class ClassGroupSummary:
     h: int
     two_rank: int
-    form_count: int
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def class_group_imaginary(K: QuadraticField) -> ClassGroupSummary:
     assert ambiguous & (ambiguous - 1) == 0, "ambiguous count must be a power of 2"
     two_rank = ambiguous.bit_length() - 1
     assert h % ambiguous == 0
-    return ClassGroupSummary(h=h, two_rank=two_rank, form_count=h)
+    return ClassGroupSummary(h=h, two_rank=two_rank)
 
 
 def genus_two_rank_lower(K: QuadraticField) -> int:
@@ -316,14 +315,8 @@ def candidate_Sc(K: QuadraticField, r: int, q: int, ell: int) -> list:
         raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    p_ell = nt.nth_prime(ell)
-    lo = max(p_ell + 1, math.isqrt(r - 1) + 1)
-    hi = math.isqrt(q)
-    if hi < lo:
-        return []
     out = []
-    for p in nt.table_for(hi).primes_3mod4_in(lo, hi):
-        p = int(p)
+    for p in nt.inert_window(q, r, nt.nth_prime(ell)).tolist():
         if nt.kronecker_symbol(K.disc, p) == -1:
             out.append(PrimeIdealRecord(p, INERT, p * p, 0, None))
     return out

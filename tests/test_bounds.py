@@ -5,7 +5,11 @@ interval code shared), exact integer reasoning for every ceiling/floor, and
 float re-evaluation for inequality signs well away from zero.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -223,6 +227,15 @@ def test_endpoint_comparisons_keep_full_precision():
     assert not encl.contains(2 ** 70 + 1, 2 ** 70)
 
 
+def test_import_leaves_mpmath_precision_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import mpmath, gvforge; from gvforge import bounds; "
+              "bounds.certify(2 ** 42); print(mpmath.iv.prec, mpmath.mp.prec)")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.split() == ["53", "53"]
+
+
 def test_theorem1_schedule():
     s = bd.theorem1_schedule(Q42, Fraction(5, 2))
     assert s.r == 2114029880298
@@ -370,6 +383,17 @@ def test_search_params_beats_schedule_at_2_pow_42():
     sched_w = bd.certify(Q42).witness
     sched_nfc = bd.nfc_bound(Q42, Fraction(1, 2), sched_w)
     assert encl.midpoint(out.nfc) >= encl.midpoint(sched_nfc)
+    # The schedule's r is one of the search's r candidates, so the winner
+    # ranks at least as high as the schedule's witness. At budget 1 the
+    # only other r is ceil(q/4), so this fails if the schedule's r is lost.
+    for q in (bd.eligible_q_floor(), Q42):
+        s = bd.theorem2_schedule(q)
+        w = bd.check_conditions(q, s.r, s.ell, s.k)
+        for delta in (Fraction(1, 2), Fraction(1, 10)):
+            out = bd.search_params(q, delta, budget=1)
+            won = (encl.midpoint(out.nfc), -out.witness.ell, -out.witness.r)
+            sched = (encl.midpoint(bd.nfc_bound(q, delta, w)), -s.ell, -s.r)
+            assert won >= sched, (q, delta)
 
 
 def test_search_params_no_witness_small_q():

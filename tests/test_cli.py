@@ -1,10 +1,13 @@
 """End-to-end CLI behavior: exit codes, output shapes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvforge import cli
 from gvforge import numtheory as nt
@@ -191,12 +194,13 @@ def test_verify_detects_bad_symbol(capsys, tmp_path):
     run(capsys, "construct", "--disc", "-4", "--r", "9", "--q", "13",
         "--G", "1", "--output", str(path))
     lines = path.read_text().splitlines()
-    lines[1] = "999 0 0"
-    path.write_text("\n".join(lines) + "\n")
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 2
-    assert "symbol 999 outside [0, 13)" in out
-    assert out.rstrip().endswith("FAILED")
+    for symbol in (999, 10 ** 23):  # 10^23 does not fit an int64
+        lines[1] = "%d 0 0" % symbol
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and err == ""
+        assert "symbol %d outside [0, 13)" % symbol in out
+        assert out.rstrip().endswith("FAILED")
 
 
 def test_verify_detects_duplicates_and_shortfall(capsys, tmp_path):
@@ -243,6 +247,67 @@ def test_verify_rejects_a_header_disc_that_is_not_fundamental(capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: line 1: disc=%d" % disc)
+
+
+@pytest.mark.parametrize("header", ["q=13 r=0 G=1", "q=13 r=9 G=-1",
+                                    "q=13 r=9 G=100000"])
+def test_verify_rejects_a_header_outside_the_domain(capsys, tmp_path, header):
+    path = tmp_path / "code.txt"
+    path.write_text("# lenstra %s disc=-4 n=3 tau=0,0\n0 0 0\n1 1 1\n" % header)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1: need ")
+
+
+def test_verify_refuses_a_target_past_the_pairwise_cap(capsys, tmp_path):
+    # 9^5000 / 2 has 4,771 digits: no file within the cap can reach it
+    path = tmp_path / "code.txt"
+    path.write_text("# lenstra q=13 r=9 G=5000 disc=-4 n=10000 tau=0,0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("capacity: volume target exceeds pairwise cap")
+
+
+_WILD = st.one_of(st.integers(-2, 14), st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def code_files(draw):
+    """Code files near the valid format: each header field, row and symbol
+    is usually valid and sometimes far off, so many files get past the
+    parser and reach the verdict."""
+    def near(valid, wild=_WILD):
+        return valid if draw(st.integers(0, 15)) else draw(wild)
+
+    disc = near(draw(st.sampled_from([-4, -3, -8, -23, 5, 12])))
+    r = draw(st.integers(5, 20))  # r^2 >= |disc| for the fields above
+    q = draw(st.integers(r, 40))
+    n = draw(st.integers(1, 4))
+    fields = {"q": near(q), "r": near(r), "G": near(draw(st.integers(1, n))),
+              "disc": disc, "n": near(n),
+              "tau": near("0.5,0.25", st.sampled_from(["0", "x,1", "nan,inf"]))}
+    head = " ".join("%s=%s" % kv for kv in fields.items()
+                    if draw(st.integers(0, 40)))
+    rows = [near([near(draw(st.integers(0, q - 1))) for _ in range(n)],
+                 st.lists(_WILD, max_size=5))
+            for _ in range(draw(st.integers(0, 10)))]
+    body = "".join(" ".join(map(str, w)) + "\n" for w in rows)
+    return "# lenstra %s\n%s%s" % (head, body, near("", st.just("x\n")))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "code.txt"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(code_files(), st.text(max_size=60)))
+def test_verify_fuzzed_code_files_map_to_exit_codes(fuzz_path, text):
+    fuzz_path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--threads", "1", "verify", str(fuzz_path)])
+    assert code in (0, 1, 2, 3)
 
 
 def test_verify_directory_is_a_usage_error(capsys, tmp_path):

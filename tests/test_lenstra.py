@@ -339,6 +339,22 @@ def test_verify_code_details():
     assert chk.worst_pair is None
 
 
+def test_verify_code_owns_the_symbol_range():
+    words = [(0, 1, 2), (3, 4, 104), (3, 4, 5), (7, 8, -1)]
+    chk = ln.verify_code(manual_code(words, q=13, r=2, G=1))
+    assert chk.bad_symbol == (1, 104) and not chk.ok
+    assert (chk.M, chk.d, chk.worst_pair) == (4, 1, (1, 2))
+    # symbols past int64 are relabelled, so d and the worst pair stay exact
+    big = 10 ** 23
+    words = [(big, 0, 1), (big + 1, 5, 6), (big, 0, 2)]
+    for q, bad in ((13, (0, big)), (10 ** 30, None)):
+        chk = ln.verify_code(manual_code(words, q=q, r=2, G=1))
+        assert chk.bad_symbol == bad
+        assert (chk.d, chk.worst_pair) == (1, (0, 2))
+    good = ln.verify_code(manual_code([(0, 1, 2), (3, 4, 5)], q=13, r=2, G=1))
+    assert good.ok and good.bad_symbol is None
+
+
 def test_verify_code_threads_agree(rng):
     words = [tuple(rng.randrange(300) for _ in range(7)) for _ in range(500)]
     code = manual_code(words, q=300, G=7)
