@@ -198,9 +198,12 @@ def cmd_verify(args) -> int:
     code = ln.read_code_file(args.path)
     check = ln.verify_code(code, threads=args.threads)
     required_d = code.n + 1 - code.G
+    # a target past the pairwise cap may be too long to print in decimal
+    target = ("%d" % check.min_target if check.min_target is not None
+              else "ceil(%d^%d/sqrt(%d))" % (code.r, code.G, abs(code.disc)))
     print("M=%d d=%d n=%d" % (check.M, check.d, code.n))
-    print("required: M >= %d, d >= %d, injective, symbols in [0, %d)"
-          % (check.min_target, required_d, code.q))
+    print("required: M >= %s, d >= %d, injective, symbols in [0, %d)"
+          % (target, required_d, code.q))
     if check.bad_symbol is not None:
         print("fail: word %d has symbol %d outside [0, %d)"
               % (check.bad_symbol[0], check.bad_symbol[1], code.q))
@@ -210,8 +213,8 @@ def cmd_verify(args) -> int:
     if check.d < required_d and check.worst_pair is not None:
         print("fail: words %d and %d at distance %d < %d"
               % (check.worst_pair[0], check.worst_pair[1], check.d, required_d))
-    if check.M < check.min_target:
-        print("fail: M=%d below the volume target %d" % (check.M, check.min_target))
+    if check.min_target is None or check.M < check.min_target:
+        print("fail: M=%d below the volume target %s" % (check.M, target))
     print("ok" if check.ok else "FAILED")
     return EXIT_OK if check.ok else EXIT_CHECK
 

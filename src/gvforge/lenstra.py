@@ -83,13 +83,14 @@ class LenstraCode:
 @dataclass(frozen=True)
 class CodeCheck:
     """The verdict of verify_code; bad_symbol is the first (word, symbol)
-    whose symbol lies outside [0, q), or None."""
+    whose symbol lies outside [0, q), or None. min_target is None when the
+    volume target exceeds PAIRWISE_CAP, which no file within the cap meets."""
 
     M: int
     d: int
     ok: bool
     injective: bool
-    min_target: int
+    min_target: Optional[int]
     worst_pair: Optional[tuple]
     bad_symbol: Optional[tuple]
 
@@ -457,18 +458,18 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
 
     ok requires every symbol in [0, q), M >= ceil(r^G/sqrt|disc|), an
     injective word map, and d >= n + 1 - G (a single word has d = n by
-    convention). A target above PAIRWISE_CAP is refused, since no file
-    within the cap can meet it.
+    convention). A target above PAIRWISE_CAP fails without being computed,
+    since M <= PAIRWISE_CAP.
     """
     words = code.codewords
     total = len(words)
     if total > PAIRWISE_CAP:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (total, PAIRWISE_CAP))
-    if _pow_above(code.r, 2 * code.G, PAIRWISE_CAP ** 2 * abs(code.disc)):
-        raise CapacityError("volume target exceeds pairwise cap %d" % PAIRWISE_CAP)
     M = len(set(words))
     injective = (M == total)
-    target = minkowski_target(code.r, code.G, abs(code.disc))
+    target = None
+    if not _pow_above(code.r, 2 * code.G, PAIRWISE_CAP ** 2 * abs(code.disc)):
+        target = minkowski_target(code.r, code.G, abs(code.disc))
     bad_symbol = next(((i, s) for i, w in enumerate(words) for s in w
                        if not 0 <= s < code.q), None)
     d, pair = code.n, None
@@ -480,8 +481,8 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
             labels = {s: i for i, s in enumerate({s for w in words for s in w})}
             arr = np.asarray([[labels[s] for s in w] for w in words], np.int64)
         d, pair = _distance_scan(arr, threads=threads)
-    ok = (bad_symbol is None and injective and M >= target
-          and d >= code.n + 1 - code.G)
+    ok = (bad_symbol is None and injective and target is not None
+          and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,
                      worst_pair=pair, bad_symbol=bad_symbol)
 

@@ -138,10 +138,6 @@ class PrimeTable:
         arr = self.primes_3mod4
         return arr[_rank(arr, lo, "left"):_rank(arr, hi, "right")]
 
-    def count_3mod4_in(self, lo: int, hi: int) -> int:
-        """Primes p = 3 (mod 4) with lo <= p <= hi, exact."""
-        return len(self.primes_3mod4_in(lo, hi))
-
     def upto(self, x: int) -> "PrimeTable":
         """A view holding only the primes <= x; it shares this table's arrays."""
         view = copy.copy(self)

@@ -17,13 +17,14 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import iv, mp
+from mpmath import mp
 
 from gvforge import bounds as bd
 from gvforge import enclosure as encl
 from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
+from gvforge.enclosure import iv
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145  # floor(exp(29)) + 1, the smallest eligible q

@@ -259,13 +259,19 @@ def test_verify_rejects_a_header_outside_the_domain(capsys, tmp_path, header):
     assert err.startswith("error: line 1: need ")
 
 
-def test_verify_refuses_a_target_past_the_pairwise_cap(capsys, tmp_path):
-    # 9^5000 / 2 has 4,771 digits: no file within the cap can reach it
+def test_verify_fails_a_target_past_the_pairwise_cap(capsys, tmp_path):
+    # M <= PAIRWISE_CAP < target, so the verdict is a plain fail (exit 2);
+    # 9^5000 / 2 has 4,771 digits, too many to print in decimal
     path = tmp_path / "code.txt"
-    path.write_text("# lenstra q=13 r=9 G=5000 disc=-4 n=10000 tau=0,0\n")
-    code, out, err = run(capsys, "verify", str(path))
-    assert code == 3 and out == ""
-    assert err.startswith("capacity: volume target exceeds pairwise cap")
+    for header, rows, target in (
+            ("q=1000 r=1000 G=2 disc=-4 n=2", "0 0\n1 1\n",
+             "ceil(1000^2/sqrt(4))"),
+            ("q=13 r=9 G=5000 disc=-4 n=10000", "", "ceil(9^5000/sqrt(4))")):
+        path.write_text("# lenstra %s tau=0,0\n%s" % (header, rows))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and err == ""
+        assert "required: M >= %s," % target in out
+        assert "below the volume target %s\nFAILED\n" % target in out
 
 
 _WILD = st.one_of(st.integers(-2, 14), st.integers(-2 ** 80, 2 ** 80))

@@ -355,6 +355,17 @@ def test_verify_code_owns_the_symbol_range():
     assert good.ok and good.bad_symbol is None
 
 
+def test_verify_code_fails_a_target_past_the_pairwise_cap():
+    # r^G / sqrt(4) = PAIRWISE_CAP exactly at r = 2 * PAIRWISE_CAP, G = 1
+    words = [(0, 1), (1, 0)]
+    r = 2 * ln.PAIRWISE_CAP
+    at_cap = ln.verify_code(manual_code(words, q=r + 1, r=r, G=1))
+    assert at_cap.min_target == ln.PAIRWISE_CAP and not at_cap.ok
+    past = ln.verify_code(manual_code(words, q=r + 1, r=r + 1, G=1))
+    assert past.min_target is None and not past.ok
+    assert (past.M, past.d, past.injective) == (2, 2, True)
+
+
 def test_verify_code_threads_agree(rng):
     words = [tuple(rng.randrange(300) for _ in range(7)) for _ in range(500)]
     code = manual_code(words, q=300, G=7)
