@@ -184,9 +184,15 @@ def nfc_bound(q: int, delta, witness: ParamWitness) -> enc.HighReal:
     if witness.q != q:
         raise DomainError("witness was certified at q=%d, not q=%d" % (witness.q, q))
     dfrac = _delta(delta)
-    d = enc.enc(dfrac)
-    logq = iv.log(iv.mpf(q))
-    return ((1 - d) * iv.log(iv.mpf(witness.r)) - witness.D_log / (2 * witness.k)) / logq
+    return _nfc(1 - enc.enc(dfrac), iv.log(iv.mpf(witness.r)),
+                witness.D_log / (2 * witness.k), iv.log(iv.mpf(q)))
+
+
+def _nfc(one_minus_d, log_r, dlog_2k, log_q) -> enc.HighReal:
+    """((1 - delta) log r - log(D)/(2k)) / log q: the one formula behind
+    nfc_bound and the search's ranking, which precomputes every part but
+    1 - delta once per q."""
+    return (one_minus_d * log_r - dlog_2k) / log_q
 
 
 def _dlog(ell: int):
@@ -195,10 +201,11 @@ def _dlog(ell: int):
     return _DLOG_CACHE[ell]
 
 
-def _evaluate_conditions(q: int, r: int, ell: int, k: int):
+def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     """Exact evaluation of the three construction conditions.
 
-    Returns (rows, witness_or_None); each row is
+    counted is (p_ell, Nq) when the caller has already counted the inert
+    window. Returns (rows, witness_or_None); each row is
     (name, lhs_int, rhs_int, margin_int, ok).
     """
     _check_q(q)
@@ -211,8 +218,11 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int):
     rhs2 = (ell - 2) ** 2 - 4 * (ell - 2)
     ok2 = k >= 1 and lhs2 <= rhs2
     rows.append(("condition2_k_within_quadratic", lhs2, rhs2, rhs2 - lhs2, ok2))
-    p_ell = nt.nth_prime(ell)
-    Nq = len(nt.inert_window(q, r, p_ell)) if r >= 2 else 0
+    if counted is None:
+        p_ell = nt.nth_prime(ell)
+        Nq = len(nt.inert_window(q, r, p_ell)) if r >= 2 else 0
+    else:
+        p_ell, Nq = counted
     ok3 = k >= 1 and Nq >= 2 * k
     rows.append(("condition3_enough_inert_primes", 2 * k, Nq, Nq - 2 * k, ok3))
     witness = None
@@ -442,21 +452,15 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
                        checks=tuple(checks), overall=overall)
 
 
-def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
-    """Deterministic witness search maximizing the construction rate bound.
+def _candidates(q: int, budget: int) -> list:
+    """Every certified witness the search weighs at q, with the parts of its
+    rate bound that do not depend on delta: (witness, log r, log(D)/(2k)).
 
     Candidate r values come from eps = 2^-i (i <= budget) plus the main
     schedule when eligible; ell ranges over [3, 2 floor(q^(1/6)) + 2]; k is
     the largest value allowed by the quadratic condition and the available
-    prime count. The best certified witness by enclosure midpoint wins, ties
-    to smaller (ell, r).
+    prime count.
     """
-    _check_q(q)
-    dfrac = _delta(delta)
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    gv = gv_bound(q, dfrac)
-
     r_candidates = []
     for i in range(1, budget + 1):
         num = (2 ** i - 1) ** 2 * q
@@ -467,41 +471,63 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))
 
     ell_hi = 2 * nt.int_nth_root(q, 6) + 2
-    best = None  # (mid, -ell, -r, witness, nfc)
+    out = []
     for r in r_candidates:
+        log_r = iv.log(iv.mpf(r))
         for ell in range(3, ell_hi + 1):
             k_quad = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
             if k_quad < 1:
                 continue
             p_ell = nt.nth_prime(ell)
-            k = min(k_quad, len(nt.inert_window(q, r, p_ell)) // 2)
+            Nq = len(nt.inert_window(q, r, p_ell))
+            k = min(k_quad, Nq // 2)
             if k < 1:
                 continue
-            try:
-                w = check_conditions(q, r, ell, k)
-            except ConditionFailure:
-                continue
-            val = nfc_bound(q, dfrac, w)
-            mid = enc.midpoint(val)
-            key = (mid, -ell, -r)
-            if best is None or key > best[0]:
+            _, w = _evaluate_conditions(q, r, ell, k, counted=(p_ell, Nq))
+            if w is not None:
+                out.append((w, log_r, w.D_log / (2 * w.k)))
+    return out
+
+
+def bound_points(q: int, deltas, budget: int = 8) -> list:
+    """Sweep rows at q, one BoundPoint per delta: gv and plotkin always, nfc
+    when a witness certifies.
+
+    The candidates are listed once, since a witness does not depend on
+    delta, and ranked at each delta: the largest nfc enclosure midpoint
+    wins, ties to smaller (ell, r).
+    """
+    _check_q(q)
+    dfracs = [_delta(d) for d in deltas]
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
+    candidates = _candidates(q, budget)
+    log_q = iv.log(iv.mpf(q))
+    points = []
+    for dfrac in dfracs:
+        one_minus_d = 1 - enc.enc(dfrac)
+        best = (None, None, None)  # (key, witness, nfc)
+        for w, log_r, dlog_2k in candidates:
+            val = _nfc(one_minus_d, log_r, dlog_2k, log_q)
+            key = (enc.midpoint(val), -w.ell, -w.r)
+            if best[0] is None or key > best[0]:
                 best = (key, w, val)
-    if best is None:
-        return SearchOutcome(q=q, delta=dfrac, witness=None, nfc=None, gv=gv,
-                             beats_gv=None, note="no certified witness in budget")
-    _, w, val = best
-    beats = enc.gt_status(val, gv) == enc.PASS
-    return SearchOutcome(q=q, delta=dfrac, witness=w, nfc=val, gv=gv,
-                         beats_gv=beats, note="")
+        points.append(BoundPoint(q=q, delta=dfrac, gv=gv_bound(q, dfrac),
+                                 plotkin=plotkin_bound(q, dfrac),
+                                 nfc=best[2], witness=best[1]))
+    return points
 
 
-def bound_point(q: int, delta, budget: int = 8) -> BoundPoint:
-    """One sweep row: gv and plotkin always, nfc when a witness certifies."""
-    outcome = search_params(q, delta, budget=budget)
-    return BoundPoint(q=q, delta=outcome.delta,
-                      gv=outcome.gv,
-                      plotkin=plotkin_bound(q, delta),
-                      nfc=outcome.nfc, witness=outcome.witness)
+def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
+    """Deterministic witness search maximizing the construction rate bound
+    at one delta: bound_points at that delta, plus the comparison with gv.
+    """
+    pt, = bound_points(q, [delta], budget=budget)
+    found = pt.witness is not None
+    return SearchOutcome(
+        q=q, delta=pt.delta, witness=pt.witness, nfc=pt.nfc, gv=pt.gv,
+        beats_gv=enc.gt_status(pt.nfc, pt.gv) == enc.PASS if found else None,
+        note="" if found else "no certified witness in budget")
 
 
 def a_rq_upper_bounds(r: int, q: int):

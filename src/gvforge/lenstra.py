@@ -28,6 +28,7 @@ from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
 _GRID_OFFSET = Fraction(1, 1 << 20)
+_SCORE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -194,10 +195,11 @@ def _reach(K: QuadraticField, r: int, G: int):
     return R, math.isqrt(R) + 1
 
 
-def _float_columns(bf, tau1: float, tau2: float, rho: float, u: np.ndarray):
+def _float_columns(bf, tau1, tau2, rho: float, u: np.ndarray):
     """Float guesses of each column's v-range [lo, hi] inside the open box.
 
     alive is False where a face that does not depend on v excludes u.
+    tau1 and tau2 may be (cells, 1) columns, one box per row of the result.
     """
     b00, b01, b10, b11 = bf
     vlo = np.full_like(u, -np.inf)
@@ -207,7 +209,7 @@ def _float_columns(bf, tau1: float, tau2: float, rho: float, u: np.ndarray):
         a = bu * u
         hi = lo + rho
         if abs(bv) < 1e-300:
-            alive &= (a > lo) & (a < hi)
+            alive = alive & (a > lo) & (a < hi)
         else:
             w1 = (lo - a) / bv
             w2 = (hi - a) / bv
@@ -263,6 +265,26 @@ def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
 
 
+def _grid_scores(bf, rho: float, us: np.ndarray, g: int) -> np.ndarray:
+    """Float point counts of the boxes at the g x g grid translates, cell
+    (i, j) at index i g + j.
+
+    Cells are scored in chunks, so no temporary holds more than
+    _SCORE_CHUNK floats.
+    """
+    off = float(_GRID_OFFSET)
+    step = max(1, _SCORE_CHUNK // len(us))
+    score = np.empty(g * g)
+    for start in range(0, g * g, step):
+        c = np.arange(start, min(start + step, g * g))
+        si, sj = c // g / g + off, c % g / g + off
+        t1 = bf[0] * si + bf[1] * sj
+        t2 = bf[2] * si + bf[3] * sj
+        lo, hi, alive = _float_columns(bf, t1[:, None], t2[:, None], rho, us)
+        score[c] = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum(axis=1)
+    return score
+
+
 def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
              max_grid: int = 1024) -> BoxSpec:
     """Certified translate: the open box holds >= ceil(r^G/sqrt|disc|) points.
@@ -286,21 +308,13 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     us = np.arange(-P, P + 1.0)
     g = start_grid
     while g <= max_grid:
-        scored = []
-        for i in range(g):
-            si = i / g + float(_GRID_OFFSET)
-            for j in range(g):
-                sj = j / g + float(_GRID_OFFSET)
-                t1 = bf[0] * si + bf[1] * sj
-                t2 = bf[2] * si + bf[3] * sj
-                lo, hi, alive = _float_columns(bf, t1, t2, rho_f, us)
-                score = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum()
-                scored.append((-int(score), i, j))
-        scored.sort()
+        score = _grid_scores(bf, rho_f, us, g)
         best, best_count = None, -1
-        for (negscore, i, j) in scored[:6]:
-            if -negscore < target and best is not None:
+        # a stable sort keeps row-major order among equal scores
+        for c in np.argsort(-score, kind="stable")[:6].tolist():
+            if score[c] < target and best is not None:
                 break
+            i, j = divmod(c, g)
             box = box_at(E, r, G, (Fraction(i, g) + _GRID_OFFSET,
                                    Fraction(j, g) + _GRID_OFFSET), g, (i, j))
             count = _count(E, box)

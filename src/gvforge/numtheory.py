@@ -215,7 +215,7 @@ def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
     hi = math.isqrt(q)
     if hi < lo:
         return np.empty(0, dtype=np.uint32)
-    return table_for(hi).primes_3mod4_in(lo, hi)
+    return _shared_table(hi).primes_3mod4_in(lo, hi)
 
 
 _CHUNK_BITS = 4000

@@ -407,14 +407,65 @@ def test_search_params_no_witness_small_q():
         bd.search_params(100, 1)
 
 
-def test_bound_point():
-    pt = bd.bound_point(64, Fraction(1, 2))
+def test_bound_points():
+    pt, = bd.bound_points(64, [Fraction(1, 2)])
     assert pt.nfc is None and pt.witness is None
     assert encl.midpoint(pt.gv) > 0
     assert encl.contains(pt.plotkin, 1 - Fraction(1, 2) * Fraction(64, 63))
-    pt = bd.bound_point(10 ** 8, Fraction(1, 2))
+    pt, = bd.bound_points(10 ** 8, [Fraction(1, 2)])
     assert pt.witness is not None
     assert encl.le_status(pt.nfc, pt.plotkin) == encl.PASS
+    assert bd.bound_points(10 ** 8, []) == []
+    with pytest.raises(DomainError):
+        bd.bound_points(10 ** 8, [Fraction(1, 2), 1])
+    with pytest.raises(DomainError):
+        bd.bound_points(10 ** 8, [Fraction(1, 2)], budget=0)
+
+
+def reference_bound_point(q, delta, budget):
+    """Oracle for bound_points: the witness search run afresh at one delta,
+    every candidate re-enumerated and ranked by its own nfc_bound call.
+    Returns (witness, gv, plotkin, nfc)."""
+    rs = [-(-((2 ** i - 1) ** 2 * q) // 4 ** i) for i in range(1, budget + 1)]
+    if q >= bd.eligible_q_floor():
+        rs.append(bd.theorem2_schedule(q).r)
+    best = None
+    for r in sorted(set(r for r in rs if 2 <= r <= q)):
+        for ell in range(3, 2 * nt.int_nth_root(q, 6) + 3):
+            k = min(((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2,
+                    len(nt.inert_window(q, r, nt.nth_prime(ell))) // 2)
+            if k < 1:
+                continue
+            try:
+                w = bd.check_conditions(q, r, ell, k)
+            except ConditionFailure:
+                continue
+            val = bd.nfc_bound(q, delta, w)
+            key = (encl.midpoint(val), -ell, -r)
+            if best is None or key > best[0]:
+                best = (key, w, val)
+    w, val = (None, None) if best is None else best[1:]
+    return w, bd.gv_bound(q, delta), bd.plotkin_bound(q, delta), val
+
+
+# at the two largest q, budget 1 leaves two r (ceil(q/4) and the
+# schedule's), so the per-delta reference takes about 2 s each
+@pytest.mark.parametrize("q,budget", [(64, 6), (10 ** 6, 6), (2 ** 30, 6),
+                                      (Q_FLOOR, 1), (Q42, 1)])
+def test_bound_points_match_the_per_delta_search(q, budget):
+    # delta = 1 - 1/q is past the point where gv is exactly 0
+    deltas = [Fraction(i, 20) for i in range(1, 20)] + [Fraction(q - 1, q)]
+    got = bd.bound_points(q, deltas, budget=budget)
+    assert [pt.delta for pt in got] == deltas
+    assert got[-1].gv._mpi_ == encl.iv.mpf(0)._mpi_
+    for pt, delta in zip(got, deltas):
+        want = reference_bound_point(q, delta, budget)
+        assert pt.witness == want[0], delta
+        # identical enclosures, compared by their repr and exact endpoints
+        for x, y in zip((pt.gv, pt.plotkin, pt.nfc), want[1:]):
+            assert repr(x) == repr(y), delta
+            assert getattr(x, "_mpi_", None) == getattr(y, "_mpi_", None)
+    assert (got[0].witness is None) == (q == 64)
 
 
 # ------------------------------------------------------------- side items

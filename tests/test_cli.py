@@ -114,7 +114,8 @@ def test_certify_theorem1(capsys):
     assert json.loads(out)["witness"]["r"] == 2114029880298
     code, out, err = run(capsys, "certify", "--q", str(Q42),
                          "--schedule", "theorem1")
-    assert code == 1  # C0 missing
+    assert code == 1  # C0 missing, reported by the library's own check
+    assert err == "error: theorem1 schedule requires C0\n"
     code, out, err = run(capsys, "certify", "--q", str(Q42),
                          "--schedule", "theorem1", "--C0", "1/10")
     assert code == 1  # eps leaves (0, 1)

@@ -39,6 +39,9 @@ def _cases() -> dict:
         cases["certify_%d" % q] = ["certify", "--q", str(q), "--format", "text"]
     cases["bounds_2_20"] = ["bounds", "--q", "1048576",
                             "--delta-grid", "1/10:9/10:1/10"]
+    cases["bounds_2_30_e29_json"] = ["bounds", "--q", "1073741824",
+                                     "--q", "3931334297144", "--delta-grid",
+                                     "1/20:19/20:1/20", "--format", "json"]
     cases["tower_-19399380"] = ["tower", "--disc", "-19399380"]
     cases["tower_5"] = ["tower", "--disc", "5"]
     return cases

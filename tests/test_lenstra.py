@@ -162,6 +162,81 @@ def test_find_tau_deterministic():
     assert ln.enumerate_omega(E, b1) == ln.enumerate_omega(E, b2)
 
 
+def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
+    """Oracle for find_tau: one _float_columns call per grid cell, the cells
+    sorted as (-score, i, j) tuples. Returns (grid, cell, shift), or None
+    where every grid is exhausted."""
+    target = ln.minkowski_target(r, G, abs(E.field.disc))
+    centred_count = len(ln.enumerate_omega(E, ln.box_at(E, r, G, None)))
+    rho = float(encl.midpoint(ln.box_side(E.field, r, G)))
+    bf = E.floats
+    P = ln._reach(E.field, r, G)[1]
+    us = np.arange(-P, P + 1.0)
+    off = ln._GRID_OFFSET
+    g = start_grid
+    while g <= max_grid:
+        scored = []
+        for i in range(g):
+            for j in range(g):
+                si, sj = i / g + float(off), j / g + float(off)
+                lo, hi, alive = ln._float_columns(
+                    bf, bf[0] * si + bf[1] * sj, bf[2] * si + bf[3] * sj,
+                    rho, us)
+                score = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum()
+                scored.append((-int(score), i, j))
+        scored.sort()
+        best, best_count = None, -1
+        for negscore, i, j in scored[:6]:
+            if -negscore < target and best is not None:
+                break
+            shift = (Fraction(i, g) + off, Fraction(j, g) + off)
+            count = len(ln.enumerate_omega(E, ln.box_at(E, r, G, shift)))
+            if count > best_count:
+                best, best_count = (g, (i, j), shift), count
+        if centred_count > best_count:
+            best, best_count = (g, (-1, -1), None), centred_count
+        if best_count >= target:
+            return best
+        g *= 2
+    return None
+
+
+def _tau_or_none(E, r, G, **grids):
+    try:
+        box = ln.find_tau(E, r, G, **grids)
+    except TauSearchError:
+        return None
+    return box.grid, box.cell, box.shift
+
+
+@pytest.mark.parametrize("D,r,G,start,stop", [
+    # the golden and benchmark fields, at the default grids
+    (-4, 9, 1, 64, 1024), (-3, 9, 2, 64, 1024), (-23, 12, 2, 64, 1024),
+    (8, 10, 2, 64, 1024), (13, 11, 2, 64, 1024), (-4, 15, 3, 64, 1024),
+    (5, 15, 3, 64, 1024),
+    # grids that climb to 8 and 4, and one that is exhausted
+    (-3, 2, 1, 1, 64), (-3, 3, 1, 1, 64), (-4, 4, 1, 1, 1)])
+def test_find_tau_matches_per_cell_ranking(D, r, G, start, stop):
+    E = ln.make_embedding(qf.make_field(D))
+    grids = {"start_grid": start, "max_grid": stop}
+    assert _tau_or_none(E, r, G, **grids) == reference_find_tau(E, r, G,
+                                                               **grids)
+
+
+def test_find_tau_matches_per_cell_ranking_random(rng):
+    pool = [-3, -4, -7, -8, -11, -15, -20, -23, -24, 5, 8, 12, 13, 17, 21]
+    done = 0
+    while done < 8:
+        D, r, G = rng.choice(pool), rng.randrange(2, 40), rng.randrange(1, 4)
+        if r ** G > 5000 or r ** (2 * G) < abs(D):
+            continue
+        E = ln.make_embedding(qf.make_field(D))
+        grids = {"start_grid": rng.choice([1, 2, 4, 64]), "max_grid": 64}
+        want = reference_find_tau(E, r, G, **grids)
+        assert _tau_or_none(E, r, G, **grids) == want, (D, r, G, grids)
+        done += 1
+
+
 def test_find_tau_exhaustion_raises():
     K = qf.make_field(-4)
     E = ln.make_embedding(K)
