@@ -35,7 +35,7 @@ def _cases() -> dict:
     for name in ("symbol_negative", "symbol_equals_q"):
         cases["verify_" + name] = ["--threads", "1", "verify",
                                    "{golden}/%s.code" % name]
-    for q in (3931334297144, 2 ** 42):
+    for q in (3931334297144, 2 ** 42, 10 ** 16):
         cases["certify_%d" % q] = ["certify", "--q", str(q), "--format", "text"]
     cases["bounds_2_20"] = ["bounds", "--q", "1048576",
                             "--delta-grid", "1/10:9/10:1/10"]
