@@ -3,10 +3,12 @@
 Primes come from a segmented sieve of Eratosthenes over the odd numbers into
 uint32 numpy arrays (exact below the 2^32 hard cap); counts are exact
 integers (searchsorted with uint32 keys), never estimates. One shared table
-per process serves every query and grows geometrically from its own limit,
-never from the request. Transcendental quantities
-(log of a primorial, Chebyshev theta, the offset logarithmic integral) are
-returned as interval enclosures from `enclosure`.
+per process serves the queries that need every prime up to a limit, and
+grows geometrically from its own limit, never from the request. The inert
+window of the construction is sieved on its own, over its class 3 (mod 4)
+only, with base primes from that table. Transcendental quantities (log of a
+primorial, Chebyshev theta, the offset logarithmic integral) are returned as
+interval enclosures from `enclosure`.
 """
 
 import copy
@@ -132,12 +134,6 @@ class PrimeTable:
             return 0
         return _rank(arr, x, "right")
 
-    def primes_3mod4_in(self, lo: int, hi: int) -> np.ndarray:
-        """The primes p = 3 (mod 4) with lo <= p <= hi, ascending (a view)."""
-        self._check(hi)
-        arr = self.primes_3mod4
-        return arr[_rank(arr, lo, "left"):_rank(arr, hi, "right")]
-
     def upto(self, x: int) -> "PrimeTable":
         """A view holding only the primes <= x; it shares this table's arrays."""
         view = copy.copy(self)
@@ -173,9 +169,10 @@ def _shared_table(limit: int) -> PrimeTable:
     that limit.
     """
     global _table
-    limit = max(int(limit), 1 << 10)
+    limit = int(limit)
     if limit > _sieve_cap:
         raise CapacityError("limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
+    limit = max(limit, min(1 << 10, _sieve_cap))
     if _table is None or _table.limit < limit:
         old = _table.limit if _table else 0
         _table = PrimeTable(min(max(limit, old + old // 4), _sieve_cap))
@@ -208,14 +205,35 @@ def prime_count_ap(x: int, modulus: int, residue: int) -> int:
 def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
     """The primes p = 3 (mod 4) with p > p_ell and r <= p^2 <= q (r >= 1).
 
-    These are the candidate inert primes of the construction; ascending,
-    as a view of the shared table.
+    These are the candidate inert primes of the construction, as a fresh
+    ascending uint32 array. Only the class 3 (mod 4) of [lo, hi] is sieved,
+    one `_WINDOW` of slots at a time, with base primes up to sqrt(hi) from
+    the shared table; hi = isqrt(q) must be within the sieve cap.
     """
     lo = max(p_ell + 1, math.isqrt(r - 1) + 1)
     hi = math.isqrt(q)
     if hi < lo:
         return np.empty(0, dtype=np.uint32)
-    return _shared_table(hi).primes_3mod4_in(lo, hi)
+    if hi > _sieve_cap:
+        raise CapacityError("limit %d exceeds sieve cap %d" % (hi, _sieve_cap))
+    root = math.isqrt(hi)
+    base = _shared_table(root).primes
+    base = base[1:_rank(base, root, "right")].tolist()  # 2 divides no slot
+    lo += (3 - lo) % 4
+    chunks = [np.empty(0, dtype=np.uint32)]
+    for start in range(lo, hi + 1, 4 * _WINDOW):
+        # slot j holds start + 4j, the numbers = 3 (mod 4) in the segment
+        seg = np.ones((min(start + 4 * _WINDOW, hi + 1) - start + 3) // 4,
+                      dtype=bool)
+        end = start + 4 * (len(seg) - 1)
+        for p in base:
+            if p * p > end:
+                break
+            m = -(-max(start, p * p) // p)
+            m += (3 * p - m) % 4  # p * m = 3 (mod 4), then every 4p
+            seg[(p * m - start) // 4::p] = False
+        chunks.append((np.flatnonzero(seg) * 4 + start).astype(np.uint32))
+    return np.concatenate(chunks)
 
 
 _CHUNK_BITS = 4000

@@ -279,6 +279,25 @@ def test_certify_passes_at_2_pow_42():
     assert d["overall"] == "pass"
 
 
+def test_inert_count_sieves_only_the_window(monkeypatch):
+    """The Nq window [sqrt(r), sqrt(q)] is sieved on its own, with base
+    primes up to q^(1/4): certify(10^14) once sieved every prime to 10^7."""
+    sieved, windows = [], []
+    sieve, window = nt.sieve_primes, nt.inert_window
+    monkeypatch.setattr(nt, "sieve_primes",
+                        lambda limit: sieved.append(limit) or sieve(limit))
+    monkeypatch.setattr(nt, "inert_window",
+                        lambda *args: windows.append(args) or window(*args))
+    monkeypatch.setattr(nt, "_table", None)
+    w = bd.certify(10 ** 14).witness
+    assert (w.r, w.ell, w.k, w.Nq) == (47030915873199, 215, 11127, 98546)
+    assert sieved and max(sieved) < 10 ** 5
+    windows.clear()
+    bd.bound_points(Q42, [Fraction(1, 2)], budget=6)
+    assert len(windows) == 1
+    assert max(sieved) < 10 ** 5
+
+
 def test_certify_fails_small_q_with_named_checks():
     cert = bd.certify(10 ** 6)
     assert cert.overall == encl.FAIL
@@ -422,14 +441,14 @@ def test_bound_points():
         bd.bound_points(10 ** 8, [Fraction(1, 2)], budget=0)
 
 
-def reference_bound_point(q, delta, budget):
-    """Oracle for bound_points: the witness search run afresh at one delta,
-    every candidate re-enumerated and ranked by its own nfc_bound call.
-    Returns (witness, gv, plotkin, nfc)."""
+def reference_witnesses(q, budget):
+    """Oracle for the candidate list of bound_points: every (r, ell) pair
+    re-enumerated, its inert window sieved on its own, its witness
+    certified by check_conditions. The list does not depend on delta."""
     rs = [-(-((2 ** i - 1) ** 2 * q) // 4 ** i) for i in range(1, budget + 1)]
     if q >= bd.eligible_q_floor():
         rs.append(bd.theorem2_schedule(q).r)
-    best = None
+    out = []
     for r in sorted(set(r for r in rs if 2 <= r <= q)):
         for ell in range(3, 2 * nt.int_nth_root(q, 6) + 3):
             k = min(((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2,
@@ -437,19 +456,37 @@ def reference_bound_point(q, delta, budget):
             if k < 1:
                 continue
             try:
-                w = bd.check_conditions(q, r, ell, k)
+                out.append(bd.check_conditions(q, r, ell, k))
             except ConditionFailure:
                 continue
-            val = bd.nfc_bound(q, delta, w)
-            key = (encl.midpoint(val), -ell, -r)
-            if best is None or key > best[0]:
-                best = (key, w, val)
+    return out
+
+
+def reference_bound_point(witnesses, q, delta):
+    """Oracle for one bound_points row: each witness ranked by its own
+    nfc_bound call. Returns (witness, gv, plotkin, nfc)."""
+    best = None
+    for w in witnesses:
+        val = bd.nfc_bound(q, delta, w)
+        key = (encl.midpoint(val), -w.ell, -w.r)
+        if best is None or key > best[0]:
+            best = (key, w, val)
     w, val = (None, None) if best is None else best[1:]
     return w, bd.gv_bound(q, delta), bd.plotkin_bound(q, delta), val
 
 
+@pytest.mark.parametrize("q", [9, 100, 1000, 4099, 10 ** 5, 2 ** 30])
+def test_candidates_count_each_window_in_the_union(q):
+    """Each (r, ell) count read off the one union sieve equals the count of
+    its own window. At q = 1000, p_8 = 19 lies inside the union window
+    [16, 31], so the count must start after p_ell, not at it."""
+    got = [w for w, _, _ in bd._candidates(q, 6)]
+    assert got == reference_witnesses(q, 6)
+    assert bool(got) == (q > 100)
+
+
 # at the two largest q, budget 1 leaves two r (ceil(q/4) and the
-# schedule's), so the per-delta reference takes about 2 s each
+# schedule's), so the reference lists their witnesses in about 1.5 s each
 @pytest.mark.parametrize("q,budget", [(64, 6), (10 ** 6, 6), (2 ** 30, 6),
                                       (Q_FLOOR, 1), (Q42, 1)])
 def test_bound_points_match_the_per_delta_search(q, budget):
@@ -458,8 +495,9 @@ def test_bound_points_match_the_per_delta_search(q, budget):
     got = bd.bound_points(q, deltas, budget=budget)
     assert [pt.delta for pt in got] == deltas
     assert got[-1].gv._mpi_ == encl.iv.mpf(0)._mpi_
+    witnesses = reference_witnesses(q, budget)
     for pt, delta in zip(got, deltas):
-        want = reference_bound_point(q, delta, budget)
+        want = reference_bound_point(witnesses, q, delta)
         assert pt.witness == want[0], delta
         # identical enclosures, compared by their repr and exact endpoints
         for x, y in zip((pt.gv, pt.plotkin, pt.nfc), want[1:]):

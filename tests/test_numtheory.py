@@ -12,6 +12,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvforge import enclosure as encl
 from gvforge import numtheory as nt
@@ -93,7 +95,7 @@ def test_table_queries_do_not_copy_the_table():
     x = 10 ** 7 - 1
     queries = (lambda: table.count(x), lambda: table.count_ap(x, 4, 1),
                lambda: table.count_ap(x, 4, 3),
-               lambda: len(table.primes_3mod4_in(3, x)), lambda: table.upto(x))
+               lambda: table.upto(x))
     tracemalloc.start()
     try:
         for query in queries:
@@ -117,6 +119,20 @@ def test_shared_table_grows_from_its_own_limit(monkeypatch):
     nt.table_for(10 ** 6)  # a jump sieves exactly what was asked
     assert sieved == [2000, 2500, 10 ** 6]
     assert nt.table_for(10 ** 6).count(10 ** 6) == 78498
+
+
+def test_sieve_cap_below_the_table_floor(monkeypatch):
+    """The 1,024 floor of the shared table never exceeds the cap."""
+    monkeypatch.setattr(nt, "_table", None)
+    saved = nt.sieve_cap()
+    try:
+        nt.set_sieve_cap(1000)
+        assert nt.nth_prime(7) == 17
+        assert nt.table_for(500).count(500) == 95
+        with pytest.raises(CapacityError, match="1001"):
+            nt.table_for(1001)
+    finally:
+        nt.set_sieve_cap(saved)
 
 
 def test_sieve_cap_enforced():
@@ -171,14 +187,84 @@ def test_count_ap_examples(rng):
 
 
 def test_count_3mod4_in_window():
-    table = nt.table_for(10 ** 4)
     # primes = 3 mod 4 in [10, 50]: 11, 19, 23, 31, 43, 47
-    assert len(table.primes_3mod4_in(10, 50)) == 6
-    assert len(table.primes_3mod4_in(50, 10)) == 0
-    assert len(table.primes_3mod4_in(24, 28)) == 0
+    assert nt.inert_window(50 ** 2, 10 ** 2, 0).tolist() == [11, 19, 23, 31,
+                                                            43, 47]
+    assert len(nt.inert_window(10 ** 2, 50 ** 2, 0)) == 0
+    assert len(nt.inert_window(28 ** 2, 24 ** 2, 0)) == 0
     by_scan = sum(1 for n in range(600, 800)
                   if n % 4 == 3 and trial_division_is_prime(n))
-    assert len(table.primes_3mod4_in(600, 799)) == by_scan
+    assert len(nt.inert_window(799 ** 2, 600 ** 2, 0)) == by_scan
+
+
+# ------------------------------------------------------ inert window sieve
+
+
+def window_oracle(q: int, r: int, p_ell: int) -> np.ndarray:
+    """The primes p = 3 (mod 4), p > p_ell, r <= p^2 <= q, from the
+    bytearray sieve up to isqrt(q)."""
+    hi = math.isqrt(q)
+    ps = bytearray_primes(hi) if hi >= 2 else np.empty(0, dtype=np.int64)
+    return ps[(ps % 4 == 3) & (ps > p_ell) & (ps * ps >= r)]
+
+
+def assert_window(q, r, p_ell):
+    got = nt.inert_window(q, r, p_ell)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, window_oracle(q, r, p_ell)), (q, r, p_ell)
+    return got.tolist()
+
+
+def test_inert_window_empty():
+    assert assert_window(99, 100, 0) == []           # isqrt(q) < sqrt(r)
+    assert assert_window(10 ** 4, 1, 100) == []      # isqrt(q) <= p_ell
+    assert assert_window(3 ** 2 - 1, 1, 0) == []     # only 2 lies below 3
+    assert assert_window(10 ** 6, 999 ** 2, 0) == []  # 999 = 27 * 37
+
+
+def test_inert_window_holds_its_base_primes():
+    # lo <= 3: the base primes 3 and 7 (<= sqrt(100)) are in the window
+    got = assert_window(10 ** 4, 1, 0)
+    assert got[:4] == [3, 7, 11, 19] and got[-1] == 83
+    assert assert_window(10 ** 4, 9, 2)[0] == 3
+    assert assert_window(10 ** 4, 10, 2)[0] == 7
+
+
+def test_inert_window_ends_are_inclusive():
+    assert assert_window(47 ** 2, 19 ** 2, 0) == [19, 23, 31, 43, 47]
+    assert assert_window(47 ** 2, 19 ** 2, 18) == [19, 23, 31, 43, 47]
+    assert assert_window(47 ** 2 - 1, 19 ** 2 + 1, 0) == [23, 31, 43]
+    assert assert_window(47 ** 2, 1, 19) == [23, 31, 43, 47]
+    lo, hi = 10007, 10039  # both prime and 3 (mod 4)
+    got = assert_window(hi ** 2, lo ** 2, 0)
+    assert got[0] == lo and got[-1] == hi
+
+
+def test_inert_window_at_a_prime_square():
+    p = 10007
+    assert assert_window(p * p, p * p, 0) == [p]
+    assert assert_window(p * p, p * p + 1, 0) == []
+    assert assert_window(p * p - 1, 1, 10000) == []
+    assert assert_window(53 ** 2, 1, 47) == []  # 53 = 1 (mod 4)
+    assert assert_window(43 ** 2, 43 ** 2, 0) == [43]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+def test_inert_window_across_segments(monkeypatch, window):
+    monkeypatch.setattr(nt, "_WINDOW", window)
+    for hi in range(2, 80):
+        for lo in range(1, hi + 2):
+            assert_window(hi * hi + hi % 3, max(lo * lo - lo % 2, 1), 0)
+    assert_window(10 ** 8, 10 ** 6, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inert_window_matches_oracle(data):
+    q = data.draw(st.integers(1, 10 ** 12), label="q")
+    r = data.draw(st.integers(1, q), label="r")
+    p_ell = data.draw(st.integers(0, math.isqrt(q) + 2), label="p_ell")
+    assert_window(q, r, p_ell)
 
 
 def test_table_for_stops_at_x():
@@ -311,6 +397,19 @@ def test_kronecker_euler_criterion():
             assert nt.kronecker_symbol(a, p) == want, (a, p)
 
 
+ODD_PRIMES_2000 = [p for p in range(3, 2000) if trial_division_is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9),
+       st.sampled_from(ODD_PRIMES_2000))
+def test_kronecker_property_euler_and_multiplicative(a, b, p):
+    e = pow(a, (p - 1) // 2, p)
+    assert nt.kronecker_symbol(a, p) == {0: 0, 1: 1, p - 1: -1}[e]
+    assert (nt.kronecker_symbol(a * b, p)
+            == nt.kronecker_symbol(a, p) * nt.kronecker_symbol(b, p))
+
+
 def test_kronecker_special_values():
     assert nt.kronecker_symbol(0, 1) == 1
     assert nt.kronecker_symbol(1, 0) == 1
@@ -357,6 +456,19 @@ def test_sqrt_mod_exhaustive_small():
                 assert got == min(roots[a])
             else:
                 assert got is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2] + ODD_PRIMES_2000), st.integers(-10 ** 9, 10 ** 9),
+       st.booleans())
+@example(3, 2, False)  # a non-residue
+@example(1999, 10 ** 6, True)  # a residue, 1999 = 3 (mod 4)
+@example(1997, 5, True)  # a residue, 1997 = 1 (mod 4): Tonelli-Shanks
+def test_sqrt_mod_property_root_search(p, a, square):
+    if square:
+        a = a * a
+    roots = [x for x in range(p) if (x * x - a) % p == 0]
+    assert nt.sqrt_mod(a, p) == (roots[0] if roots else None)
 
 
 def test_sqrt_mod_large(rng):
