@@ -477,13 +477,12 @@ def _candidates(q: int, budget: int) -> list:
     window = nt.inert_window(q, r_candidates[0], 0) if r_candidates else None
     for r in r_candidates:
         log_r = iv.log(iv.mpf(r))
-        below_r = nt._rank(window, math.isqrt(r - 1), "right")  # p^2 < r
         for ell in range(3, ell_hi + 1):
             k_quad = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
             if k_quad < 1:
                 continue
             p_ell = nt.nth_prime(ell)
-            Nq = len(window) - max(below_r, nt._rank(window, p_ell, "right"))
+            Nq = nt.inert_count(window, r, p_ell)
             k = min(k_quad, Nq // 2)
             if k < 1:
                 continue

@@ -236,6 +236,13 @@ def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def inert_count(window: np.ndarray, r: int, p_ell: int) -> int:
+    """len(inert_window(q, r, p_ell)), read off `window`, an inert window at
+    the same q whose r and p_ell are no larger."""
+    return len(window) - max(_rank(window, math.isqrt(r - 1), "right"),
+                             _rank(window, p_ell, "right"))
+
+
 _CHUNK_BITS = 4000
 
 

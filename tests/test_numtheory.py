@@ -264,7 +264,12 @@ def test_inert_window_matches_oracle(data):
     q = data.draw(st.integers(1, 10 ** 12), label="q")
     r = data.draw(st.integers(1, q), label="r")
     p_ell = data.draw(st.integers(0, math.isqrt(q) + 2), label="p_ell")
-    assert_window(q, r, p_ell)
+    window = assert_window(q, r, p_ell)
+    # any window at the same q with larger r and p_ell is a tail of it
+    r2 = data.draw(st.integers(r, q), label="r2")
+    p2 = data.draw(st.integers(p_ell, math.isqrt(q) + 2), label="p2")
+    assert nt.inert_count(np.array(window, dtype=np.uint32), r2, p2) == len(
+        window_oracle(q, r2, p2))
 
 
 def test_table_for_stops_at_x():
