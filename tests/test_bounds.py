@@ -281,7 +281,8 @@ def test_certify_passes_at_2_pow_42():
 
 def test_inert_count_sieves_only_the_window(monkeypatch):
     """The Nq window [sqrt(r), sqrt(q)] is sieved on its own, with base
-    primes up to q^(1/4): certify(10^14) once sieved every prime to 10^7."""
+    primes up to q^(1/4), so no sieve nears the 10^7 = sqrt(10^14) that a
+    table of every prime up to sqrt(q) would need."""
     sieved, windows = [], []
     sieve, window = nt.sieve_primes, nt.inert_window
     monkeypatch.setattr(nt, "sieve_primes",
