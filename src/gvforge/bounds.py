@@ -7,7 +7,6 @@ sieve, and a certificate object records every inequality in the q-range
 argument with its enclosure margin and a three-way status.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -15,7 +14,7 @@ from typing import Optional
 from . import enclosure as enc
 from . import numtheory as nt
 from .enclosure import iv
-from .errors import ConditionFailure, DomainError, IndeterminateError
+from .errors import ConditionFailure, DomainError
 
 # rational constants used by the certified inequality chain
 C_SQRT_FACTOR = Fraction(6745, 10 ** 4)      # (1 - eps) stays above this
@@ -117,13 +116,6 @@ class SearchOutcome:
     note: str
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    first_violation: Optional[int]
-    argmin_ell: int
-    min_margin: object  # HighReal
-
-
 def _delta(delta) -> Fraction:
     """delta as an exact Fraction, checked to lie in (0, 1)."""
     if not isinstance(delta, (int, float, Fraction)):
@@ -153,15 +145,6 @@ def gv_bound(q: int, delta) -> enc.HighReal:
     logq = iv.log(iv.mpf(q))
     entropy = -d * iv.log(d) - (1 - d) * iv.log(1 - d)
     return 1 - (d * iv.log(iv.mpf(q - 1)) + entropy) / logq
-
-
-def gv_asymptotic(q: int, delta) -> enc.HighReal:
-    """First-order form 1 - delta - h(delta)/log q (natural-log entropy h)."""
-    _check_q(q)
-    dfrac = _delta(delta)
-    d = enc.enc(dfrac)
-    h = -d * iv.log(d) - (1 - d) * iv.log(1 - d)
-    return 1 - d - h / iv.log(iv.mpf(q))
 
 
 def plotkin_bound(q: int, delta) -> enc.HighReal:
@@ -323,6 +306,9 @@ def _tristate(status: str):
 
 
 def _final_inequality_sides(ell: int):
+    """Enclosed sides of ell(3.7 + log ell + log log ell) <= -1.39 +
+    0.58((ell-2)^2/4 - (ell-2) - 3), the last link of the chain; the
+    inequality holds when rhs - lhs > 0. Needs ell >= 3."""
     if ell < 3:
         raise DomainError("final inequality needs ell >= 3 (log log ell)")
     le = iv.log(iv.mpf(ell))
@@ -330,42 +316,6 @@ def _final_inequality_sides(ell: int):
     quad = enc.enc(Fraction((ell - 2) ** 2, 4) - (ell - 2) - 3)
     rhs = enc.enc(C_FINAL_B) + enc.enc(C_FINAL_C) * quad
     return lhs, rhs
-
-
-def final_inequality_margin(ell: int) -> enc.HighReal:
-    """Margin of ell(3.7 + log ell + log log ell) <= -1.39 + 0.58((ell-2)^2/4
-    - (ell-2) - 3); positive means the inequality holds. Needs ell >= 3."""
-    lhs, rhs = _final_inequality_sides(ell)
-    return rhs - lhs
-
-
-def final_inequality_scan(ell_lo: int, ell_hi: int) -> ScanResult:
-    """Scan the inequality over [ell_lo, ell_hi]; floats with a guard band,
-    escalating to enclosures near the boundary. Returns the first violation
-    (None if none) and the minimum certified margin with its location."""
-    if ell_lo < 3 or ell_hi < ell_lo:
-        raise DomainError("need 3 <= ell_lo <= ell_hi")
-    a, b, c = float(C_FINAL_A), float(C_FINAL_B), float(C_FINAL_C)
-    best = (math.inf, -1)
-    first_violation = None
-    for ell in range(ell_lo, ell_hi + 1):
-        le = math.log(ell)
-        lhs = ell * (a + le + math.log(le))
-        rhs = b + c * ((ell - 2) ** 2 / 4 - (ell - 2) - 3)
-        m = rhs - lhs
-        guard = 1e-9 * (abs(lhs) + abs(rhs) + 1)
-        if m < guard:
-            status = enc.is_positive(final_inequality_margin(ell))
-            if status == enc.FAIL:
-                if first_violation is None:
-                    first_violation = ell
-            elif status == enc.INDETERMINATE:
-                raise IndeterminateError("margin at ell=%d straddles 0" % ell)
-        if m < best[0]:
-            best = (m, ell)
-    margin = final_inequality_margin(best[1])
-    return ScanResult(first_violation=first_violation, argmin_ell=best[1],
-                      min_margin=margin)
 
 
 def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
@@ -531,29 +481,3 @@ def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
         q=q, delta=pt.delta, witness=pt.witness, nfc=pt.nfc, gv=pt.gv,
         beats_gv=enc.gt_status(pt.nfc, pt.gv) == enc.PASS if found else None,
         note="" if found else "no certified witness in budget")
-
-
-def a_rq_upper_bounds(r: int, q: int):
-    """Three upper bounds on the number of usable prime ideals A(r, q):
-    the averaging constant times pi(q), the ratio q/log r, and the constant
-    1/(1 - log(2/sqrt(pi))) itself. Needs the sieve up to q (capacity-bound).
-    """
-    if not 2 <= r <= q:
-        raise DomainError("need 2 <= r <= q")
-    pi_q = nt.table_for(q).count(q)
-    c = 1 / (1 - iv.log(2 / iv.sqrt(iv.pi)))
-    return {
-        "averaging": c * pi_q,
-        "volume": iv.mpf(q) / iv.log(iv.mpf(r)),
-        "constant": c,
-    }
-
-
-def growth_proxy(q: int, delta, rate_lower) -> enc.HighReal:
-    """log(1/(1 - delta - rate)) / log(q); needs rate certifiably < 1 - delta."""
-    _check_q(q)
-    dfrac = _delta(delta)
-    gap = 1 - enc.enc(dfrac) - enc.enc(rate_lower)
-    if enc.gt_status(gap, 0) != enc.PASS:
-        raise DomainError("rate bound must be certifiably below 1 - delta")
-    return -iv.log(gap) / iv.log(iv.mpf(q))

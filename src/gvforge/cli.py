@@ -24,7 +24,7 @@ from . import lenstra as ln
 from . import numtheory as nt
 from . import quadfield as qf
 from .errors import (CapacityError, ConditionFailure, DomainError,
-                     GvforgeError, IndeterminateError)
+                     IndeterminateError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="codes from quadratic-field lattices and certified rate bounds")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads for pairwise scans")
-    p.add_argument("--sieve-limit", type=int, default=None,
+    # argparse converts a string default with `type`, so a bad value in the
+    # environment is a usage error like a bad flag
+    p.add_argument("--sieve-limit", type=int,
+                   default=os.environ.get("GVFORGE_SIEVE_LIMIT",
+                                          nt.HARD_SIEVE_CAP),
                    help="cap on sieve size (default: GVFORGE_SIEVE_LIMIT or 2^32)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -268,11 +272,10 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sieve_limit is not None:
-        nt.set_sieve_cap(args.sieve_limit)
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
+        nt.set_sieve_cap(args.sieve_limit)
         return _DISPATCH[args.command](args)
     except (DomainError, OSError, UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -22,8 +22,7 @@ from . import enclosure as enc
 from .enclosure import iv
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
-                        is_fundamental, make_field,
-                        prime_ideals_in_norm_range)
+                        is_fundamental, prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
@@ -295,6 +294,8 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     grid up to max_grid raises TauSearchError (retry with a larger
     max_grid); an under-counted box is never returned.
     """
+    if start_grid < 1:
+        raise DomainError("start grid must be >= 1, got %r" % (start_grid,))
     K = E.field
     target = minkowski_target(r, G, abs(K.disc))
     if r ** G > OMEGA_CAP * math.isqrt(abs(K.disc)) + OMEGA_CAP:
@@ -379,11 +380,6 @@ def format_code_file(code: LenstraCode) -> str:
     lines = [head]
     lines.extend(" ".join(str(s) for s in w) for w in code.codewords)
     return "\n".join(lines) + "\n"
-
-
-def write_code_file(code: LenstraCode, path) -> None:
-    with open(path, "w") as fp:
-        fp.write(format_code_file(code))
 
 
 def parse_code_file(text: str) -> LenstraCode:
@@ -499,40 +495,3 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
           and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,
                      worst_pair=pair, bad_symbol=bad_symbol)
-
-
-def norm_gap_check(code: LenstraCode) -> bool:
-    """For every pair a != b in omega: r^(agree) <= |N(a-b)| < r^G.
-
-    agree counts coordinates where the words coincide. Exact integer
-    arithmetic throughout (numpy int64 blocks; sizes are guarded).
-    """
-    omega = code.omega
-    m = len(omega)
-    if m < 2:
-        return True
-    if m > PAIRWISE_CAP:
-        raise CapacityError("M=%d exceeds pairwise cap %d" % (m, PAIRWISE_CAP))
-    K = make_field(code.disc)
-    r, G = code.r, code.G
-    if r ** G > 1 << 60:
-        raise CapacityError("r^G too large for vectorized norm scan")
-    # agreeing in G or more positions already fails, so r^G caps the powers
-    powers = np.array([r ** e for e in range(G)], dtype=np.int64)
-    uv = np.asarray(omega, dtype=np.int64)
-    arr = np.asarray(code.codewords, dtype=np.int64)
-    upper = r ** G
-    block = max(1, min(512, (1 << 22) // max(1, m)))
-    for lo in range(0, m - 1, block):
-        hi = min(lo + block, m - 1)
-        for i in range(lo, hi):
-            du = uv[i + 1:, 0] - uv[i, 0]
-            dv = uv[i + 1:, 1] - uv[i, 1]
-            norms = np.abs(K.norm(du, dv))
-            agree = (arr[i + 1:] == arr[i]).sum(axis=1)
-            if int(agree.max(initial=0)) >= G:
-                return False
-            lower = powers[agree]
-            if not bool(np.all((norms >= lower) & (norms < upper))):
-                return False
-    return True

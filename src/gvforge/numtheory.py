@@ -7,15 +7,13 @@ per process serves the queries that need every prime up to a limit, and
 grows geometrically from its own limit, never from the request. The inert
 window of the construction is sieved on its own, over its class 3 (mod 4)
 only, with base primes from that table. Transcendental quantities (log of a
-primorial, Chebyshev theta, the offset logarithmic integral) are returned as
-interval enclosures from `enclosure`.
+primorial, Chebyshev theta) are returned as interval enclosures from
+`enclosure`.
 """
 
 import copy
 import math
-import os
 
-import mpmath
 import numpy as np
 
 from . import enclosure as enc
@@ -26,12 +24,6 @@ HARD_SIEVE_CAP = 1 << 32
 _WINDOW = 1 << 22
 
 _sieve_cap = HARD_SIEVE_CAP
-_env_cap = os.environ.get("GVFORGE_SIEVE_LIMIT")
-if _env_cap is not None:
-    try:
-        _sieve_cap = min(HARD_SIEVE_CAP, int(_env_cap))
-    except ValueError:
-        pass
 
 
 def set_sieve_cap(limit: int) -> None:
@@ -101,11 +93,6 @@ class PrimeTable:
     def __init__(self, limit: int):
         self.limit = int(limit)
         self.primes = sieve_primes(self.limit)
-        odd = self.primes[1:]
-        is3 = (odd & 2).astype(bool)  # p = 3 (mod 4) for odd p
-        self.primes_3mod4 = odd[is3]
-        np.logical_not(is3, out=is3)
-        self.primes_1mod4 = odd[is3]
 
     def __len__(self):
         return len(self.primes)
@@ -115,32 +102,11 @@ class PrimeTable:
         self._check(x)
         return _rank(self.primes, x, "right")
 
-    def count_ap(self, x: int, modulus: int, residue: int) -> int:
-        """Primes p <= x with p = residue (mod modulus); modulus in {1, 4}."""
-        self._check(x)
-        if modulus not in (1, 4):
-            raise DomainError("modulus must be 1 or 4, got %r" % modulus)
-        if not 0 <= residue < modulus:
-            raise DomainError("residue %r out of range mod %d" % (residue, modulus))
-        if modulus == 1:
-            return self.count(x)
-        if residue == 1:
-            arr = self.primes_1mod4
-        elif residue == 3:
-            arr = self.primes_3mod4
-        elif residue == 2:
-            return 1 if x >= 2 else 0
-        else:
-            return 0
-        return _rank(arr, x, "right")
-
     def upto(self, x: int) -> "PrimeTable":
-        """A view holding only the primes <= x; it shares this table's arrays."""
+        """A view holding only the primes <= x; it shares this table's array."""
         view = copy.copy(self)
         view.limit = x
-        for name in ("primes", "primes_1mod4", "primes_3mod4"):
-            arr = getattr(self, name)
-            setattr(view, name, arr[:_rank(arr, x, "right")])
+        view.primes = self.primes[:_rank(self.primes, x, "right")]
         return view
 
     def nth(self, i: int) -> int:
@@ -193,13 +159,6 @@ def nth_prime(i: int) -> int:
     # Rosser-type upper bound p_i < i (ln i + ln ln i) for i >= 6
     bound = int(i * (math.log(i) + math.log(math.log(i)))) + 16
     return _shared_table(bound).nth(i)
-
-
-def prime_count_ap(x: int, modulus: int, residue: int) -> int:
-    """Exact count of primes p <= x in the residue class; modulus in {1, 4}."""
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    return table_for(int(x)).count_ap(int(x), modulus, residue)
 
 
 def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
@@ -282,48 +241,6 @@ def primorial_D(ell: int):
     for p in primes[:ell]:
         D *= int(p)
     return D, iv.log(iv.mpf(D))
-
-
-def log_integral(x) -> enc.HighReal:
-    """Li(x) = integral from 2 to x of dt/log t, as an enclosure; x >= 2.
-
-    Series route: with u = log x, the antiderivative is
-    log u + sum_{k>=1} u^k / (k * k!) up to a constant that cancels in the
-    difference against the same expression at u = log 2. All terms are
-    positive; once k >= 2u the term ratio stays below 1/2, so the dropped
-    tail is below twice the first dropped term and is added as an interval.
-    """
-    if isinstance(x, enc.HighReal):
-        below = enc.ge_status(x, 2) != enc.PASS
-    else:
-        exact = enc.as_fraction(x)
-        below = exact < 2
-        if exact == 2:
-            return iv.mpf(0)
-    if below:
-        raise DomainError("log_integral requires x >= 2")
-    u_x = iv.log(enc.enc(x))
-    u_2 = iv.log(iv.mpf(2))
-    return (iv.log(u_x) + _li_series(u_x)) - (iv.log(u_2) + _li_series(u_2))
-
-
-def _li_series(u) -> enc.HighReal:
-    s = iv.mpf(0)
-    term = iv.mpf(1)  # holds u^k / k!
-    u_hi = float(mpmath.mpf(u.b))
-    k = 0
-    while True:
-        k += 1
-        if k > 600:
-            raise CapacityError("series failed to converge (k > 600)")
-        term = term * u / k
-        contrib = term / k
-        s += contrib
-        if k >= 2 * u_hi + 8:
-            nxt = term * u / ((k + 1) * (k + 1))
-            tail_hi = 2 * mpmath.mpf(nxt.b)
-            if tail_hi < mpmath.mpf(s.b) * mpmath.mpf(2) ** (-enc.PREC_BITS + 4):
-                return s + iv.mpf([0, tail_hi])
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -417,10 +334,6 @@ def factorize(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values())
 
 
 def int_nth_root(n: int, k: int) -> int:

@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import enclosure as enc
 from . import numtheory as nt
 from .enclosure import iv
 from .errors import CapacityError, DomainError
@@ -303,23 +302,6 @@ def genus_two_rank_lower(K: QuadraticField) -> int:
     mu = len(K.prime_divisors)
     lower = mu - 1 if K.disc < 0 else mu - 2
     return max(lower, 0)
-
-
-def candidate_Sc(K: QuadraticField, r: int, q: int, ell: int) -> list:
-    """Inert primes p = 3 (mod 4), p > p_ell, with r <= p^2 <= q, sorted.
-
-    These are the ideals whose residue norms land in [r, q] through the
-    inert route; their count feeds the tower certificate.
-    """
-    if not 2 <= r <= q:
-        raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
-    out = []
-    for p in nt.inert_window(q, r, nt.nth_prime(ell)).tolist():
-        if nt.kronecker_symbol(K.disc, p) == -1:
-            out.append(PrimeIdealRecord(p, INERT, p * p, 0, None))
-    return out
 
 
 def golod_shafarevich_check(K: QuadraticField, d2: int, sc_size: int) -> TowerCertificate:

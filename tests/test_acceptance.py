@@ -24,7 +24,8 @@ from gvforge import enclosure as encl
 from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
-from gvforge.enclosure import iv
+
+from conftest import norm_gap_check
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145  # floor(exp(29)) + 1, the smallest eligible q
@@ -116,7 +117,7 @@ def test_criterion_3_small_codes_build_and_verify():
         K = qf.make_field(D)
         code = ln.build_code(K, r, q, G)
         chk = ln.verify_code(code)
-        gap = ln.norm_gap_check(code)
+        gap = norm_gap_check(code)
         n_max = max(n_max, code.n)
         m_max = max(m_max, chk.M)
         if not (chk.ok and gap and chk.M <= 10 ** 4):
@@ -268,20 +269,65 @@ def test_criterion_6_tower_base_discriminant():
 # ------------------------------------------- 7: inequality tail scan
 
 
+def final_inequality_sides_mp(ell: int):
+    """Both sides of ell(A + log ell + log log ell) <= B + C((ell-2)^2/4 -
+    (ell-2) - 3) in 60-digit plain mpmath, from the library's constants."""
+    with mp.workdps(60):
+        a, b, c = (mp.mpf(x.numerator) / x.denominator
+                   for x in (bd.C_FINAL_A, bd.C_FINAL_B, bd.C_FINAL_C))
+        le = mp.log(ell)
+        lhs = ell * (a + le + mp.log(le))
+        rhs = b + c * (mp.mpf((ell - 2) ** 2) / 4 - (ell - 2) - 3)
+    return lhs, rhs
+
+
 def test_criterion_7_final_inequality_tail():
-    scan = bd.final_inequality_scan(125, 10 ** 5)
-    verdict = encl.is_positive(scan.min_margin)
-    with mp.workdps(50):
-        min_mid = float(encl.midpoint(scan.min_margin))
-    ok = (scan.first_violation is None and scan.argmin_ell == 125
-          and verdict == "pass")
+    # float pass over the whole tail, with a guard band far above the
+    # rounding error of a few float operations
+    ell = np.arange(125, 10 ** 5 + 1, dtype=np.float64)
+    le = np.log(ell)
+    lhs = ell * (float(bd.C_FINAL_A) + le + np.log(le))
+    rhs = float(bd.C_FINAL_B) + float(bd.C_FINAL_C) * (
+        (ell - 2) ** 2 / 4 - (ell - 2) - 3)
+    margin = rhs - lhs
+    guard = 1e-9 * (np.abs(lhs) + np.abs(rhs) + 1)
+    below_guard = ell[margin <= guard].astype(int).tolist()
+    argmin = int(ell[np.argmin(margin)])
+    lhs_mp, rhs_mp = final_inequality_sides_mp(argmin)
+    with mp.workdps(60):
+        min_margin = rhs_mp - lhs_mp
+
+    # the certificate's enclosures hold the oracle's sides
+    rng = random.Random(20240817)
+    samples = [125, 10 ** 5] + [rng.randint(126, 10 ** 5 - 1) for _ in range(20)]
+    not_enclosed = []
+    for e in samples:
+        sides = bd._final_inequality_sides(e)
+        with mp.workdps(60):
+            if not all(encl.contains(s, v) for s, v in
+                       zip(sides, final_inequality_sides_mp(e))):
+                not_enclosed.append(e)
+    ok = (not below_guard and argmin == 125 and min_margin > 0
+          and not not_enclosed)
     _report(7, ok,
             "margin positive for every ell in [125, 10^5], minimum %.4f "
-            "attained at ell=%d, no violations" % (min_mid, scan.argmin_ell))
-    assert ok, (scan.first_violation, scan.argmin_ell, verdict)
+            "attained at ell=%d, no violations; the enclosed sides hold the "
+            "60-digit sides at %d ell" % (min_margin, argmin, len(samples)))
+    assert ok, (below_guard[:5], argmin, min_margin, not_enclosed)
 
 
 # --------------------------- 8: edge zeros and the residue-class window
+
+
+def count_3mod4_primes(limit: int) -> np.ndarray:
+    """c[x] = pi(x; 4, 3) for 0 <= x <= limit, from a plain numpy sieve."""
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    prime[np.arange(limit + 1) % 4 != 3] = False
+    return np.cumsum(prime)
 
 
 def test_criterion_8_edge_zeros_and_ap_window():
@@ -298,22 +344,20 @@ def test_criterion_8_edge_zeros_and_ap_window():
 
     rng = random.Random(20240817)
     xs = sorted(rng.randint(10 ** 3, 2 * 10 ** 6) for _ in range(1000))
-    half = encl.enc(Fraction(1, 2))
-    coeff = encl.enc(Fraction(53, 100))
+    pi_43 = count_3mod4_primes(xs[-1])
     bad_window = []
     worst = 0.0
-    for x in xs:
-        lhs = abs(encl.enc(nt.prime_count_ap(x, 4, 3))
-                  - nt.log_integral(x) * half)
-        rhs = coeff * x / encl.enc(iv.log(iv.mpf(x))) ** 2
-        if encl.lt_status(lhs, rhs) != "pass":
-            bad_window.append(x)
-            continue
-        with mp.workdps(50):
-            worst = max(worst, float(encl.upper(lhs) / encl.lower(rhs)))
+    with mp.workdps(60):
+        for x in xs:
+            # Li(x) = integral from 2 to x of dt/log t
+            lhs = abs(int(pi_43[x]) - mpmath.li(x, offset=True) / 2)
+            rhs = mp.mpf(53) / 100 * x / mp.log(x) ** 2
+            if not lhs < rhs:
+                bad_window.append(x)
+            worst = max(worst, float(lhs / rhs))
     ok = not bad_edge and not bad_window
     _report(8, ok,
             "gv and plotkin are exact zeros at delta=(q-1)/q for all q <= "
-            "10^4; |pi(x;4,3) - Li(x)/2| < 0.53 x/log^2 x certified at 1000 "
-            "points up to 2*10^6 (worst ratio %.3f)" % worst)
+            "10^4; |pi(x;4,3) - Li(x)/2| < 0.53 x/log^2 x at 60 digits at "
+            "1000 points up to 2*10^6 (worst ratio %.3f)" % worst)
     assert ok, (bad_edge[:5], bad_window[:5])

@@ -18,7 +18,7 @@ from mpmath import mp
 from gvforge import bounds as bd
 from gvforge import enclosure as encl
 from gvforge import numtheory as nt
-from gvforge.errors import (CapacityError, ConditionFailure, DomainError)
+from gvforge.errors import ConditionFailure, DomainError
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145
@@ -104,8 +104,11 @@ def test_bound_order_on_grid():
             gv = bd.gv_bound(q, delta)
             pk = bd.plotkin_bound(q, delta)
             assert encl.le_status(gv, pk) == encl.PASS, (q, delta)
-            asym = bd.gv_asymptotic(q, delta)
-            assert encl.ge_status(gv, asym) == encl.PASS, (q, delta)
+            # the first-order form 1 - delta - h(delta)/log q lies below gv
+            with mp.workdps(60):
+                d = mp.mpf(i) / 20
+                h = -d * mp.log(d) - (1 - d) * mp.log(1 - d)
+                assert encl.lower(gv) > 1 - d - h / mp.log(q), (q, delta)
 
 
 # ------------------------------------------------------- conditions, nfc
@@ -349,12 +352,17 @@ def test_certify_deterministic():
 # ------------------------------------------------------- final inequality
 
 
+def final_margin_status(ell: int) -> str:
+    lhs, rhs = bd._final_inequality_sides(ell)
+    return encl.is_positive(rhs - lhs)
+
+
 def test_final_inequality_signs():
-    assert encl.is_positive(bd.final_inequality_margin(74)) == encl.PASS
-    assert encl.is_positive(bd.final_inequality_margin(73)) == encl.FAIL
-    assert encl.is_positive(bd.final_inequality_margin(125)) == encl.PASS
+    assert final_margin_status(74) == encl.PASS
+    assert final_margin_status(73) == encl.FAIL
+    assert final_margin_status(125) == encl.PASS
     with pytest.raises(DomainError):
-        bd.final_inequality_margin(2)
+        bd._final_inequality_sides(2)
 
 
 def test_final_inequality_float_oracle():
@@ -366,22 +374,7 @@ def test_final_inequality_float_oracle():
         m = rhs - lhs
         assert abs(m) > 1e-6  # signs are decisive at this scale
         want = encl.PASS if m > 0 else encl.FAIL
-        assert encl.is_positive(bd.final_inequality_margin(ell)) == want, ell
-
-
-def test_final_inequality_scan():
-    clean = bd.final_inequality_scan(74, 200)
-    assert clean.first_violation is None
-    assert clean.argmin_ell == 74
-    assert encl.is_positive(clean.min_margin) == encl.PASS
-    dirty = bd.final_inequality_scan(3, 124)
-    assert dirty.first_violation == 3
-    assert dirty.argmin_ell == 38
-    assert encl.is_positive(dirty.min_margin) == encl.FAIL
-    with pytest.raises(DomainError):
-        bd.final_inequality_scan(2, 10)
-    with pytest.raises(DomainError):
-        bd.final_inequality_scan(10, 9)
+        assert final_margin_status(ell) == want, ell
 
 
 # ----------------------------------------------------------------- search
@@ -505,37 +498,3 @@ def test_bound_points_match_the_per_delta_search(q, budget):
             assert repr(x) == repr(y), delta
             assert getattr(x, "_mpi_", None) == getattr(y, "_mpi_", None)
     assert (got[0].witness is None) == (q == 64)
-
-
-# ------------------------------------------------------------- side items
-
-
-def test_a_rq_upper_bounds():
-    out = bd.a_rq_upper_bounds(9, 1000)
-    c = mp_value(lambda: 1 / (1 - mp.log(2 / mp.sqrt(mp.pi))))
-    assert_encloses(out["constant"], c)
-    # pi(1000) = 168; the product must stay inside the working precision
-    assert_encloses(out["averaging"],
-                    mp_value(lambda: 168 / (1 - mp.log(2 / mp.sqrt(mp.pi)))))
-    assert_encloses(out["volume"], mp_value(lambda: mp.mpf(1000) / mp.log(9)))
-    with pytest.raises(DomainError):
-        bd.a_rq_upper_bounds(1, 10)
-    with pytest.raises(DomainError):
-        bd.a_rq_upper_bounds(20, 10)
-    saved = nt.sieve_cap()
-    try:
-        nt.set_sieve_cap(10 ** 4)
-        with pytest.raises(CapacityError):
-            bd.a_rq_upper_bounds(9, 10 ** 6)
-    finally:
-        nt.set_sieve_cap(saved)
-
-
-def test_growth_proxy():
-    g = bd.growth_proxy(2 ** 30, Fraction(1, 2), Fraction(1, 2) - Fraction(1, 2 ** 5))
-    assert encl.contains(g, Fraction(1, 6))
-    assert encl.width(g) < mpmath.mpf("1e-30")
-    with pytest.raises(DomainError):
-        bd.growth_proxy(2 ** 30, Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        bd.growth_proxy(2 ** 30, Fraction(1, 2), Fraction(2, 3))

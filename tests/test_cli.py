@@ -138,6 +138,46 @@ def test_certify_capacity(capsys):
         nt.set_sieve_cap(saved)
 
 
+def run_exit(capsys, *argv):
+    """run(), with a usage error's SystemExit turned into its exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as e:
+        captured = capsys.readouterr()
+        return e.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("1", None),
+                                       (None, "abc"), (None, "1")])
+def test_sieve_limit_is_validated(capsys, monkeypatch, flag, env):
+    """The flag and GVFORGE_SIEVE_LIMIT, its default, pass one check."""
+    saved = nt.sieve_cap()
+    if env is None:
+        monkeypatch.delenv("GVFORGE_SIEVE_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("GVFORGE_SIEVE_LIMIT", env)
+    argv = ["certify", "--q", "64"]
+    if flag is not None:
+        argv = ["--sieve-limit", flag] + argv
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: "), err
+    assert nt.sieve_cap() == saved
+
+
+def test_sieve_limit_from_environment(capsys, monkeypatch):
+    monkeypatch.setattr(nt, "_sieve_cap", nt.sieve_cap())  # restored after
+    monkeypatch.setenv("GVFORGE_SIEVE_LIMIT", "1000")
+    code, out, err = run(capsys, "certify", "--q", str(Q42))
+    assert code == 3 and "capacity" in err
+    # the flag overrides the environment, and no flag means 2^32
+    assert run(capsys, "--sieve-limit", "10000000",
+               "certify", "--q", str(Q42))[0] == 0
+    monkeypatch.delenv("GVFORGE_SIEVE_LIMIT")
+    assert run(capsys, "certify", "--q", str(Q42))[0] == 0
+    assert nt.sieve_cap() == nt.HARD_SIEVE_CAP
+
+
 def test_certify_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -180,6 +220,13 @@ def test_construct_domain_errors(capsys):
     code, out, err = run(capsys, "construct", "--disc", "7", "--r", "9",
                          "--q", "13", "--G", "1")  # 7 = 3 mod 4
     assert code == 1
+
+
+def test_construct_grid_below_one(capsys):
+    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
+                         "--q", "13", "--G", "1", "--grid", "0")
+    assert code == 1
+    assert err == "error: start grid must be >= 1, got 0\n"
 
 
 def test_construct_search_exhaustion(capsys):

@@ -18,7 +18,9 @@ from mpmath import mp
 from gvforge import enclosure as encl
 from gvforge import lenstra as ln
 from gvforge import quadfield as qf
-from gvforge.errors import CapacityError, DomainError, TauSearchError
+from gvforge.errors import DomainError, TauSearchError
+
+from conftest import norm_gap_check
 
 
 def embed_mp(D: int, u: int, v: int):
@@ -160,6 +162,14 @@ def test_find_tau_deterministic():
     b2 = ln.find_tau(E, 9, 1)
     assert (b1.grid, b1.cell, b1.bumps) == (b2.grid, b2.cell, b2.bumps)
     assert ln.enumerate_omega(E, b1) == ln.enumerate_omega(E, b2)
+
+
+@pytest.mark.parametrize("start_grid", [0, -1])
+def test_find_tau_rejects_a_start_grid_below_one(start_grid):
+    """Doubling a grid of 0 never ends, and a negative grid is no grid."""
+    E = ln.make_embedding(qf.make_field(-4))
+    with pytest.raises(DomainError, match="start grid"):
+        ln.find_tau(E, 9, 1, start_grid=start_grid)
 
 
 def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
@@ -314,7 +324,7 @@ def test_build_code_gaussian():
     assert chk.ok and chk.injective
     assert chk.M >= chk.min_target == 5
     assert chk.d >= 3
-    assert ln.norm_gap_check(code)
+    assert norm_gap_check(code)
 
 
 def test_build_code_genus_three():
@@ -325,7 +335,7 @@ def test_build_code_genus_three():
     assert chk.ok
     assert chk.M >= 365
     assert chk.d >= 1
-    assert ln.norm_gap_check(code)
+    assert norm_gap_check(code)
 
 
 def test_build_code_real_field():
@@ -336,7 +346,7 @@ def test_build_code_real_field():
     assert chk.ok
     assert chk.M >= ln.minkowski_target(5, 2, 12) == 8
     assert chk.d >= 5
-    assert ln.norm_gap_check(code)
+    assert norm_gap_check(code)
 
 
 def test_build_code_rejects_bad_parameters():
@@ -360,7 +370,7 @@ def test_code_file_roundtrip(tmp_path):
     K = qf.make_field(-4)
     code = ln.build_code(K, 9, 13, 1)
     path = tmp_path / "code.txt"
-    ln.write_code_file(code, path)
+    path.write_text(ln.format_code_file(code))
     text = path.read_text()
     assert text.startswith("# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=")
     assert text.endswith("\n")
@@ -463,19 +473,22 @@ def test_distance_scan_matches_itertools(rng):
 
 
 def test_norm_gap_check():
+    """The test-side oracle of the norm lemma accepts built codes and
+    rejects a repeated lattice point."""
     K = qf.make_field(-4)
     # (9, 200, 1) has n = 43 positions, and 9^43 overflows int64
     for args in ((9, 13, 1), (9, 13, 3), (9, 200, 1)):
-        assert ln.norm_gap_check(ln.build_code(K, *args))
+        assert norm_gap_check(ln.build_code(K, *args))
+    assert norm_gap_check(ln.build_code(qf.make_field(13), 4, 17, 1))
     code = ln.build_code(K, 9, 13, 1)
     # duplicating a lattice point forces N(a-b) = 0 below r^agree
     bad = ln.LenstraCode(disc=code.disc, q=code.q, r=code.r, G=code.G,
                          n=code.n, tau=code.tau, ideals=code.ideals,
                          omega=code.omega + (code.omega[0],),
                          codewords=code.codewords + (code.codewords[0],))
-    assert not ln.norm_gap_check(bad)
+    assert not norm_gap_check(bad)
     tiny = manual_code([(1, 2, 3)], omega=[(0, 0)])
-    assert ln.norm_gap_check(tiny)
-    with pytest.raises(CapacityError):
-        ln.norm_gap_check(manual_code([(0,), (1,)], q=2, r=1 << 31, G=2,
-                                      omega=[(0, 0), (1, 0)]))
+    assert norm_gap_check(tiny)
+    with pytest.raises(ValueError):
+        norm_gap_check(manual_code([(0,), (1,)], q=2, r=1 << 31, G=2,
+                                   omega=[(0, 0), (1, 0)]))

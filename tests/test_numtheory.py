@@ -2,12 +2,11 @@
 
 Oracle policy: counts are cross-checked against implementations that share no
 code with the library (bytearray sieve, per-number trial division, exhaustive
-root scans), and enclosures are bracketed by convexity quadrature.
+root scans), and enclosures are checked against logs of exact integer products.
 """
 
 import math
 import tracemalloc
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -78,24 +77,11 @@ def test_sieve_matches_bytearray_oracle(limit):
     assert np.array_equal(got, bytearray_primes(limit))
 
 
-def test_table_residue_split_matches_oracle():
-    limit = WINDOW_EDGES[-1]
-    want = bytearray_primes(limit)
-    table = nt.PrimeTable(limit)
-    for arr in (table.primes, table.primes_1mod4, table.primes_3mod4):
-        assert arr.dtype == np.uint32
-    assert np.array_equal(table.primes, want)
-    assert np.array_equal(table.primes_1mod4, want[want % 4 == 1])
-    assert np.array_equal(table.primes_3mod4, want[want % 4 == 3])
-
-
 def test_table_queries_do_not_copy_the_table():
     """A Python-int searchsorted key would cast the uint32 table to int64."""
     table = nt.table_for(10 ** 7)
     x = 10 ** 7 - 1
-    queries = (lambda: table.count(x), lambda: table.count_ap(x, 4, 1),
-               lambda: table.count_ap(x, 4, 3),
-               lambda: table.upto(x))
+    queries = (lambda: table.count(x), lambda: table.upto(x))
     tracemalloc.start()
     try:
         for query in queries:
@@ -147,43 +133,6 @@ def test_sieve_cap_enforced():
         nt.set_sieve_cap(saved)
     with pytest.raises(CapacityError):
         nt.sieve_primes(nt.HARD_SIEVE_CAP + 1)
-
-
-def test_residue_class_partition_all_x_to_1e5():
-    table = nt.table_for(10 ** 5)
-    xs = np.arange(2, 10 ** 5 + 1)
-    c_all = np.searchsorted(table.primes, xs, side="right")
-    c1 = np.searchsorted(table.primes_1mod4, xs, side="right")
-    c3 = np.searchsorted(table.primes_3mod4, xs, side="right")
-    # every odd prime is 1 or 3 mod 4, and 2 is the single even prime
-    assert np.array_equal(c_all, c1 + c3 + 1)
-
-
-def test_count_ap_examples(rng):
-    assert nt.prime_count_ap(20, 4, 3) == 4  # 3, 7, 11, 19
-    assert nt.prime_count_ap(20, 4, 1) == 3  # 5, 13, 17
-    assert nt.prime_count_ap(20, 4, 2) == 1  # just 2
-    assert nt.prime_count_ap(20, 4, 0) == 0
-    assert nt.prime_count_ap(1, 4, 3) == 0
-    assert nt.prime_count_ap(2, 4, 2) == 1
-    assert nt.prime_count_ap(10 ** 4, 1, 0) == 1229
-    with pytest.raises(DomainError):
-        nt.prime_count_ap(100, 3, 1)
-    with pytest.raises(DomainError):
-        nt.prime_count_ap(100, 4, 5)
-    with pytest.raises(DomainError):
-        nt.prime_count_ap(-1, 4, 1)
-    table = nt.table_for(10 ** 5)
-    for _ in range(200):
-        x = rng.randrange(2, 10 ** 5)
-        want1 = sum(1 for n in range(2, x + 1)
-                    if n % 4 == 1 and trial_division_is_prime(n)) \
-            if x < 3000 else None
-        got1 = table.count_ap(x, 4, 1)
-        got3 = table.count_ap(x, 4, 3)
-        assert got1 + got3 + 1 == table.count(x)
-        if want1 is not None:
-            assert got1 == want1
 
 
 def test_count_3mod4_in_window():
@@ -278,7 +227,6 @@ def test_table_for_stops_at_x():
     assert table.limit == 100
     assert table.primes.tolist() == [n for n in range(2, 101)
                                      if trial_division_is_prime(n)]
-    assert table.primes_1mod4[-1] == 97 and table.primes_3mod4[-1] == 83
 
 
 def test_nth_prime():
@@ -327,63 +275,6 @@ def test_primorial_matches_theta():
         nt.primorial_D(0)
     with pytest.raises(CapacityError):
         nt.primorial_D(nt.PRIMORIAL_CAP + 1)
-
-
-# ---------------------------------------------------- logarithmic integral
-
-
-def quadrature_bracket(a: float, b: float, n: int):
-    """Rigorous-by-convexity bracket of integral of 1/log t over [a, b].
-
-    1/log t is convex for t > 1, so the composite midpoint rule gives a
-    lower bound and the composite trapezoid rule an upper bound.
-    """
-    edges = np.linspace(a, b, n + 1)
-    h = (b - a) / n
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    f_edges = 1.0 / np.log(edges)
-    f_mids = 1.0 / np.log(mids)
-    lo = float(h * f_mids.sum())
-    hi = float(h * ((f_edges[0] + f_edges[-1]) / 2.0 + f_edges[1:-1].sum()))
-    return lo, hi
-
-
-def test_log_integral_at_10():
-    li = nt.log_integral(10)
-    lo, hi = quadrature_bracket(2.0, 10.0, 20000)
-    assert lo - 1e-9 <= float(encl.midpoint(li)) <= hi + 1e-9
-    assert abs(encl.midpoint(li) - mpmath.mpf("5.120435724669805")) < 1e-12
-    assert encl.width(li) < mpmath.mpf("1e-25")
-
-
-def test_log_integral_at_1e6():
-    li = nt.log_integral(10 ** 6)
-    lo, hi = quadrature_bracket(2.0, 1e6, 4 * 10 ** 6)
-    assert lo - 1e-3 <= float(encl.midpoint(li)) <= hi + 1e-3
-    assert encl.width(li) < mpmath.mpf("1e-20")
-
-
-def test_log_integral_difference_is_the_window_integral():
-    window = nt.log_integral(1000) - nt.log_integral(100)
-    lo, hi = quadrature_bracket(100.0, 1000.0, 50000)
-    assert lo - 1e-8 <= float(encl.midpoint(window)) <= hi + 1e-8
-
-
-def test_log_integral_edges():
-    assert encl.midpoint(nt.log_integral(2)) == 0
-    assert encl.width(nt.log_integral(2)) == 0
-    assert encl.midpoint(nt.log_integral(Fraction(2))) == 0
-    with pytest.raises(DomainError):
-        nt.log_integral(1.5)
-    # below 2 by less than a double's resolution, as a rational and enclosed
-    just_below = Fraction(2) - Fraction(1, 2 ** 100)
-    for x in (just_below, encl.enc(just_below)):
-        with pytest.raises(DomainError):
-            nt.log_integral(x)
-    v = nt.log_integral(Fraction(5, 2))
-    lo, hi = quadrature_bracket(2.0, 2.5, 4000)
-    assert lo - 1e-9 <= float(encl.midpoint(v)) <= hi + 1e-9
-    assert encl.lt_status(nt.log_integral(50), nt.log_integral(60)) == encl.PASS
 
 
 # ------------------------------------------------------- kronecker symbol
@@ -517,14 +408,6 @@ def test_factorize_roundtrip(rng):
             assert trial_division_is_prime(p)
             prod *= p ** e
         assert prod == n
-
-
-def test_is_squarefree():
-    assert nt.is_squarefree(1)
-    assert nt.is_squarefree(-15)
-    assert not nt.is_squarefree(12)
-    assert not nt.is_squarefree(49)
-    assert nt.is_squarefree(2 * 3 * 5 * 7 * 11)
 
 
 def test_int_nth_root(rng):

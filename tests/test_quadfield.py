@@ -1,13 +1,14 @@
 """Quadratic fields: fundamentality, splitting, class groups, tower check.
 
-The class-number oracle is the character sum h = -(1/|D|) sum chi(a) a for
-D < -4, which shares no code with the reduced-form enumeration it checks.
+The class-number oracle is the character sum h = -(w/(2|D|)) sum chi(a) a,
+w the number of units, which shares no code with the reduced-form
+enumeration it checks.
 """
-
-import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvforge import enclosure as encl
 from gvforge import numtheory as nt
@@ -40,10 +41,12 @@ def oracle_is_fundamental(D: int) -> bool:
 
 
 def character_class_number(D: int) -> int:
-    """Dirichlet character sum for imaginary fundamental D < -4."""
-    total = sum(nt.kronecker_symbol(D, a) * a for a in range(1, -D))
-    assert total % D == 0
-    return total // D
+    """Dirichlet character sum for imaginary fundamental D; w = 6 and 4 for
+    D = -3 and -4, else 2."""
+    w = {-3: 6, -4: 4}.get(D, 2)
+    total = w * sum(nt.kronecker_symbol(D, a) * a for a in range(1, -D))
+    assert total % (2 * D) == 0
+    return total // (2 * D)
 
 
 # --------------------------------------------------------- fundamentality
@@ -246,6 +249,18 @@ def test_class_numbers_character_sum_oracle():
         assert cg.h % (1 << cg.two_rank) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10 ** 4, -3).filter(oracle_is_fundamental))
+@example(-3)
+@example(-4)
+@example(-9995)
+def test_class_group_property(D):
+    K = qf.make_field(D)
+    cg = qf.class_group_imaginary(K)
+    assert cg.h == character_class_number(D)
+    assert cg.two_rank == qf.genus_two_rank_lower(K)
+
+
 def test_class_group_big_example():
     cg = qf.class_group_imaginary(qf.make_field(-19399380))
     assert (cg.h, cg.two_rank) == (1536, 7)
@@ -271,34 +286,6 @@ def test_genus_lower_bound_vs_exact():
 
 
 # ------------------------------------------------------------ tower check
-
-
-def test_candidate_Sc():
-    Ki = qf.make_field(-4)
-    assert [rec.p for rec in qf.candidate_Sc(Ki, 9, 200, 2)] == [7, 11]
-    recs = qf.candidate_Sc(Ki, 9, 200, 2)
-    assert all(r.split_type == qf.INERT and r.norm == r.p * r.p for r in recs)
-    assert all(9 <= r.norm <= 200 for r in recs)
-    K5 = qf.make_field(5)
-    assert [rec.p for rec in qf.candidate_Sc(K5, 4, 2000, 1)] == [3, 7, 23, 43]
-    assert qf.candidate_Sc(Ki, 9, 10, 2) == []
-    with pytest.raises(DomainError):
-        qf.candidate_Sc(Ki, 9, 200, 0)
-
-
-def test_candidate_Sc_brute_force(rng):
-    for _ in range(25):
-        D = rng.choice([-4, -8, -20, -23, 5, 12, 13])
-        K = qf.make_field(D)
-        r = rng.randrange(2, 500)
-        q = r + rng.randrange(0, 3000)
-        ell = rng.randrange(1, 8)
-        p_ell = nt.nth_prime(ell)
-        got = [rec.p for rec in qf.candidate_Sc(K, r, q, ell)]
-        want = [p for p in range(2, math.isqrt(q) + 1)
-                if trial_division_is_prime(p) and p % 4 == 3 and p > p_ell
-                and r <= p * p <= q and euler_split_sign(D, p) == -1]
-        assert got == want, (D, r, q, ell)
 
 
 def test_golod_shafarevich_imaginary():
