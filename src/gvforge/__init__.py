@@ -9,8 +9,8 @@ certificates), cli (command-line front end), enclosure (interval substrate).
 from .enclosure import HighReal, PASS, FAIL, INDETERMINATE
 from .errors import (CapacityError, ConditionFailure, DomainError,
                      GvforgeError, IndeterminateError, TauSearchError)
-from .numtheory import (PrimeTable, chebyshev_theta, kronecker_symbol,
-                        nth_prime, primorial_D, sieve_primes)
+from .numtheory import (chebyshev_theta, kronecker_symbol, nth_prime,
+                        primorial_D, sieve_primes)
 from .quadfield import (ClassGroupSummary, PrimeIdealRecord, QuadraticField,
                         TowerCertificate, class_group_imaginary,
                         genus_two_rank_lower, golod_shafarevich_check,

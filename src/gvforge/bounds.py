@@ -416,6 +416,8 @@ def _candidates(q: int, budget: int) -> list:
         num = (2 ** i - 1) ** 2 * q
         den = 4 ** i
         r_candidates.append(-(-num // den))  # ceil((1 - 2^-i)^2 q)
+        if r_candidates[-1] >= q:
+            break  # every larger i gives r = q again
     if q >= eligible_q_floor():
         r_candidates.append(theorem2_schedule(q).r)
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))

@@ -34,9 +34,7 @@ EXIT_CAPACITY = 3
 
 def _fraction(text: str) -> Fraction:
     try:
-        if "/" in text:
-            return Fraction(text)
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("bad rational %r" % text)
 

@@ -39,7 +39,6 @@ class LatticeEmbedding:
     b01: object
     b10: object
     b11: object  # HighReal entries; x = (b00 u + b01 v, b10 u + b11 v)
-    covolume: object  # HighReal, equals 2^-t sqrt|disc|
 
     @property
     def floats(self):
@@ -110,9 +109,7 @@ def make_embedding(K: QuadraticField) -> LatticeEmbedding:
     root = iv.sqrt(iv.mpf(m))
     (b00, b01), (b10, b11) = ((iv.mpf(p) / 2, (q + e * root) / 2)
                               for p, q, e in rows)
-    covol = iv.sqrt(iv.mpf(abs(K.disc))) / (2 ** K.t)
-    return LatticeEmbedding(field=K, b00=b00, b01=b01, b10=b10, b11=b11,
-                            covolume=covol)
+    return LatticeEmbedding(field=K, b00=b00, b01=b01, b10=b10, b11=b11)
 
 
 def box_side(K: QuadraticField, r: int, G: int):

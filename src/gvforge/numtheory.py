@@ -1,17 +1,17 @@
 """Exact prime tables and certified analytic number theory helpers.
 
-Primes come from a segmented sieve of Eratosthenes over the odd numbers into
-uint32 numpy arrays (exact below the 2^32 hard cap); counts are exact
-integers (searchsorted with uint32 keys), never estimates. One shared table
-per process serves the queries that need every prime up to a limit, and
-grows geometrically from its own limit, never from the request. The inert
-window of the construction is sieved on its own, over its class 3 (mod 4)
-only, with base primes from that table. Transcendental quantities (log of a
-primorial, Chebyshev theta) are returned as interval enclosures from
-`enclosure`.
+Primes come from one segmented sieve of Eratosthenes over an odd arithmetic
+progression (the odd numbers, or the numbers = 3 (mod 4)) into uint32 numpy
+arrays (exact below the 2^32 hard cap); counts are exact integers
+(searchsorted with uint32 keys), never estimates. One shared table per
+process, a plain uint32 array, serves the queries that need every prime up
+to a limit, and grows geometrically from its own limit, never from the
+request. The inert window of the construction is sieved on its own, over its
+class 3 (mod 4) only, with its own base primes. Transcendental quantities
+(log of a primorial, Chebyshev theta) are returned as interval enclosures
+from `enclosure`.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -21,7 +21,7 @@ from .enclosure import iv
 from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
-_WINDOW = 1 << 22
+_WINDOW = 1 << 21
 
 _sieve_cap = HARD_SIEVE_CAP
 
@@ -38,12 +38,46 @@ def sieve_cap() -> int:
     return _sieve_cap
 
 
+def _sieve(start: int, stop: int, step: int, base: list) -> np.ndarray:
+    """The numbers start, start + step, ... <= stop that no prime in `base`
+    divides, apart from the base primes themselves, as a uint32 array.
+
+    step is 2 or 4 and start is odd; `base` holds the odd primes up to at
+    least sqrt(stop). The progression is sieved `_WINDOW` slots at a time.
+    The first multiple p*m of p at or past max(lo, p^2) in the progression
+    has m = start*p (mod step), since p^2 = 1 (mod 8); the next ones follow
+    every p slots.
+    """
+    chunks = [np.empty(0, dtype=np.uint32)]
+    for lo in range(start, stop + 1, step * _WINDOW):
+        # slot j holds lo + step*j
+        seg = np.ones((min(lo + step * _WINDOW, stop + 1) - lo + step - 1)
+                      // step, dtype=bool)
+        end = lo + step * (len(seg) - 1)
+        for p in base:
+            if p * p > end:
+                break
+            m = -(-max(lo, p * p) // p)
+            m += (start * p - m) % step
+            seg[(p * m - lo) // step::p] = False
+        chunks.append((np.flatnonzero(seg) * step + lo).astype(np.uint32))
+    return np.concatenate(chunks)
+
+
+def _odd_primes(n: int) -> list:
+    """The odd primes <= n, as Python ints: the base primes of a sieve up to
+    n^2."""
+    if n < 3:
+        return []
+    return _sieve(3, n, 2, _odd_primes(math.isqrt(n))).tolist()
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as a uint32 array.
 
     uint32 is exact: the hard cap is 2^32, and the largest prime below it
-    is 4294967291. Only odd numbers are sieved, one `_WINDOW` of the number
-    line at a time; 2 is prepended.
+    is 4294967291. Only odd numbers are sieved; the first slot holds 1,
+    which no prime strikes, and is overwritten by 2.
     """
     limit = int(limit)
     if limit < 2:
@@ -51,30 +85,9 @@ def sieve_primes(limit: int) -> np.ndarray:
     if limit > _sieve_cap:
         raise CapacityError(
             "sieve limit %d exceeds cap %d" % (limit, _sieve_cap))
-    root = math.isqrt(limit)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p::p] = False
-    base_primes = np.flatnonzero(base)[1:].tolist()  # odd base primes
-
-    chunks = [np.array([2], dtype=np.uint32)]
-    for lo in range(0, limit + 1, _WINDOW):
-        hi = min(lo + _WINDOW, limit + 1)
-        # slot j holds the odd number lo + 1 + 2j (lo is even)
-        seg = np.ones((hi - lo) // 2, dtype=bool)
-        if lo == 0:
-            seg[0] = False  # 1
-        for p in base_primes:
-            if p * p >= hi:
-                break
-            start = max(p * p, -(-lo // p) * p)
-            if start % 2 == 0:
-                start += p
-            seg[(start - lo - 1) // 2::p] = False
-        chunks.append((np.flatnonzero(seg) * 2 + (lo + 1)).astype(np.uint32))
-    return np.concatenate(chunks)
+    primes = _sieve(1, limit, 2, _odd_primes(math.isqrt(limit)))
+    primes[0] = 2
+    return primes
 
 
 def _rank(arr: np.ndarray, x: int, side: str) -> int:
@@ -87,47 +100,11 @@ def _rank(arr: np.ndarray, x: int, side: str) -> int:
     return int(np.searchsorted(arr, key, side=side))
 
 
-class PrimeTable:
-    """Immutable sieve snapshot with exact counting up to `limit`."""
-
-    def __init__(self, limit: int):
-        self.limit = int(limit)
-        self.primes = sieve_primes(self.limit)
-
-    def __len__(self):
-        return len(self.primes)
-
-    def count(self, x: int) -> int:
-        """pi(x), exact. Requires x <= limit."""
-        self._check(x)
-        return _rank(self.primes, x, "right")
-
-    def upto(self, x: int) -> "PrimeTable":
-        """A view holding only the primes <= x; it shares this table's array."""
-        view = copy.copy(self)
-        view.limit = x
-        view.primes = self.primes[:_rank(self.primes, x, "right")]
-        return view
-
-    def nth(self, i: int) -> int:
-        """p_i with p_1 = 2."""
-        if i < 1:
-            raise DomainError("prime index must be >= 1")
-        if i > len(self.primes):
-            raise CapacityError("table holds %d primes, need index %d"
-                                % (len(self.primes), i))
-        return int(self.primes[i - 1])
-
-    def _check(self, x):
-        if x > self.limit:
-            raise CapacityError("query %d exceeds table limit %d" % (x, self.limit))
+_table = (0, None)  # (limit, every prime <= limit) of the shared table
 
 
-_table: PrimeTable = None
-
-
-def _shared_table(limit: int) -> PrimeTable:
-    """The shared table, covering at least `limit`.
+def _shared_table(limit: int) -> np.ndarray:
+    """The shared table's primes, covering at least `limit`.
 
     It grows geometrically from its own limit (by at least a quarter, up to
     the sieve cap), so a run of small increases re-sieves only
@@ -139,15 +116,17 @@ def _shared_table(limit: int) -> PrimeTable:
     if limit > _sieve_cap:
         raise CapacityError("limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
     limit = max(limit, min(1 << 10, _sieve_cap))
-    if _table is None or _table.limit < limit:
-        old = _table.limit if _table else 0
-        _table = PrimeTable(min(max(limit, old + old // 4), _sieve_cap))
-    return _table
+    old = _table[0]
+    if old < limit:
+        new = min(max(limit, old + old // 4), _sieve_cap)
+        _table = (new, sieve_primes(new))
+    return _table[1]
 
 
-def table_for(limit: int) -> PrimeTable:
+def table_for(limit: int) -> np.ndarray:
     """The primes <= limit: a view of the shared growing table."""
-    return _shared_table(limit).upto(int(limit))
+    primes = _shared_table(limit)
+    return primes[:_rank(primes, limit, "right")]
 
 
 def nth_prime(i: int) -> int:
@@ -158,7 +137,11 @@ def nth_prime(i: int) -> int:
         return [2, 3, 5, 7, 11][i - 1]
     # Rosser-type upper bound p_i < i (ln i + ln ln i) for i >= 6
     bound = int(i * (math.log(i) + math.log(math.log(i)))) + 16
-    return _shared_table(bound).nth(i)
+    primes = _shared_table(bound)
+    if i > len(primes):
+        raise CapacityError("table holds %d primes, need index %d"
+                            % (len(primes), i))
+    return int(primes[i - 1])
 
 
 def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
@@ -166,8 +149,8 @@ def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
 
     These are the candidate inert primes of the construction, as a fresh
     ascending uint32 array. Only the class 3 (mod 4) of [lo, hi] is sieved,
-    one `_WINDOW` of slots at a time, with base primes up to sqrt(hi) from
-    the shared table; hi = isqrt(q) must be within the sieve cap.
+    with base primes up to sqrt(hi); hi = isqrt(q) must be within the sieve
+    cap.
     """
     lo = max(p_ell + 1, math.isqrt(r - 1) + 1)
     hi = math.isqrt(q)
@@ -175,24 +158,7 @@ def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
         return np.empty(0, dtype=np.uint32)
     if hi > _sieve_cap:
         raise CapacityError("limit %d exceeds sieve cap %d" % (hi, _sieve_cap))
-    root = math.isqrt(hi)
-    base = _shared_table(root).primes
-    base = base[1:_rank(base, root, "right")].tolist()  # 2 divides no slot
-    lo += (3 - lo) % 4
-    chunks = [np.empty(0, dtype=np.uint32)]
-    for start in range(lo, hi + 1, 4 * _WINDOW):
-        # slot j holds start + 4j, the numbers = 3 (mod 4) in the segment
-        seg = np.ones((min(start + 4 * _WINDOW, hi + 1) - start + 3) // 4,
-                      dtype=bool)
-        end = start + 4 * (len(seg) - 1)
-        for p in base:
-            if p * p > end:
-                break
-            m = -(-max(start, p * p) // p)
-            m += (3 * p - m) % 4  # p * m = 3 (mod 4), then every 4p
-            seg[(p * m - start) // 4::p] = False
-        chunks.append((np.flatnonzero(seg) * 4 + start).astype(np.uint32))
-    return np.concatenate(chunks)
+    return _sieve(lo + (3 - lo) % 4, hi, 4, _odd_primes(math.isqrt(hi)))
 
 
 def inert_count(window: np.ndarray, r: int, p_ell: int) -> int:
@@ -213,10 +179,9 @@ def chebyshev_theta(x: int) -> enc.HighReal:
     """
     if x < 2:
         return iv.mpf(0)
-    primes = table_for(int(x)).primes
     total = iv.mpf(0)
     prod = 1
-    for p in primes:
+    for p in table_for(int(x)):
         prod *= int(p)
         if prod.bit_length() >= _CHUNK_BITS:
             total += iv.log(iv.mpf(prod))
@@ -235,10 +200,8 @@ def primorial_D(ell: int):
         raise DomainError("ell must be >= 1")
     if ell > PRIMORIAL_CAP:
         raise CapacityError("ell %d exceeds primorial cap %d" % (ell, PRIMORIAL_CAP))
-    p_ell = nth_prime(ell)
-    primes = table_for(p_ell).primes
     D = 4
-    for p in primes[:ell]:
+    for p in table_for(nth_prime(ell)):  # exactly ell primes
         D *= int(p)
     return D, iv.log(iv.mpf(D))
 

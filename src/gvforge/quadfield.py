@@ -227,13 +227,10 @@ def prime_ideals_in_norm_range(K: QuadraticField, r: int, q: int) -> list:
     """
     if not 2 <= r <= q:
         raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
-    table = nt.table_for(q)
     out = []
     inert_max = math.isqrt(q)
-    for p in table.primes:
+    for p in nt.table_for(q):
         p = int(p)
-        if p > q:
-            break
         sym = nt.kronecker_symbol(K.disc, p)
         if sym == -1:
             if p <= inert_max and p * p >= r:

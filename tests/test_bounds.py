@@ -292,7 +292,7 @@ def test_inert_count_sieves_only_the_window(monkeypatch):
                         lambda limit: sieved.append(limit) or sieve(limit))
     monkeypatch.setattr(nt, "inert_window",
                         lambda *args: windows.append(args) or window(*args))
-    monkeypatch.setattr(nt, "_table", None)
+    monkeypatch.setattr(nt, "_table", (0, None))
     w = bd.certify(10 ** 14).witness
     assert (w.r, w.ell, w.k, w.Nq) == (47030915873199, 215, 11127, 98546)
     assert sieved and max(sieved) < 10 ** 5

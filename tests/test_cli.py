@@ -61,6 +61,16 @@ def test_bounds_multiple_q_and_delta(capsys):
         ("16", "0.25"), ("16", "0.5"), ("64", "0.25"), ("64", "0.5")]
 
 
+def test_bounds_large_budget_stops_once_r_reaches_q(capsys):
+    """Past the i where ceil((1 - 2^-i)^2 q) reaches q every r is q again,
+    so a huge budget lists the same candidates as a budget of 64."""
+    argv = ["bounds", "--q", "1000", "--q", "1048576",
+            "--delta", "1/2", "--delta", "1/3"]
+    code, want, err = run(capsys, *argv, "--budget", "64")
+    assert code == 0 and err == ""
+    assert run(capsys, *argv, "--budget", "100000") == (0, want, "")
+
+
 def test_bounds_requires_delta(capsys):
     code, out, err = run(capsys, "bounds", "--q", "64")
     assert code == 1

@@ -1,9 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and no private name is defined that nothing reads.
 
-The check parses each module with `ast`: a name bound by an import must
+The checks parse each module with `ast`. A name bound by an import must
 appear somewhere in the module as a plain name (an attribute base such as
-`np` in `np.zeros` counts). `__init__.py` is exempt, because its imports
-are the package's exports.
+`np` in `np.zeros` counts); `__init__.py` is exempt, because its imports
+are the package's exports. A private name (`_foo`) bound at module level,
+or in the body of a module-level class, must be read somewhere under
+`src/`, as a plain name, an attribute (`nt._rank`) or an imported name.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gvforge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.parent.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +48,56 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of each private name bound at module level or in the
+    body of a module-level class."""
+    tree = ast.parse(source)
+    body = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            body.extend(node.body)
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((t.lineno, t.id) for target in targets
+                       for t in ast.walk(target) if isinstance(t, ast.Name))
+    return sorted((line, name) for line, name in out
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def names_read(source: str) -> set:
+    """Every name the source loads, reads as an attribute, or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_checker_finds_unread_private_names():
+    source = ("_a = 1\n_b: int = 2\n_c, d = 3, 4\n\ndef _e():\n    return _a\n\n"
+              "class _F:\n    def _g(self):\n        return self._h\n"
+              "    def _h(self):\n        _i = 5\n\n_b = _b\n")
+    assert private_definitions(source) == [
+        (1, "_a"), (2, "_b"), (3, "_c"), (5, "_e"), (8, "_F"), (9, "_g"),
+        (11, "_h"), (14, "_b")]
+    read = names_read(source)
+    assert [name for _, name in private_definitions(source)
+            if name not in read] == ["_c", "_e", "_F", "_g"]
+
+
+def test_no_unread_private_names():
+    read = set().union(*(names_read(p.read_text()) for p in SOURCES))
+    unread = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+              for line, name in private_definitions(path.read_text())
+              if name not in read]
+    assert unread == []

@@ -59,15 +59,16 @@ def brute_box_count(D: int, box) -> int:
 
 
 def test_embedding_covolume_is_det():
+    """|det| of the basis encloses the covolume 2^-t sqrt|disc|, computed
+    here in plain 60-digit mpmath."""
     for D in (-4, -3, -8, -23, 5, 8, 12, 13, 44):
-        E = ln.make_embedding(qf.make_field(D))
+        K = qf.make_field(D)
+        E = ln.make_embedding(K)
         det = E.b00 * E.b11 - E.b01 * E.b10
-        absdet = encl.enc(det)
-        lo, hi = encl.lower(absdet), encl.upper(absdet)
-        if hi < 0:
-            lo, hi = -hi, -lo
-        assert lo <= encl.upper(E.covolume) and encl.lower(E.covolume) <= hi
-        assert encl.width(E.covolume) < mpmath.mpf("1e-30")
+        with mpmath.workdps(60):
+            covolume = mpmath.sqrt(abs(K.disc)) / 2 ** K.t
+        assert encl.contains(det, covolume) or encl.contains(-det, covolume)
+        assert encl.width(det) < mpmath.mpf("1e-30")
 
 
 def test_embedding_reproduces_the_norm(rng):

@@ -50,14 +50,13 @@ def overlap(x, y) -> bool:
 
 
 def test_prime_count_1e6():
-    table = nt.table_for(10 ** 6)
-    assert table.count(10 ** 6) == 78498
+    assert len(nt.table_for(10 ** 6)) == 78498
     assert bytearray_prime_count(10 ** 6) == 78498
 
 
 def test_prime_count_1e5_trial_division_oracle():
     want = sum(1 for n in range(2, 10 ** 5 + 1) if trial_division_is_prime(n))
-    assert nt.table_for(10 ** 5).count(10 ** 5) == want == 9592
+    assert len(nt.table_for(10 ** 5)) == want == 9592
 
 
 def test_sieve_small_lists():
@@ -67,7 +66,8 @@ def test_sieve_small_lists():
         nt.sieve_primes(1)
 
 
-WINDOW_EDGES = [k * nt._WINDOW + d for k in (1, 2) for d in (-1, 0, 1, 2)]
+# the step-2 segments start at the odd numbers 1 + 2k * _WINDOW
+WINDOW_EDGES = [1 + 2 * k * nt._WINDOW + d for k in (1, 2) for d in (-2, -1, 0, 1)]
 
 
 @pytest.mark.parametrize("limit", list(range(2, 41)) + WINDOW_EDGES)
@@ -77,11 +77,18 @@ def test_sieve_matches_bytearray_oracle(limit):
     assert np.array_equal(got, bytearray_primes(limit))
 
 
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+def test_sieve_across_segments(monkeypatch, window):
+    monkeypatch.setattr(nt, "_WINDOW", window)
+    for limit in range(2, 501):
+        assert np.array_equal(nt.sieve_primes(limit), bytearray_primes(limit))
+
+
 def test_table_queries_do_not_copy_the_table():
     """A Python-int searchsorted key would cast the uint32 table to int64."""
     table = nt.table_for(10 ** 7)
     x = 10 ** 7 - 1
-    queries = (lambda: table.count(x), lambda: table.upto(x))
+    queries = (lambda: nt._rank(table, x, "right"), lambda: nt.table_for(x))
     tracemalloc.start()
     try:
         for query in queries:
@@ -98,23 +105,23 @@ def test_shared_table_grows_from_its_own_limit(monkeypatch):
     sieve = nt.sieve_primes
     monkeypatch.setattr(nt, "sieve_primes",
                         lambda limit: sieved.append(limit) or sieve(limit))
-    monkeypatch.setattr(nt, "_table", None)
+    monkeypatch.setattr(nt, "_table", (0, None))
     nt.table_for(2000)
     nt.table_for(2001)   # a small step grows by a quarter of the table
     nt.table_for(2400)   # already covered
     nt.table_for(10 ** 6)  # a jump sieves exactly what was asked
     assert sieved == [2000, 2500, 10 ** 6]
-    assert nt.table_for(10 ** 6).count(10 ** 6) == 78498
+    assert len(nt.table_for(10 ** 6)) == 78498
 
 
 def test_sieve_cap_below_the_table_floor(monkeypatch):
     """The 1,024 floor of the shared table never exceeds the cap."""
-    monkeypatch.setattr(nt, "_table", None)
+    monkeypatch.setattr(nt, "_table", (0, None))
     saved = nt.sieve_cap()
     try:
         nt.set_sieve_cap(1000)
         assert nt.nth_prime(7) == 17
-        assert nt.table_for(500).count(500) == 95
+        assert len(nt.table_for(500)) == 95
         with pytest.raises(CapacityError, match="1001"):
             nt.table_for(1001)
     finally:
@@ -223,10 +230,8 @@ def test_inert_window_matches_oracle(data):
 
 def test_table_for_stops_at_x():
     nt.table_for(10 ** 5)  # grow the shared table well past x
-    table = nt.table_for(100)
-    assert table.limit == 100
-    assert table.primes.tolist() == [n for n in range(2, 101)
-                                     if trial_division_is_prime(n)]
+    assert nt.table_for(100).tolist() == [n for n in range(2, 101)
+                                          if trial_division_is_prime(n)]
 
 
 def test_nth_prime():
@@ -234,8 +239,8 @@ def test_nth_prime():
     assert nt.nth_prime(125) == 691
     assert nt.nth_prime(1000) == 7919
     assert trial_division_is_prime(7919)
-    assert nt.table_for(7919).count(7919) == 1000
-    assert nt.table_for(7919).count(7918) == 999
+    assert len(nt.table_for(7919)) == 1000
+    assert len(nt.table_for(7918)) == 999
     with pytest.raises(DomainError):
         nt.nth_prime(0)
 
@@ -252,9 +257,9 @@ def test_chebyshev_theta_small():
 
 
 def test_chebyshev_theta_exact_product_oracle():
-    table = nt.table_for(1000)
+    primes = nt.table_for(1000)
     prod = 1
-    for p in table.primes[table.primes <= 691]:
+    for p in primes[primes <= 691]:
         prod *= int(p)
     theta = nt.chebyshev_theta(691)
     assert overlap(theta, iv.log(iv.mpf(prod)))
@@ -281,7 +286,7 @@ def test_primorial_matches_theta():
 
 
 def test_kronecker_euler_criterion():
-    primes = [int(p) for p in nt.table_for(1000).primes if p > 2 and p < 1000]
+    primes = [int(p) for p in nt.table_for(1000) if p > 2 and p < 1000]
     for p in primes:
         half = (p - 1) // 2
         for a in range(-1000, 1001):
@@ -342,7 +347,7 @@ def test_kronecker_periodicity_mod_4n(rng):
 
 
 def test_sqrt_mod_exhaustive_small():
-    for p in (int(q) for q in nt.table_for(300).primes if q > 2 and q < 300):
+    for p in (int(q) for q in nt.table_for(300) if q > 2 and q < 300):
         roots = {}
         for r in range(p):
             roots.setdefault(r * r % p, set()).add(min(r, p - r))

@@ -145,9 +145,9 @@ def euler_split_sign(D: int, p: int) -> int:
 
 def test_splitting_structure_sweep():
     discs = [D for D in range(-1000, 1001) if D and qf.is_fundamental(D)]
-    primes_small = [int(p) for p in nt.table_for(100).primes if p < 100]
+    primes_small = [int(p) for p in nt.table_for(100) if p < 100]
     selected = [-19399380, -163, -84, -23, -8, -4, -3, 5, 8, 12, 13, 60, 997]
-    primes_big = [int(p) for p in nt.table_for(1000).primes if p < 1000]
+    primes_big = [int(p) for p in nt.table_for(1000) if p < 1000]
     cases = [(D, p) for D in discs for p in primes_small]
     cases += [(D, p) for D in selected if qf.is_fundamental(D) for p in primes_big]
     fields = {}
@@ -179,7 +179,7 @@ def test_splitting_structure_sweep():
 def test_split_roots_factor_the_norm(rng):
     for D in (-4, -23, 5, 13, 12, -84):
         K = qf.make_field(D)
-        for p in (int(x) for x in nt.table_for(500).primes):
+        for p in (int(x) for x in nt.table_for(500)):
             recs = qf.splitting_type(K, p)
             if len(recs) != 2:
                 continue
