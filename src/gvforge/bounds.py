@@ -8,6 +8,7 @@ argument with its enclosure margin and a three-way status.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional
 
@@ -23,16 +24,11 @@ C_FINAL_A = Fraction(37, 10)                 # ell * (C_FINAL_A + log ell + log 
 C_FINAL_B = Fraction(-139, 100)              # ... <= C_FINAL_B + C_FINAL_C * (k-ish)
 C_FINAL_C = Fraction(58, 100)
 
-_ELIGIBLE_Q = None
-_DLOG_CACHE = {}
 
-
+@cache
 def eligible_q_floor() -> int:
     """Smallest q admitted by the main schedule: ceil(exp(29))."""
-    global _ELIGIBLE_Q
-    if _ELIGIBLE_Q is None:
-        _ELIGIBLE_Q = enc.resolve_int(lambda: iv.exp(iv.mpf(29)), enc.ceil_exact)
-    return _ELIGIBLE_Q
+    return enc.resolve_int(lambda: iv.exp(iv.mpf(29)), enc.ceil_exact)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,6 @@ class Schedule:
     r: int
     ell: int
     k: int
-    eligible: bool
 
 
 @dataclass(frozen=True)
@@ -178,10 +173,9 @@ def _nfc(one_minus_d, log_r, dlog_2k, log_q) -> enc.HighReal:
     return (one_minus_d * log_r - dlog_2k) / log_q
 
 
+@cache
 def _dlog(ell: int):
-    if ell not in _DLOG_CACHE:
-        _DLOG_CACHE[ell] = nt.primorial_D(ell)[1]
-    return _DLOG_CACHE[ell]
+    return nt.primorial_D(ell)[1]
 
 
 def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
@@ -225,7 +219,7 @@ def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
     return witness
 
 
-def _schedule(name: str, q: int, eps_fn, eligible: bool) -> Schedule:
+def _schedule(name: str, q: int, eps_fn) -> Schedule:
     """The tail both schedules share: r = ceil((1-eps)^2 q), ell =
     floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
 
@@ -235,15 +229,14 @@ def _schedule(name: str, q: int, eps_fn, eligible: bool) -> Schedule:
     r = enc.resolve_int(lambda: (1 - eps_fn()) ** 2 * q, enc.ceil_exact)
     ell = nt.int_nth_root(q, 6)
     k = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
-    return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=k,
-                    eligible=eligible)
+    return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=k)
 
 
 def theorem2_schedule(q: int) -> Schedule:
     """Main parameter schedule: eps = (log q)^(-1/3), r = ceil((1-eps)^2 q),
     ell = floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
 
-    Defined for q >= 3; flagged eligible only from ceil(exp(29)) upward.
+    Defined for q >= 3; certify admits it only from ceil(exp(29)) upward.
     """
     _check_q(q)
     if q < 3:
@@ -252,14 +245,14 @@ def theorem2_schedule(q: int) -> Schedule:
     def _eps():
         return 1 / enc.root(iv.log(iv.mpf(q)), 3)
 
-    return _schedule("theorem2", q, _eps, q >= eligible_q_floor())
+    return _schedule("theorem2", q, _eps)
 
 
 def theorem1_schedule(q: int, C0) -> Schedule:
     """Alternate schedule eps = (log q)(log log q)/(C0 q^(1/6)); C0 is input.
 
-    The leading constant is configuration, not a guess; the schedule is
-    eligible whenever the resulting eps lies in (0, 1).
+    The leading constant is configuration, not a guess; the resulting eps
+    must lie in (0, 1).
     """
     _check_q(q)
     if q < 3:
@@ -276,7 +269,7 @@ def theorem1_schedule(q: int, C0) -> Schedule:
     ok = (enc.gt_status(eps, 0) == enc.PASS and enc.lt_status(eps, 1) == enc.PASS)
     if not ok:
         raise DomainError("eps outside (0, 1) for q=%d, C0=%s" % (q, C0))
-    return _schedule("theorem1", q, _eps, True)
+    return _schedule("theorem1", q, _eps)
 
 
 def _mk_check(name: str, lhs, rhs, ok=None) -> CertCheck:

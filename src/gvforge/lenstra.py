@@ -6,9 +6,11 @@ captures at least ceil(r^G / sqrt|disc|) lattice points, and reduction of
 those points modulo n prime ideals of norm in [r, q] yields length-n words
 over [0, q) with minimum distance at least n + 1 - G.
 
-Box membership is exact: every face test is the sign of a + b sqrt(m) +
-c sqrt(R) with integers a, b, c, settled by squaring. A point on a face is
-outside. Floats only rank translates and guess where exact searches start.
+A box is exact data: integer basis rows over sqrt(m), R = (2 rho)^2 and a
+rational translate. Every face test is the sign of a + b sqrt(m) + c sqrt(R)
+with integers a, b, c, settled by squaring; a point on a face is outside.
+Floats, each rounded once from an exact value, only rank translates, guess
+where exact searches start and fill the code file header.
 """
 
 import math
@@ -18,8 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import enclosure as enc
-from .enclosure import iv
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
                         is_fundamental, prime_ideals_in_norm_range)
@@ -28,36 +28,27 @@ OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
 _GRID_OFFSET = Fraction(1, 1 << 20)
 _SCORE_CHUNK = 1 << 14
+GRID_CELL_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
 class LatticeEmbedding:
-    """Integral basis image in R^2: columns are the images of 1 and omega."""
+    """Integral basis image in R^2: floats = (b00, b01, b10, b11) with
+    x = (b00 u + b01 v, b10 u + b11 v), each rounded from its exact value."""
 
     field: QuadraticField
-    b00: object
-    b01: object
-    b10: object
-    b11: object  # HighReal entries; x = (b00 u + b01 v, b10 u + b11 v)
-
-    @property
-    def floats(self):
-        return (float(enc.midpoint(self.b00)), float(enc.midpoint(self.b01)),
-                float(enc.midpoint(self.b10)), float(enc.midpoint(self.b11)))
+    floats: tuple
 
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """Open box (tau_1, tau_1 + rho) x (tau_2, tau_2 + rho).
+    """Open box (tau_1, tau_1 + rho) x (tau_2, tau_2 + rho), rho^2 =
+    2^-t r^G.
 
-    The exact translate is tau = B shift for rational basis coordinates
-    shift, or (-rho/2, -rho/2) when shift is None; the enclosures rho, tau1
-    and tau2 are for reporting only.
+    The translate is tau = B shift for rational basis coordinates shift, or
+    (-rho/2, -rho/2) when shift is None; _box_floats rounds it for reporting.
     """
 
-    rho: object
-    tau1: object
-    tau2: object
     r: int
     G: int
     grid: int
@@ -103,20 +94,19 @@ def _integer_basis(K: QuadraticField):
     return rows, abs(K.radicand)
 
 
+def _float(a, b, m: int) -> float:
+    """a + b sqrt(m) for rationals a, b, rounded once to a float; sqrt(m) is
+    taken within 2^-128."""
+    return float(a + b * Fraction(math.isqrt(m << 256), 1 << 128))
+
+
 def make_embedding(K: QuadraticField) -> LatticeEmbedding:
     """Minkowski-style embedding of the ring of integers of K into R^2."""
     rows, m = _integer_basis(K)
-    root = iv.sqrt(iv.mpf(m))
-    (b00, b01), (b10, b11) = ((iv.mpf(p) / 2, (q + e * root) / 2)
-                              for p, q, e in rows)
-    return LatticeEmbedding(field=K, b00=b00, b01=b01, b10=b10, b11=b11)
-
-
-def box_side(K: QuadraticField, r: int, G: int):
-    """rho with rho^2 = 2^-t r^G (box volume 2^-t r^G = r^G vol-ratio-wise)."""
-    if r < 2 or G < 1:
-        raise DomainError("need r >= 2 and G >= 1")
-    return iv.sqrt(iv.mpf(r ** G) / (2 ** K.t))
+    floats = tuple(x for p, q, e in rows
+                   for x in (_float(Fraction(p, 2), 0, m),
+                             _float(Fraction(q, 2), Fraction(e, 2), m)))
+    return LatticeEmbedding(field=K, floats=floats)
 
 
 def _pow_above(r: int, e: int, bound: int) -> bool:
@@ -148,16 +138,11 @@ def minkowski_target(r: int, G: int, abs_disc: int) -> int:
 def box_at(E: LatticeEmbedding, r: int, G: int, shift, grid: int = 0,
            cell: tuple = (-1, -1)) -> BoxSpec:
     """The box of side rho(r, G) at basis coordinates shift (None: centred)."""
-    rho = box_side(E.field, r, G)
-    if shift is None:
-        t1 = t2 = -rho / 2
-    else:
+    if r < 2 or G < 1:
+        raise DomainError("need r >= 2 and G >= 1")
+    if shift is not None:
         shift = tuple(Fraction(s) for s in shift)
-        si, sj = (enc.enc(s) for s in shift)
-        t1 = E.b00 * si + E.b01 * sj
-        t2 = E.b10 * si + E.b11 * sj
-    return BoxSpec(rho=rho, tau1=t1, tau2=t2, r=r, G=G, grid=grid, cell=cell,
-                   shift=shift)
+    return BoxSpec(r=r, G=G, grid=grid, cell=cell, shift=shift)
 
 
 def _sign(a: int, b: int, m: int) -> int:
@@ -189,6 +174,19 @@ def _reach(K: QuadraticField, r: int, G: int):
     """R = (2 rho)^2, and P = isqrt(R) + 1 > 2 rho, both integers."""
     R = r ** G * 2 ** (2 - K.t)
     return R, math.isqrt(R) + 1
+
+
+def _box_floats(E: LatticeEmbedding, box: BoxSpec):
+    """(tau_1, tau_2, rho) of the box, each rounded from its exact value."""
+    rows, m = _integer_basis(E.field)
+    R = _reach(E.field, box.r, box.G)[0]
+    if box.shift is None:
+        t1 = t2 = _float(0, Fraction(-1, 4), R)
+    else:
+        s1, s2 = box.shift
+        t1, t2 = (_float((p * s1 + q * s2) / 2, e * s2 / 2, m)
+                  for p, q, e in rows)
+    return t1, t2, _float(0, Fraction(1, 2), R)
 
 
 def _float_columns(bf, tau1, tau2, rho: float, u: np.ndarray):
@@ -245,9 +243,8 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
                    for p, q, e, c in faces[group])
 
     u0 = math.floor(box.shift[0]) if box.shift else 0
-    los, his, _ = _float_columns(
-        E.floats, float(enc.midpoint(box.tau1)), float(enc.midpoint(box.tau2)),
-        float(enc.midpoint(box.rho)), np.arange(u0 - P, u0 + P + 1.0))
+    los, his, _ = _float_columns(E.floats, *_box_floats(E, box),
+                                 np.arange(u0 - P, u0 + P + 1.0))
     for u, lo, hi in zip(range(u0 - P, u0 + P + 1), los.tolist(), his.tolist()):
         if not inside(0, u, 0):
             continue
@@ -289,7 +286,8 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     estimate, the best six and the centred box are counted exactly, and a
     later candidate wins only with a strictly larger count. Exhausting every
     grid up to max_grid raises TauSearchError (retry with a larger
-    max_grid); an under-counted box is never returned.
+    max_grid); an under-counted box is never returned. A grid of more than
+    GRID_CELL_CAP cells raises CapacityError before it is scored.
     """
     if start_grid < 1:
         raise DomainError("start grid must be >= 1, got %r" % (start_grid,))
@@ -299,13 +297,16 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
         raise CapacityError("expected point count exceeds cap %d" % OMEGA_CAP)
     centred = box_at(E, r, G, None)
     centred_count = _count(E, centred)
-    rho_f = float(enc.midpoint(centred.rho))
+    rho_f = _box_floats(E, centred)[2]
     bf = E.floats
     # every grid cell has floor(s_1) = 0, so one u-range serves them all
     P = _reach(K, r, G)[1]
     us = np.arange(-P, P + 1.0)
     g = start_grid
     while g <= max_grid:
+        if g * g > GRID_CELL_CAP:
+            raise CapacityError("translate grid %d has %d cells, cap %d"
+                                % (g, g * g, GRID_CELL_CAP))
         score = _grid_scores(bf, rho_f, us, g)
         best, best_count = None, -1
         # a stable sort keeps row-major order among equal scores
@@ -365,8 +366,7 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
         raise CapacityError("omega size %d exceeds cap %d" % (len(omega), OMEGA_CAP))
     words = tuple(tuple(residue_symbol(a, P, q) for P in ideals) for a in omega)
     return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
-                       tau=(float(enc.midpoint(box.tau1)),
-                            float(enc.midpoint(box.tau2))),
+                       tau=_box_floats(E, box)[:2],
                        ideals=tuple(ideals), omega=tuple(omega), codewords=words)
 
 

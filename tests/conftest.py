@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 
 @pytest.fixture
@@ -58,3 +59,61 @@ def norm_gap_check(code) -> bool:
         if not bool(np.all((norms >= powers[agree]) & (norms < r ** G))):
             return False
     return True
+
+
+def embed_mp(D: int, u, v):
+    """The embedding of u + v*omega at the working mpmath precision, written
+    from the discriminant D; u and v may be mpf."""
+    if D % 4 == 0:
+        d = D // 4
+        if D < 0:
+            return mp.mpf(u), v * mp.sqrt(-d)
+        return u + v * mp.sqrt(d), u - v * mp.sqrt(d)
+    if D < 0:
+        return u + mp.mpf(v) / 2, v * mp.sqrt(-D) / 2
+    return u + v * (1 + mp.sqrt(D)) / 2, u + v * (1 - mp.sqrt(D)) / 2
+
+
+def basis_mp(D: int):
+    """(b00, b01, b10, b11) with x = (b00 u + b01 v, b10 u + b11 v), at the
+    working mpmath precision."""
+    (b00, b10), (b01, b11) = embed_mp(D, 1, 0), embed_mp(D, 0, 1)
+    return b00, b01, b10, b11
+
+
+def box_mp(D: int, box):
+    """(tau_1, tau_2, rho) of a box at the working mpmath precision, from
+    box.r, box.G and box.shift only: rho^2 = r^G, halved for D < 0, and the
+    translate is the embedded shift, or (-rho/2, -rho/2) when it is None."""
+    rho = mp.sqrt(mp.mpf(box.r ** box.G) / (2 if D < 0 else 1))
+    if box.shift is None:
+        return -rho / 2, -rho / 2, rho
+    s1, s2 = (mp.mpf(s.numerator) / s.denominator for s in box.shift)
+    t1, t2 = embed_mp(D, s1, s2)
+    return t1, t2, rho
+
+
+def scan_box_mp(D: int, box):
+    """(inside, near) at 60 digits: the lattice points strictly inside the
+    box, and those within a guard of 1e-18 * scale of a face, found by
+    classifying every (u, v) of a rectangle that covers the box. Both lists
+    are sorted."""
+    with mp.workdps(60):
+        t1, t2, rho = box_mp(D, box)
+        b00, b01, b10, b11 = basis_mp(D)
+        det = b00 * b11 - b01 * b10
+        corners = [(t1 + i * rho, t2 + j * rho) for i in (0, 1) for j in (0, 1)]
+        us = [(b11 * x0 - b01 * x1) / det for x0, x1 in corners]
+        vs = [(b00 * x1 - b10 * x0) / det for x0, x1 in corners]
+        guard = mp.mpf("1e-18") * (1 + abs(t1) + abs(t2) + rho)
+        inside, near = [], []
+        for u in range(int(mp.floor(min(us))) - 1, int(mp.ceil(max(us))) + 2):
+            for v in range(int(mp.floor(min(vs))) - 1,
+                           int(mp.ceil(max(vs))) + 2):
+                x0, x1 = b00 * u + b01 * v, b10 * u + b11 * v
+                dists = (x0 - t1, t1 + rho - x0, x1 - t2, t2 + rho - x1)
+                if any(abs(z) <= guard for z in dists):
+                    near.append((u, v))
+                elif all(z > 0 for z in dists):
+                    inside.append((u, v))
+        return inside, near

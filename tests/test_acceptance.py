@@ -25,7 +25,7 @@ from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 
-from conftest import norm_gap_check
+from conftest import basis_mp, box_mp, embed_mp, norm_gap_check
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145  # floor(exp(29)) + 1, the smallest eligible q
@@ -134,40 +134,19 @@ def test_criterion_3_small_codes_build_and_verify():
 # -------------------------------------- 4: counts vs an independent scan
 
 
-def _float_basis(D: int):
-    """Embedding matrix in doubles, written from the definitions."""
-    if D % 4 == 0:
-        d = D // 4
-        if D < 0:
-            return (1.0, 0.0, 0.0, math.sqrt(-d))
-        return (1.0, math.sqrt(d), 1.0, -math.sqrt(d))
-    if D < 0:
-        return (1.0, 0.5, 0.0, math.sqrt(-D) / 2)
-    return (1.0, (1 + math.sqrt(D)) / 2, 1.0, (1 - math.sqrt(D)) / 2)
-
-
-def _embed_mp(D: int, u: int, v: int):
-    if D % 4 == 0:
-        d = D // 4
-        if D < 0:
-            return mp.mpf(u), v * mp.sqrt(-d)
-        return u + v * mp.sqrt(d), u - v * mp.sqrt(d)
-    if D < 0:
-        return u + mp.mpf(v) / 2, v * mp.sqrt(-D) / 2
-    return u + v * (1 + mp.sqrt(D)) / 2, u + v * (1 - mp.sqrt(D)) / 2
-
-
 def _scan_count(D: int, box) -> int:
     """Count lattice points strictly inside the box by direct grid scan.
 
+    The box is placed at 60 digits from box.r, box.G and box.shift alone.
     Doubles classify everything farther than 1e-7 * scale from the faces;
     the few candidates inside that band are settled at 60 digits, and any
     point within 1e-20 * scale of a face is treated as a hard failure.
     """
-    b00, b01, b10, b11 = _float_basis(D)
-    t1 = float(encl.midpoint(box.tau1))
-    t2 = float(encl.midpoint(box.tau2))
-    rho = float(encl.midpoint(box.rho))
+    with mp.workdps(60):
+        mt1, mt2, mrho = box_mp(D, box)
+        mb = basis_mp(D)
+    b00, b01, b10, b11 = (float(b) for b in mb)
+    t1, t2, rho = float(mt1), float(mt2), float(mrho)
     det = b00 * b11 - b01 * b10
     corners = [(t1 + i * rho, t2 + j * rho) for i in (0, 1) for j in (0, 1)]
     us = [(b11 * x0 - b01 * x1) / det for x0, x1 in corners]
@@ -184,12 +163,9 @@ def _scan_count(D: int, box) -> int:
     loose = (dist > -band).all(axis=0)
     count = int(strict.sum())
     with mp.workdps(60):
-        mt1 = mp.mpf(mpmath.nstr(encl.midpoint(box.tau1), 40))
-        mt2 = mp.mpf(mpmath.nstr(encl.midpoint(box.tau2), 40))
-        mrho = mp.mpf(mpmath.nstr(encl.midpoint(box.rho), 40))
         guard = mp.mpf("1e-20") * scale
         for u, v in zip(UU[loose & ~strict], VV[loose & ~strict]):
-            y0, y1 = _embed_mp(D, int(u), int(v))
+            y0, y1 = embed_mp(D, int(u), int(v))
             dists = (y0 - mt1, mt1 + mrho - y0, y1 - mt2, mt2 + mrho - y1)
             assert all(abs(z) > guard for z in dists), (D, u, v, "face contact")
             if all(z > 0 for z in dists):

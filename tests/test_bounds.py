@@ -192,11 +192,11 @@ def test_eligible_q_floor():
 
 def test_theorem2_schedule_frozen():
     s = bd.theorem2_schedule(Q42)
-    assert (s.r, s.ell, s.k, s.eligible) == (2003452383709, 128, 3841, True)
+    assert (s.r, s.ell, s.k) == (2003452383709, 128, 3841)
     s0 = bd.theorem2_schedule(Q_FLOOR)
-    assert (s0.r, s0.ell, s0.k, s0.eligible) == (1788629061766, 125, 3657, True)
+    assert (s0.r, s0.ell, s0.k) == (1788629061766, 125, 3657)
     s6 = bd.theorem2_schedule(10 ** 6)
-    assert (s6.r, s6.ell, s6.k, s6.eligible) == (340179, 10, 6, False)
+    assert (s6.r, s6.ell, s6.k) == (340179, 10, 6)
     with pytest.raises(DomainError):
         bd.theorem2_schedule(2)
 

@@ -247,6 +247,16 @@ def test_construct_search_exhaustion(capsys):
     assert "capacity" in err
 
 
+def test_construct_refuses_a_grid_past_the_cell_cap(capsys):
+    # 10^12 cells would need a 7.3 TiB score array
+    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
+                         "--q", "13", "--G", "1",
+                         "--grid", "1000000", "--max-grid", "1000000")
+    assert code == 3 and out == ""
+    assert err == ("capacity: translate grid 1000000 has 1000000000000 "
+                   "cells, cap 4194304\n")
+
+
 def test_verify_detects_bad_symbol(capsys, tmp_path):
     path = tmp_path / "code.txt"
     run(capsys, "construct", "--disc", "-4", "--r", "9", "--q", "13",

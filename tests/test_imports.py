@@ -7,6 +7,8 @@ appear somewhere in the module as a plain name (an attribute base such as
 are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
 `src/`, as a plain name, an attribute (`nt._rank`) or an imported name.
+`lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
+algebraic, so it needs no interval enclosures.
 """
 
 import ast
@@ -101,3 +103,30 @@ def test_no_unread_private_names():
               for line, name in private_definitions(path.read_text())
               if name not in read]
     assert unread == []
+
+
+def imported_modules(source: str) -> set:
+    """Every dotted part of each module name the source imports, including
+    submodules imported from a package (`from . import enclosure`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            names.update(alias.name for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
+def test_checker_finds_interval_imports():
+    source = ("from . import enclosure as enc\nfrom .enclosure import iv\n"
+              "import mpmath.libmp\nfrom .errors import DomainError\n")
+    assert {"enclosure", "mpmath"} <= imported_modules(source)
+    assert not {"enclosure", "mpmath"} & imported_modules(
+        "import math\nfrom .quadfield import is_fundamental\n")
+
+
+def test_lenstra_imports_no_interval_arithmetic():
+    source = (SRC / "lenstra.py").read_text()
+    assert not {"enclosure", "mpmath"} & imported_modules(source)

@@ -1,100 +1,73 @@
 """Lattice boxes, certified translates, code construction, verification.
 
-The enumeration oracle re-embeds the lattice with plain 60-digit mpmath
-floats and scans a padded rectangle; it shares no code path with the
-exact integer classifier it checks, and it asserts every point it
-classifies is far from the box faces.
+The box oracles in conftest embed the lattice with plain 60-digit mpmath
+and place each box from its r, G and shift alone; they share no code path
+with the exact integer classifier they check, and they report every point
+they find near a box face.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from gvforge import enclosure as encl
 from gvforge import lenstra as ln
 from gvforge import quadfield as qf
-from gvforge.errors import DomainError, TauSearchError
+from gvforge.errors import CapacityError, DomainError, TauSearchError
 
-from conftest import norm_gap_check
-
-
-def embed_mp(D: int, u: int, v: int):
-    """Oracle embedding at 60 digits, written from the definitions."""
-    if D % 4 == 0:
-        d = D // 4
-        if D < 0:
-            return mp.mpf(u), v * mp.sqrt(-d)
-        return u + v * mp.sqrt(d), u - v * mp.sqrt(d)
-    if D < 0:
-        return u + mp.mpf(v) / 2, v * mp.sqrt(-D) / 2
-    return u + v * (1 + mp.sqrt(D)) / 2, u + v * (1 - mp.sqrt(D)) / 2
+from conftest import basis_mp, box_mp, norm_gap_check, scan_box_mp
 
 
 def brute_box_count(D: int, box) -> int:
-    """Count lattice points strictly inside the box by scanning a rectangle."""
-    with mp.workdps(60):
-        t1 = mp.mpf(mpmath.nstr(encl.midpoint(box.tau1), 40))
-        t2 = mp.mpf(mpmath.nstr(encl.midpoint(box.tau2), 40))
-        rho = mp.mpf(mpmath.nstr(encl.midpoint(box.rho), 40))
-        guard = mp.mpf("1e-18") * (1 + abs(t1) + abs(t2) + rho)
-        span = float(abs(t1) + abs(t2) + rho) + 2.0
-        lim = int(4 * span / max(1.0, math.sqrt(abs(D)) / 4)) + int(span) + 4
-        count = 0
-        for u in range(-lim, lim + 1):
-            for v in range(-lim, lim + 1):
-                x0, x1 = embed_mp(D, u, v)
-                dists = (x0 - t1, t1 + rho - x0, x1 - t2, t2 + rho - x1)
-                assert all(abs(z) > guard for z in dists), (u, v, "face contact")
-                if all(z > 0 for z in dists):
-                    count += 1
-        return count
+    """Count lattice points strictly inside the box at 60 digits."""
+    inside, near = scan_box_mp(D, box)
+    assert not near, (near, "face contact")
+    return len(inside)
 
 
 # ------------------------------------------------------------- embedding
 
+EMBED_DISCS = (-4, -3, -8, -23, -84, 5, 8, 12, 13, 44)
 
-def test_embedding_covolume_is_det():
-    """|det| of the basis encloses the covolume 2^-t sqrt|disc|, computed
-    here in plain 60-digit mpmath."""
-    for D in (-4, -3, -8, -23, 5, 8, 12, 13, 44):
-        K = qf.make_field(D)
-        E = ln.make_embedding(K)
-        det = E.b00 * E.b11 - E.b01 * E.b10
-        with mpmath.workdps(60):
-            covolume = mpmath.sqrt(abs(K.disc)) / 2 ** K.t
-        assert encl.contains(det, covolume) or encl.contains(-det, covolume)
-        assert encl.width(det) < mpmath.mpf("1e-30")
+
+def test_embedding_floats_are_the_basis_rounded():
+    """Each basis float is the 60-digit entry rounded once."""
+    discs = [D for D in range(-400, 400) if qf.is_fundamental(D)]
+    for D in discs + [-19399380, 10 ** 6 + 1]:
+        E = ln.make_embedding(qf.make_field(D))
+        with mp.workdps(60):
+            want = tuple(float(b) for b in basis_mp(D))
+        assert E.floats == want, D
 
 
 def test_embedding_reproduces_the_norm(rng):
-    for D in (-4, -3, -8, -23, -84, 5, 8, 12, 13, 44):
+    for D in EMBED_DISCS:
         K = qf.make_field(D)
-        E = ln.make_embedding(K)
+        b00, b01, b10, b11 = ln.make_embedding(K).floats
         for _ in range(40):
             u, v = rng.randrange(-30, 31), rng.randrange(-30, 31)
-            x0 = E.b00 * u + E.b01 * v
-            x1 = E.b10 * u + E.b11 * v
+            x0, x1 = b00 * u + b01 * v, b10 * u + b11 * v
             prod = (x0 * x0 + x1 * x1) if D < 0 else (x0 * x1)
-            want = K.norm(u, v)
-            assert encl.lower(prod) <= want <= encl.upper(prod), (D, u, v)
+            tol = 1e-12 * (1 + abs(x0)) * (1 + abs(x1))
+            assert abs(prod - K.norm(u, v)) <= tol, (D, u, v)
 
 
-def test_box_side():
-    K = qf.make_field(-4)
-    rho = ln.box_side(K, 9, 1)
-    sq = rho * rho
-    assert encl.contains(sq, Fraction(9, 2))  # volume r^G scaled by 2^-t
-    K5 = qf.make_field(5)
-    assert encl.contains(ln.box_side(K5, 9, 1) ** 2, Fraction(9))
-    with pytest.raises(DomainError):
-        ln.box_side(K, 1, 1)
-    with pytest.raises(DomainError):
-        ln.box_side(K, 9, 0)
+def test_box_at_domain_and_reach():
+    E = ln.make_embedding(qf.make_field(-4))
+    for r, G in ((1, 1), (9, 0)):
+        with pytest.raises(DomainError):
+            ln.box_at(E, r, G, None)
+        with pytest.raises(DomainError):
+            ln.find_tau(E, r, G)
+    # R = (2 rho)^2 = 4 r^G 2^-t, and P = isqrt(R) + 1
+    assert ln._reach(E.field, 9, 1) == (18, 5)
+    assert ln._reach(qf.make_field(5), 9, 1) == (36, 7)
+    assert ln._reach(qf.make_field(-3), 4, 3) == (128, 12)
 
 
 def test_minkowski_target(rng):
@@ -177,11 +150,14 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
     """Oracle for find_tau: one _float_columns call per grid cell, the cells
     sorted as (-score, i, j) tuples. Returns (grid, cell, shift), or None
     where every grid is exhausted."""
-    target = ln.minkowski_target(r, G, abs(E.field.disc))
-    centred_count = len(ln.enumerate_omega(E, ln.box_at(E, r, G, None)))
-    rho = float(encl.midpoint(ln.box_side(E.field, r, G)))
-    bf = E.floats
-    P = ln._reach(E.field, r, G)[1]
+    D = E.field.disc
+    target = ln.minkowski_target(r, G, abs(D))
+    centred = ln.box_at(E, r, G, None)
+    centred_count = len(ln.enumerate_omega(E, centred))
+    with mp.workdps(60):
+        rho = float(box_mp(D, centred)[2])
+        bf = tuple(float(b) for b in basis_mp(D))
+    P = math.isqrt(4 * r ** G // (2 if D < 0 else 1)) + 1
     us = np.arange(-P, P + 1.0)
     off = ln._GRID_OFFSET
     g = start_grid
@@ -255,11 +231,25 @@ def test_find_tau_exhaustion_raises():
         ln.find_tau(E, 4, 1, start_grid=1, max_grid=1)
 
 
+def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
+    """The refusal comes before the grid's scores are allocated."""
+    def never(*args):
+        raise AssertionError("grid scored")
+
+    monkeypatch.setattr(ln, "_grid_scores", never)
+    E = ln.make_embedding(qf.make_field(-4))
+    with pytest.raises(CapacityError, match="grid 1000000 has 10+ cells"):
+        ln.find_tau(E, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
+    assert 1024 ** 2 <= ln.GRID_CELL_CAP < 2049 ** 2
+
+
+BOX_POOL = [-3, -4, -7, -8, -15, -20, -23, 5, 8, 12, 13]
+
+
 def test_enumerate_against_brute_force(rng):
-    pool = [-3, -4, -7, -8, -15, -20, -23, 5, 8, 12, 13]
     done = 0
     while done < 12:
-        D = rng.choice(pool)
+        D = rng.choice(BOX_POOL)
         r = rng.randrange(2, 9)
         G = rng.randrange(1, 3)
         if r ** G > 400 or r ** (2 * G) < abs(D):
@@ -271,6 +261,26 @@ def test_enumerate_against_brute_force(rng):
         assert len(pts) == brute_box_count(D, box), (D, r, G)
         assert len(pts) >= ln.minkowski_target(r, G, abs(D))
         done += 1
+
+
+@st.composite
+def grid_shifts(draw):
+    """A translate as find_tau draws it: cell (i, j) of a g x g grid, offset
+    by 2^-20."""
+    g = draw(st.integers(1, 64))
+    return tuple(Fraction(draw(st.integers(0, g - 1)), g) + Fraction(1, 1 << 20)
+                 for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOX_POOL), st.integers(2, 12), st.sampled_from((1, 2)),
+       st.one_of(st.none(), grid_shifts()))
+def test_exact_membership_matches_60_digits(D, r, G, shift):
+    E = ln.make_embedding(qf.make_field(D))
+    box = ln.box_at(E, r, G, shift)
+    inside, near = scan_box_mp(D, box)
+    assume(not near)
+    assert ln.enumerate_omega(E, box) == inside
 
 
 # --------------------------------------------------------- residue symbol
