@@ -8,8 +8,8 @@ argument with its enclosure margin and a three-way status.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import enclosure as enc

@@ -103,10 +103,10 @@ def _float(a, b, m: int) -> float:
 def make_embedding(K: QuadraticField) -> LatticeEmbedding:
     """Minkowski-style embedding of the ring of integers of K into R^2."""
     rows, m = _integer_basis(K)
-    floats = tuple(x for p, q, e in rows
-                   for x in (_float(Fraction(p, 2), 0, m),
-                             _float(Fraction(q, 2), Fraction(e, 2), m)))
-    return LatticeEmbedding(field=K, floats=floats)
+    (b00, b01), (b10, b11) = ((_float(Fraction(p, 2), 0, m),
+                               _float(Fraction(q, 2), Fraction(e, 2), m))
+                              for p, q, e in rows)
+    return LatticeEmbedding(field=K, floats=(b00, b01, b10, b11))
 
 
 def _pow_above(r: int, e: int, bound: int) -> bool:

@@ -32,8 +32,6 @@ def brute_box_count(D: int, box) -> int:
 
 # ------------------------------------------------------------- embedding
 
-EMBED_DISCS = (-4, -3, -8, -23, -84, 5, 8, 12, 13, 44)
-
 
 def test_embedding_floats_are_the_basis_rounded():
     """Each basis float is the 60-digit entry rounded once."""
@@ -46,7 +44,7 @@ def test_embedding_floats_are_the_basis_rounded():
 
 
 def test_embedding_reproduces_the_norm(rng):
-    for D in EMBED_DISCS:
+    for D in (-4, -3, -8, -23, -84, 5, 8, 12, 13, 44):
         K = qf.make_field(D)
         b00, b01, b10, b11 = ln.make_embedding(K).floats
         for _ in range(40):
