@@ -7,6 +7,7 @@ sieve, and a certificate object records every inequality in the q-range
 argument with its enclosure margin and a three-way status.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -178,6 +179,12 @@ def _dlog(ell: int):
     return nt.primorial_D(ell)[1]
 
 
+def _window_low(r: int, p_ell: int) -> int:
+    """The least p with p > p_ell and p^2 >= r (r >= 1): Nq counts the
+    primes p = 3 (mod 4) from here up to isqrt(q)."""
+    return max(p_ell + 1, math.isqrt(r - 1) + 1)
+
+
 def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     """Exact evaluation of the three construction conditions.
 
@@ -197,7 +204,7 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     rows.append(("condition2_k_within_quadratic", lhs2, rhs2, rhs2 - lhs2, ok2))
     if counted is None:
         p_ell = nt.nth_prime(ell)
-        Nq = len(nt.inert_window(q, r, p_ell)) if r >= 2 else 0
+        Nq = nt.inert_counts(q, [_window_low(r, p_ell)])[0] if r >= 2 else 0
     else:
         p_ell, Nq = counted
     ok3 = k >= 1 and Nq >= 2 * k
@@ -416,24 +423,24 @@ def _candidates(q: int, budget: int) -> list:
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))
 
     ell_hi = 2 * nt.int_nth_root(q, 6) + 2
-    out = []
-    # one sieve of the union of the windows, whose lowest end is at the
-    # smallest r; each (r, ell) window is a tail of it
-    window = nt.inert_window(q, r_candidates[0], 0) if r_candidates else None
+    pairs = []  # (r, ell, k_quad, p_ell)
     for r in r_candidates:
-        log_r = iv.log(iv.mpf(r))
         for ell in range(3, ell_hi + 1):
             k_quad = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
-            if k_quad < 1:
-                continue
-            p_ell = nt.nth_prime(ell)
-            Nq = nt.inert_count(window, r, p_ell)
-            k = min(k_quad, Nq // 2)
-            if k < 1:
-                continue
-            _, w = _evaluate_conditions(q, r, ell, k, counted=(p_ell, Nq))
-            if w is not None:
-                out.append((w, log_r, w.D_log / (2 * w.k)))
+            if k_quad >= 1:
+                pairs.append((r, ell, k_quad, nt.nth_prime(ell)))
+    # one pass over the union of the windows counts every pair's window
+    counts = nt.inert_counts(q, [_window_low(r, p_ell)
+                                 for r, _, _, p_ell in pairs])
+    out = []
+    log_r = {r: iv.log(iv.mpf(r)) for r in r_candidates}
+    for (r, ell, k_quad, p_ell), Nq in zip(pairs, counts):
+        k = min(k_quad, Nq // 2)
+        if k < 1:
+            continue
+        _, w = _evaluate_conditions(q, r, ell, k, counted=(p_ell, Nq))
+        if w is not None:
+            out.append((w, log_r[r], w.D_log / (2 * w.k)))
     return out
 
 

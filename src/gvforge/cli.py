@@ -5,8 +5,12 @@ verify (re-check a code file), certify (parameter certificate at q), and
 tower (class-field-tower criterion for a discriminant).
 
 Exit codes: 0 success, 1 argument or domain error, 2 failed or undecidable
-check, 3 capacity refusal. Given identical arguments the output bytes are
-identical.
+check, 3 capacity refusal or running out of memory. Given identical
+arguments the output bytes are identical.
+
+`bounds` and `certify` need only numtheory, bounds and enclosure, and run
+without numpy; `construct`, `verify` and `tower` import lenstra and
+quadfield, which use numpy, when they run.
 """
 
 import argparse
@@ -20,9 +24,7 @@ from typing import Optional
 
 from . import bounds as bd
 from . import enclosure as enc
-from . import lenstra as ln
 from . import numtheory as nt
-from . import quadfield as qf
 from .errors import (CapacityError, ConditionFailure, DomainError,
                      IndeterminateError)
 
@@ -30,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
 EXIT_CAPACITY = 3
+
+# rows in one --delta-grid: 10^4 rows take about 3 s at q = 4 (2-vCPU VM)
+DELTA_GRID_CAP = 10 ** 4
 
 
 def _fraction(text: str) -> Fraction:
@@ -40,18 +45,15 @@ def _fraction(text: str) -> Fraction:
 
 
 def _delta_grid(text: str):
+    """(start, stop, step) of a start:stop:step grid; cmd_bounds lists its
+    rows once it has checked their number against DELTA_GRID_CAP."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:step")
     start, stop, step = (_fraction(p) for p in parts)
     if step <= 0 or start > stop:
         raise argparse.ArgumentTypeError("need start <= stop and step > 0")
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v += step
-    return out
+    return start, stop, step
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +151,12 @@ def cmd_bounds(args) -> int:
     if args.delta:
         deltas.extend(args.delta)
     if args.delta_grid:
-        deltas.extend(args.delta_grid)
+        start, stop, step = args.delta_grid
+        count = (stop - start) // step + 1
+        if count > DELTA_GRID_CAP:
+            raise CapacityError("delta grid has %d rows, cap %d"
+                                % (count, DELTA_GRID_CAP))
+        deltas.extend(start + i * step for i in range(count))
     if not deltas:
         raise DomainError("provide --delta or --delta-grid")
     rows = []
@@ -179,6 +186,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import lenstra as ln
+    from . import quadfield as qf
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
     code = ln.build_code(K, args.r, args.q, args.G,
                          start_grid=args.grid, max_grid=args.max_grid)
@@ -196,6 +205,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import lenstra as ln
     code = ln.read_code_file(args.path)
     check = ln.verify_code(code, threads=args.threads)
     required_d = code.n + 1 - code.G
@@ -243,6 +253,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    from . import quadfield as qf
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
     if not args.genus_only and K.disc < 0 and -K.disc <= qf.CLASS_GROUP_CAP:
         summary = qf.class_group_imaginary(K)
@@ -283,6 +294,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK
     except CapacityError as e:
         print("capacity: %s" % e, file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("capacity: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
 
 

@@ -1,20 +1,21 @@
 """Exact prime tables and certified analytic number theory helpers.
 
 Primes come from one segmented sieve of Eratosthenes over an odd arithmetic
-progression (the odd numbers, or the numbers = 3 (mod 4)) into uint32 numpy
-arrays (exact below the 2^32 hard cap); counts are exact integers
-(searchsorted with uint32 keys), never estimates. One shared table per
-process, a plain uint32 array, serves the queries that need every prime up
-to a limit, and grows geometrically from its own limit, never from the
-request. The inert window of the construction is sieved on its own, over its
-class 3 (mod 4) only, with its own base primes. Transcendental quantities
-(log of a primorial, Chebyshev theta) are returned as interval enclosures
-from `enclosure`.
+progression (the odd numbers, or the numbers = 3 (mod 4)), on bytearray
+segments, with no numpy. One shared table per process, an `array('I')` of
+every prime up to a limit (exact below the 2^32 hard cap), serves the
+queries that need every prime; it grows geometrically from its own limit,
+never from the request. The inert window of the construction is only
+counted, never listed: one pass over its class 3 (mod 4), with its own base
+primes, counts the primes above each of several lower ends at once.
+Transcendental quantities (log of a primorial, Chebyshev theta) are returned
+as interval enclosures from `enclosure`.
 """
 
 import math
-
-import numpy as np
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, compress
 
 from . import enclosure as enc
 from .enclosure import iv
@@ -38,30 +39,44 @@ def sieve_cap() -> int:
     return _sieve_cap
 
 
-def _sieve(start: int, stop: int, step: int, base: list) -> np.ndarray:
-    """The numbers start, start + step, ... <= stop that no prime in `base`
-    divides, apart from the base primes themselves, as a uint32 array.
+def _check_cap(limit: int) -> None:
+    if limit > _sieve_cap:
+        raise CapacityError(
+            "limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
+
+
+def _segments(start: int, stop: int, step: int, base: list):
+    """Yield (lo, seg) over the progression start, start + step, ... <= stop:
+    seg[j] is 1 when no prime in `base` divides lo + step*j, apart from the
+    base primes themselves, and 0 otherwise.
 
     step is 2 or 4 and start is odd; `base` holds the odd primes up to at
-    least sqrt(stop). The progression is sieved `_WINDOW` slots at a time.
-    The first multiple p*m of p at or past max(lo, p^2) in the progression
-    has m = start*p (mod step), since p^2 = 1 (mod 8); the next ones follow
-    every p slots.
+    least sqrt(stop). Each segment holds at most `_WINDOW` slots, and the
+    first is the largest, so the zero buffer that strikes multiples is sized
+    to it. The first multiple p*m of p at or past max(lo, p^2) in the
+    progression has m = start*p (mod step), since p^2 = 1 (mod 8); the next
+    ones follow every p slots.
     """
-    chunks = [np.empty(0, dtype=np.uint32)]
+    zeros = None
     for lo in range(start, stop + 1, step * _WINDOW):
-        # slot j holds lo + step*j
-        seg = np.ones((min(lo + step * _WINDOW, stop + 1) - lo + step - 1)
-                      // step, dtype=bool)
-        end = lo + step * (len(seg) - 1)
+        n = (min(lo + step * _WINDOW, stop + 1) - lo + step - 1) // step
+        if zeros is None:
+            zeros = memoryview(bytes(n))
+        seg = bytearray(b"\x01") * n
+        end = lo + step * (n - 1)
         for p in base:
             if p * p > end:
                 break
             m = -(-max(lo, p * p) // p)
             m += (start * p - m) % step
-            seg[(p * m - lo) // step::p] = False
-        chunks.append((np.flatnonzero(seg) * step + lo).astype(np.uint32))
-    return np.concatenate(chunks)
+            i = (p * m - lo) // step
+            seg[i::p] = zeros[:len(range(i, n, p))]
+        yield lo, seg
+
+
+def _survivors(lo: int, seg: bytearray, step: int):
+    """The numbers of a segment from `_segments` that no base prime struck."""
+    return compress(range(lo, lo + step * len(seg), step), seg)
 
 
 def _odd_primes(n: int) -> list:
@@ -69,41 +84,33 @@ def _odd_primes(n: int) -> list:
     n^2."""
     if n < 3:
         return []
-    return _sieve(3, n, 2, _odd_primes(math.isqrt(n))).tolist()
+    return [p for lo, seg in _segments(3, n, 2, _odd_primes(math.isqrt(n)))
+            for p in _survivors(lo, seg, 2)]
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as a uint32 array.
+def sieve_primes(limit: int) -> array:
+    """All primes <= limit, ascending, as an array('I').
 
-    uint32 is exact: the hard cap is 2^32, and the largest prime below it
-    is 4294967291. Only odd numbers are sieved; the first slot holds 1,
-    which no prime strikes, and is overwritten by 2.
+    'I' is exact: the hard cap is 2^32, and the largest prime below it is
+    4294967291. Only odd numbers are sieved; the first slot holds 1, which
+    no prime strikes, and is overwritten by 2. Each segment's primes are
+    appended in place, so the table is never copied.
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be >= 2, got %r" % limit)
-    if limit > _sieve_cap:
-        raise CapacityError(
-            "sieve limit %d exceeds cap %d" % (limit, _sieve_cap))
-    primes = _sieve(1, limit, 2, _odd_primes(math.isqrt(limit)))
+    _check_cap(limit)
+    primes = array("I")
+    for lo, seg in _segments(1, limit, 2, _odd_primes(math.isqrt(limit))):
+        primes.extend(_survivors(lo, seg, 2))
     primes[0] = 2
     return primes
-
-
-def _rank(arr: np.ndarray, x: int, side: str) -> int:
-    """np.searchsorted on a uint32 prime array with a uint32 key.
-
-    A Python int key would make numpy cast the whole array to int64 on
-    every call. Clamping is exact: 0 and 2^32 are not prime.
-    """
-    key = np.uint32(min(max(int(x), 0), HARD_SIEVE_CAP - 1))
-    return int(np.searchsorted(arr, key, side=side))
 
 
 _table = (0, None)  # (limit, every prime <= limit) of the shared table
 
 
-def _shared_table(limit: int) -> np.ndarray:
+def _shared_table(limit: int) -> array:
     """The shared table's primes, covering at least `limit`.
 
     It grows geometrically from its own limit (by at least a quarter, up to
@@ -113,8 +120,7 @@ def _shared_table(limit: int) -> np.ndarray:
     """
     global _table
     limit = int(limit)
-    if limit > _sieve_cap:
-        raise CapacityError("limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
+    _check_cap(limit)
     limit = max(limit, min(1 << 10, _sieve_cap))
     old = _table[0]
     if old < limit:
@@ -123,10 +129,10 @@ def _shared_table(limit: int) -> np.ndarray:
     return _table[1]
 
 
-def table_for(limit: int) -> np.ndarray:
-    """The primes <= limit: a view of the shared growing table."""
+def table_for(limit: int) -> memoryview:
+    """The primes <= limit: a read-only view of the shared growing table."""
     primes = _shared_table(limit)
-    return primes[:_rank(primes, limit, "right")]
+    return memoryview(primes)[:bisect_right(primes, limit)].toreadonly()
 
 
 def nth_prime(i: int) -> int:
@@ -141,31 +147,39 @@ def nth_prime(i: int) -> int:
     if i > len(primes):
         raise CapacityError("table holds %d primes, need index %d"
                             % (len(primes), i))
-    return int(primes[i - 1])
+    return primes[i - 1]
 
 
-def inert_window(q: int, r: int, p_ell: int) -> np.ndarray:
-    """The primes p = 3 (mod 4) with p > p_ell and r <= p^2 <= q (r >= 1).
+def inert_counts(q: int, lows) -> list:
+    """For each lo in `lows`, the number of primes p = 3 (mod 4) with
+    lo <= p <= isqrt(q): the candidate inert primes of the construction.
 
-    These are the candidate inert primes of the construction, as a fresh
-    ascending uint32 array. Only the class 3 (mod 4) of [lo, hi] is sieved,
-    with base primes up to sqrt(hi); hi = isqrt(q) must be within the sieve
-    cap.
+    One count-only pass sieves the class 3 (mod 4) of [min(lows), isqrt(q)],
+    with base primes up to q^(1/4); no prime is kept. The distinct lows cut
+    the window into stretches, each segment counts its part of every
+    stretch once, and suffix sums give the count at each low. isqrt(q) must
+    be within the sieve cap unless no low reaches it.
     """
-    lo = max(p_ell + 1, math.isqrt(r - 1) + 1)
+    lows = [max(int(lo), 3) for lo in lows]
     hi = math.isqrt(q)
-    if hi < lo:
-        return np.empty(0, dtype=np.uint32)
-    if hi > _sieve_cap:
-        raise CapacityError("limit %d exceeds sieve cap %d" % (hi, _sieve_cap))
-    return _sieve(lo + (3 - lo) % 4, hi, 4, _odd_primes(math.isqrt(hi)))
-
-
-def inert_count(window: np.ndarray, r: int, p_ell: int) -> int:
-    """len(inert_window(q, r, p_ell)), read off `window`, an inert window at
-    the same q whose r and p_ell are no larger."""
-    return len(window) - max(_rank(window, math.isqrt(r - 1), "right"),
-                             _rank(window, p_ell, "right"))
+    edges = sorted(set(lo for lo in lows if lo <= hi))
+    if not edges:
+        return [0] * len(lows)
+    _check_cap(hi)
+    start = edges[0] + (3 - edges[0]) % 4
+    stretch = [0] * len(edges)  # primes in [edges[i], edges[i + 1])
+    for lo, seg in _segments(start, hi, 4, _odd_primes(math.isqrt(hi))):
+        n = len(seg)
+        top = lo + 4 * n
+        # slot j holds lo + 4*j; the first slot >= v is ceil((v - lo)/4)
+        i = bisect_right(edges, lo) - 1
+        while i < len(edges) and edges[i] < top:
+            a = max((edges[i] - lo + 3) // 4, 0)
+            b = (edges[i + 1] - lo + 3) // 4 if i + 1 < len(edges) else n
+            stretch[i] += seg.count(1, a, min(b, n))
+            i += 1
+    above = dict(zip(reversed(edges), accumulate(reversed(stretch))))
+    return [above.get(lo, 0) for lo in lows]
 
 
 _CHUNK_BITS = 4000
@@ -182,7 +196,7 @@ def chebyshev_theta(x: int) -> enc.HighReal:
     total = iv.mpf(0)
     prod = 1
     for p in table_for(int(x)):
-        prod *= int(p)
+        prod *= p
         if prod.bit_length() >= _CHUNK_BITS:
             total += iv.log(iv.mpf(prod))
             prod = 1
@@ -202,7 +216,7 @@ def primorial_D(ell: int):
         raise CapacityError("ell %d exceeds primorial cap %d" % (ell, PRIMORIAL_CAP))
     D = 4
     for p in table_for(nth_prime(ell)):  # exactly ell primes
-        D *= int(p)
+        D *= p
     return D, iv.log(iv.mpf(D))
 
 

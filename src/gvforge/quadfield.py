@@ -230,7 +230,6 @@ def prime_ideals_in_norm_range(K: QuadraticField, r: int, q: int) -> list:
     out = []
     inert_max = math.isqrt(q)
     for p in nt.table_for(q):
-        p = int(p)
         sym = nt.kronecker_symbol(K.disc, p)
         if sym == -1:
             if p <= inert_max and p * p >= r:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -24,6 +25,37 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+_INERT = [0, np.empty(0, dtype=np.int64)]  # limit, primes = 3 (mod 4) up to it
+
+
+def inert_primes_oracle(hi: int) -> np.ndarray:
+    """The primes p = 3 (mod 4) with p <= hi, ascending, as int64.
+
+    A plain numpy sieve of Eratosthenes over every integer up to its limit:
+    no segments, no progression, no code shared with the library. The
+    largest sieve so far is kept for smaller hi.
+    """
+    if hi > _INERT[0]:
+        limit = max(hi, 1 << 16)
+        prime = np.ones(limit + 1, dtype=bool)
+        prime[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if prime[p]:
+                prime[p * p::p] = False
+        ps = np.flatnonzero(prime)
+        _INERT[:] = [limit, ps[ps % 4 == 3]]
+    ps = _INERT[1]
+    return ps[:np.searchsorted(ps, hi, side="right")]
+
+
+def inert_count_oracle(q: int, r: int, p_ell: int) -> int:
+    """Nq: the number of primes p = 3 (mod 4) with p > p_ell and
+    r <= p^2 <= q. With r = 1 it counts the primes p = 3 (mod 4) in
+    (p_ell, isqrt(q)]."""
+    ps = inert_primes_oracle(math.isqrt(q))
+    return int(np.count_nonzero((ps > p_ell) & (ps * ps >= r)))
 
 
 def norm_gap_check(code) -> bool:

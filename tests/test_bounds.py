@@ -20,6 +20,8 @@ from gvforge import enclosure as encl
 from gvforge import numtheory as nt
 from gvforge.errors import ConditionFailure, DomainError
 
+from conftest import inert_count_oracle
+
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145
 
@@ -283,22 +285,24 @@ def test_certify_passes_at_2_pow_42():
 
 
 def test_inert_count_sieves_only_the_window(monkeypatch):
-    """The Nq window [sqrt(r), sqrt(q)] is sieved on its own, with base
+    """The Nq window [sqrt(r), sqrt(q)] is counted on its own, with base
     primes up to q^(1/4), so no sieve nears the 10^7 = sqrt(10^14) that a
-    table of every prime up to sqrt(q) would need."""
-    sieved, windows = [], []
-    sieve, window = nt.sieve_primes, nt.inert_window
+    table of every prime up to sqrt(q) would need; a sweep counts every
+    candidate's window in one call."""
+    sieved, calls = [], []
+    sieve, counts = nt.sieve_primes, nt.inert_counts
     monkeypatch.setattr(nt, "sieve_primes",
                         lambda limit: sieved.append(limit) or sieve(limit))
-    monkeypatch.setattr(nt, "inert_window",
-                        lambda *args: windows.append(args) or window(*args))
+    monkeypatch.setattr(nt, "inert_counts",
+                        lambda q, lows: calls.append(lows) or counts(q, lows))
     monkeypatch.setattr(nt, "_table", (0, None))
     w = bd.certify(10 ** 14).witness
     assert (w.r, w.ell, w.k, w.Nq) == (47030915873199, 215, 11127, 98546)
+    assert w.Nq == inert_count_oracle(10 ** 14, w.r, w.p_ell)
     assert sieved and max(sieved) < 10 ** 5
-    windows.clear()
+    calls.clear()
     bd.bound_points(Q42, [Fraction(1, 2)], budget=6)
-    assert len(windows) == 1
+    assert len(calls) == 1 and len(calls[0]) > 1
     assert max(sieved) < 10 ** 5
 
 
@@ -437,22 +441,26 @@ def test_bound_points():
 
 def reference_witnesses(q, budget):
     """Oracle for the candidate list of bound_points: every (r, ell) pair
-    re-enumerated, its inert window sieved on its own, its witness
-    certified by check_conditions. The list does not depend on delta."""
+    re-enumerated, its inert window counted by the independent numpy sieve
+    of conftest, its witness certified by check_conditions, whose own count
+    must agree. The list does not depend on delta."""
     rs = [-(-((2 ** i - 1) ** 2 * q) // 4 ** i) for i in range(1, budget + 1)]
     if q >= bd.eligible_q_floor():
         rs.append(bd.theorem2_schedule(q).r)
     out = []
     for r in sorted(set(r for r in rs if 2 <= r <= q)):
         for ell in range(3, 2 * nt.int_nth_root(q, 6) + 3):
-            k = min(((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2,
-                    len(nt.inert_window(q, r, nt.nth_prime(ell))) // 2)
+            p_ell = nt.nth_prime(ell)
+            Nq = inert_count_oracle(q, r, p_ell)
+            k = min(((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2, Nq // 2)
             if k < 1:
                 continue
             try:
-                out.append(bd.check_conditions(q, r, ell, k))
+                w = bd.check_conditions(q, r, ell, k)
             except ConditionFailure:
                 continue
+            assert w.Nq == Nq, (q, r, ell)
+            out.append(w)
     return out
 
 

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,37 @@ def test_bounds_deterministic(capsys, tmp_path):
                          "--output", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bounds_refuses_a_delta_grid_past_the_cap(capsys, monkeypatch):
+    """The rows are counted before any is built: 5 * 10^8 Fractions would
+    take minutes and gigabytes."""
+    code, out, err = run(capsys, "bounds", "--q", "100", "--delta-grid",
+                         "1/1000000000:1/2:1/1000000000")
+    assert code == 3 and out == ""
+    assert err == ("capacity: delta grid has 500000000 rows, cap %d\n"
+                   % cli.DELTA_GRID_CAP)
+    # a grid of exactly the cap is listed, up to its last row
+    n = 20
+    monkeypatch.setattr(cli, "DELTA_GRID_CAP", n)
+    code, out, err = run(capsys, "bounds", "--q", "4", "--delta-grid",
+                         "1/%d:%d/%d:1/%d" % (n + 1, n, n + 1, n + 1))
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == n
+    assert rows[-1]["delta"] == "%s" % float(Fraction(n, n + 1))
+    code, out, err = run(capsys, "bounds", "--q", "4", "--delta-grid",
+                         "1/%d:%d/%d:1/%d" % (n + 2, n + 1, n + 2, n + 2))
+    assert (code, out) == (3, "")
+    assert err == "capacity: delta grid has %d rows, cap %d\n" % (n + 1, n)
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+    monkeypatch.setitem(cli._DISPATCH, "certify", exhausted)
+    code, out, err = run(capsys, "certify", "--q", str(Q42))
+    assert (code, out, err) == (3, "", "capacity: out of memory\n")
 
 
 # ---------------------------------------------------------------- certify

@@ -6,12 +6,18 @@ appear somewhere in the module as a plain name (an attribute base such as
 `np` in `np.zeros` counts); `__init__.py` is exempt, because its imports
 are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
-`src/`, as a plain name, an attribute (`nt._rank`) or an imported name.
+`src/`, as a plain name, an attribute (`nt._WINDOW`) or an imported name.
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
-algebraic, so it needs no interval enclosures.
+algebraic, so it needs no interval enclosures. `bounds` and `certify` run
+without numpy: only `quadfield` and `lenstra` use it, and the CLI imports
+them inside the commands that need them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,8 +114,13 @@ def test_no_unread_private_names():
 def imported_modules(source: str) -> set:
     """Every dotted part of each module name the source imports, including
     submodules imported from a package (`from . import enclosure`)."""
+    return import_parts(ast.walk(ast.parse(source)))
+
+
+def import_parts(nodes) -> set:
+    """imported_modules of the import statements among `nodes`."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -130,3 +141,58 @@ def test_checker_finds_interval_imports():
 def test_lenstra_imports_no_interval_arithmetic():
     source = (SRC / "lenstra.py").read_text()
     assert not {"enclosure", "mpmath"} & imported_modules(source)
+
+
+# modules that `import gvforge.cli`, `certify` and `bounds` load; none may
+# import numpy, or a module that does, at module level
+NUMPY_FREE = ("numtheory", "bounds", "enclosure", "errors", "cli")
+
+
+def module_level_imports(source: str) -> set:
+    """imported_modules of the statements outside every function body."""
+    stack, kept = list(ast.parse(source).body), []
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            kept.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+    return import_parts(kept)
+
+
+def test_checker_skips_function_level_imports():
+    source = ("import os\ntry:\n    import numpy as np\nexcept ImportError:\n"
+              "    pass\n\ndef f():\n    from . import lenstra\n"
+              "\nclass C:\n    from . import quadfield\n")
+    assert module_level_imports(source) == {"os", "numpy", "quadfield"}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_numpy_free_modules_import_no_numpy(name):
+    source = (SRC / (name + ".py")).read_text()
+    assert not {"numpy", "lenstra", "quadfield"} & module_level_imports(source)
+
+
+LOADED = """
+import contextlib, io, json, sys
+heavy = ("numpy", "gvforge.lenstra", "gvforge.quadfield")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+from gvforge import cli
+out = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = [cli.main(["certify", "--q", str(2 ** 42)]),
+          cli.main(["bounds", "--q", "1048576", "--q", "1073741824",
+                    "--delta-grid", "1/10:9/10:1/10"])]
+out += [rc, loaded()]
+print(json.dumps(out))
+"""
+
+
+def test_certify_and_bounds_load_no_numpy():
+    """In a fresh interpreter: importing the CLI loads neither numpy nor
+    lenstra nor quadfield, and a certify and a bounds sweep leave numpy
+    unloaded."""
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert json.loads(run.stdout) == [[], [0, 0], []]

@@ -1,15 +1,16 @@
 """Prime tables, symbols, and certified analytic helpers.
 
 Oracle policy: counts are cross-checked against implementations that share no
-code with the library (bytearray sieve, per-number trial division, exhaustive
-root scans), and enclosures are checked against logs of exact integer products.
+code with the library (bytearray sieve, the plain numpy sieve of
+`conftest.inert_primes_oracle`, per-number trial division, exhaustive root
+scans), and enclosures are checked against logs of exact integer products.
 """
 
 import math
 import tracemalloc
+from itertools import compress
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from gvforge import numtheory as nt
 from gvforge.enclosure import iv
 from gvforge.errors import CapacityError, DomainError
 
-from conftest import trial_division_is_prime
+from conftest import (inert_count_oracle, inert_primes_oracle,
+                      trial_division_is_prime)
 
 
 def bytearray_sieve(limit: int) -> bytearray:
@@ -36,8 +38,8 @@ def bytearray_prime_count(limit: int) -> int:
     return sum(bytearray_sieve(limit))
 
 
-def bytearray_primes(limit: int) -> np.ndarray:
-    return np.flatnonzero(np.frombuffer(bytearray_sieve(limit), dtype=np.uint8))
+def bytearray_primes(limit: int) -> list:
+    return list(compress(range(limit + 1), bytearray_sieve(limit)))
 
 
 def overlap(x, y) -> bool:
@@ -73,31 +75,31 @@ WINDOW_EDGES = [1 + 2 * k * nt._WINDOW + d for k in (1, 2) for d in (-2, -1, 0, 
 @pytest.mark.parametrize("limit", list(range(2, 41)) + WINDOW_EDGES)
 def test_sieve_matches_bytearray_oracle(limit):
     got = nt.sieve_primes(limit)
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, bytearray_primes(limit))
+    assert got.typecode == "I" and got.itemsize >= 4
+    assert got.tolist() == bytearray_primes(limit)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3, 7])
 def test_sieve_across_segments(monkeypatch, window):
     monkeypatch.setattr(nt, "_WINDOW", window)
     for limit in range(2, 501):
-        assert np.array_equal(nt.sieve_primes(limit), bytearray_primes(limit))
+        assert nt.sieve_primes(limit).tolist() == bytearray_primes(limit)
 
 
 def test_table_queries_do_not_copy_the_table():
-    """A Python-int searchsorted key would cast the uint32 table to int64."""
-    table = nt.table_for(10 ** 7)
+    """table_for is a read-only view of the shared table, not a copy."""
+    nt.table_for(10 ** 7)
     x = 10 ** 7 - 1
-    queries = (lambda: nt._rank(table, x, "right"), lambda: nt.table_for(x))
     tracemalloc.start()
     try:
-        for query in queries:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            query()
-            assert tracemalloc.get_traced_memory()[1] - before < 1 << 20
+        before = tracemalloc.get_traced_memory()[0]
+        view = nt.table_for(x)
+        assert tracemalloc.get_traced_memory()[1] - before < 1 << 20
     finally:
         tracemalloc.stop()
+    assert len(view) == 664579 and view[-1] == 9999991
+    with pytest.raises(TypeError):
+        view[0] = 4
 
 
 def test_shared_table_grows_from_its_own_limit(monkeypatch):
@@ -136,6 +138,10 @@ def test_sieve_cap_enforced():
             nt.sieve_primes(10 ** 5)
         with pytest.raises(CapacityError):
             nt.table_for(10 ** 5)
+        with pytest.raises(CapacityError, match="10001"):
+            nt.inert_counts(10001 ** 2, [10 ** 4])
+        # a window that lies wholly above isqrt(q) is empty: nothing is sieved
+        assert nt.inert_counts(10 ** 12, [10 ** 6 + 1]) == [0]
     finally:
         nt.set_sieve_cap(saved)
     with pytest.raises(CapacityError):
@@ -144,31 +150,42 @@ def test_sieve_cap_enforced():
 
 def test_count_3mod4_in_window():
     # primes = 3 mod 4 in [10, 50]: 11, 19, 23, 31, 43, 47
-    assert nt.inert_window(50 ** 2, 10 ** 2, 0).tolist() == [11, 19, 23, 31,
-                                                            43, 47]
-    assert len(nt.inert_window(10 ** 2, 50 ** 2, 0)) == 0
-    assert len(nt.inert_window(28 ** 2, 24 ** 2, 0)) == 0
+    assert nt.inert_counts(50 ** 2, [10, 11, 12, 19, 20, 47, 48, 51]) == [
+        6, 6, 5, 5, 4, 1, 0, 0]
+    assert nt.inert_counts(10 ** 2, [50]) == [0]
+    assert nt.inert_counts(28 ** 2, [24]) == [0]
     by_scan = sum(1 for n in range(600, 800)
                   if n % 4 == 3 and trial_division_is_prime(n))
-    assert len(nt.inert_window(799 ** 2, 600 ** 2, 0)) == by_scan
+    assert nt.inert_counts(799 ** 2, [600]) == [by_scan]
 
 
-# ------------------------------------------------------ inert window sieve
+# ------------------------------------------------------ inert window counts
 
 
-def window_oracle(q: int, r: int, p_ell: int) -> np.ndarray:
-    """The primes p = 3 (mod 4), p > p_ell, r <= p^2 <= q, from the
-    bytearray sieve up to isqrt(q)."""
-    hi = math.isqrt(q)
-    ps = bytearray_primes(hi) if hi >= 2 else np.empty(0, dtype=np.int64)
-    return ps[(ps % 4 == 3) & (ps > p_ell) & (ps * ps >= r)]
+def window_low(r: int, p_ell: int) -> int:
+    """The least p with p > p_ell and p^2 >= r, for r >= 1."""
+    return max(p_ell + 1, math.isqrt(r - 1) + 1)
+
+
+def window_from_counts(q: int, lo: int) -> list:
+    """The primes p = 3 (mod 4) in [lo, isqrt(q)], read off one inert_counts
+    call with a low at every integer of the window: p is in it exactly when
+    the count drops between lows p and p + 1."""
+    lows = range(lo, math.isqrt(q) + 2)
+    counts = nt.inert_counts(q, lows)
+    return [p for p, a, b in zip(lows, counts, counts[1:]) if a > b]
 
 
 def assert_window(q, r, p_ell):
-    got = nt.inert_window(q, r, p_ell)
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, window_oracle(q, r, p_ell)), (q, r, p_ell)
-    return got.tolist()
+    """The window of (q, r, p_ell) from inert_counts against the oracle, both
+    as a count at its low and as the list of its primes."""
+    lo = window_low(r, p_ell)
+    ps = inert_primes_oracle(math.isqrt(q))
+    want = ps[(ps > p_ell) & (ps * ps >= r)].tolist()
+    assert nt.inert_counts(q, [lo]) == [len(want)], (q, r, p_ell)
+    got = window_from_counts(q, lo)
+    assert got == want, (q, r, p_ell)
+    return got
 
 
 def test_inert_window_empty():
@@ -184,6 +201,14 @@ def test_inert_window_holds_its_base_primes():
     assert got[:4] == [3, 7, 11, 19] and got[-1] == 83
     assert assert_window(10 ** 4, 9, 2)[0] == 3
     assert assert_window(10 ** 4, 10, 2)[0] == 7
+
+
+def test_inert_counts_below_three():
+    # every low at or below 3 counts from 3, the least prime = 3 (mod 4)
+    assert nt.inert_counts(100, [-5, 0, 1, 2, 3, 4]) == [2, 2, 2, 2, 2, 1]
+    assert nt.inert_counts(8, [0, 3]) == [0, 0]
+    assert nt.inert_counts(9, [0, 3, 4]) == [1, 1, 0]
+    assert nt.inert_counts(10 ** 6, []) == []
 
 
 def test_inert_window_ends_are_inclusive():
@@ -220,12 +245,45 @@ def test_inert_window_matches_oracle(data):
     q = data.draw(st.integers(1, 10 ** 12), label="q")
     r = data.draw(st.integers(1, q), label="r")
     p_ell = data.draw(st.integers(0, math.isqrt(q) + 2), label="p_ell")
-    window = assert_window(q, r, p_ell)
+    lo = window_low(r, p_ell)
+    want = inert_count_oracle(q, r, p_ell)
+    assert nt.inert_counts(q, [lo]) == [want]
     # any window at the same q with larger r and p_ell is a tail of it
     r2 = data.draw(st.integers(r, q), label="r2")
     p2 = data.draw(st.integers(p_ell, math.isqrt(q) + 2), label="p2")
-    assert nt.inert_count(np.array(window, dtype=np.uint32), r2, p2) == len(
-        window_oracle(q, r2, p2))
+    lo2 = window_low(r2, p2)
+    assert nt.inert_counts(q, [lo2, lo]) == [
+        inert_count_oracle(q, r2, p2), want]
+
+
+# the values one step-4 segment of the inert sieve spans
+SEGMENT_SPAN = 4 * nt._WINDOW
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inert_counts_at_many_lows(data):
+    """Several lows per call, in any order and with repeats: at and across
+    the 2^21-slot segment edges of the sieve that starts at the least low,
+    at a prime p_ell and just past it, and above isqrt(q)."""
+    least = data.draw(st.integers(0, 10 ** 6), label="least")
+    first = max(least, 3) + (3 - max(least, 3)) % 4  # the sieve's slot 0
+    edges = [first + k * SEGMENT_SPAN + d for k in (1, 2) for d in range(-5, 6)]
+    hi = data.draw(st.one_of(st.sampled_from(edges),
+                             st.integers(least, first + 3 * SEGMENT_SPAN)),
+                   label="hi")
+    q = hi * hi + data.draw(st.integers(0, 2 * hi), label="q - hi^2")
+    primes = inert_primes_oracle(hi + 64)
+    p_ell = int(primes[data.draw(st.integers(0, len(primes) - 1),
+                                 label="p_ell index")])
+    more = data.draw(st.lists(st.one_of(
+        st.sampled_from(edges), st.integers(least, hi + 5),
+        st.sampled_from([p_ell, p_ell + 1]),
+        st.integers(hi + 1, hi + SEGMENT_SPAN)), max_size=12), label="lows")
+    lows = data.draw(st.permutations([least] + [max(lo, least) for lo in more]),
+                     label="order")
+    assert nt.inert_counts(q, lows) == [inert_count_oracle(q, 1, lo - 1)
+                                        for lo in lows]
 
 
 def test_table_for_stops_at_x():
@@ -257,10 +315,10 @@ def test_chebyshev_theta_small():
 
 
 def test_chebyshev_theta_exact_product_oracle():
-    primes = nt.table_for(1000)
     prod = 1
-    for p in primes[primes <= 691]:
-        prod *= int(p)
+    for p in nt.table_for(1000):
+        if p <= 691:
+            prod *= p
     theta = nt.chebyshev_theta(691)
     assert overlap(theta, iv.log(iv.mpf(prod)))
     assert encl.width(theta) < mpmath.mpf("1e-28")
