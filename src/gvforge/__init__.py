@@ -5,9 +5,9 @@ quadfield (fields, splitting, class groups, tower criterion), lenstra
 (lattice boxes and code construction), bounds (rate bounds, schedules,
 certificates), cli (command-line front end), enclosure (interval substrate),
 errors (the exception types). Import the module you need, as in
-`from gvforge import bounds`; the package itself imports none of them, so
-that `bounds` and `certify` never load numpy, which only quadfield and
-lenstra use.
+`from gvforge import bounds`; the package itself imports none of them.
+numpy and mpmath are imported only where they are used, so `verify` loads
+neither, `construct` no mpmath, and `bounds` and `certify` no numpy.
 """
 
 __version__ = "0.1.0"

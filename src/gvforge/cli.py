@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 argument or domain error, 2 failed or undecidable
 check, 3 capacity refusal or running out of memory. Given identical
 arguments the output bytes are identical.
 
-`bounds` and `certify` need only numtheory, bounds and enclosure, and run
-without numpy; `construct`, `verify` and `tower` import lenstra and
-quadfield, which use numpy, when they run.
+Each command imports what it uses when it runs, so `import gvforge.cli`
+loads neither numpy nor mpmath. `bounds` and `certify` load bounds and
+enclosure (and so mpmath) but not numpy; `construct` loads lenstra,
+quadfield and numpy but not mpmath; `verify` loads lenstra and quadfield
+and neither numpy nor mpmath; `tower` loads quadfield, numpy and enclosure.
 """
 
 import argparse
@@ -22,8 +24,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import bounds as bd
-from . import enclosure as enc
 from . import numtheory as nt
 from .errors import (CapacityError, ConditionFailure, DomainError,
                      IndeterminateError)
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gvforge",
         description="codes from quadratic-field lattices and certified rate bounds")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for pairwise scans")
+                   help="accepted (>= 1) but has no effect: the distance "
+                        "scan of verify runs in one thread")
     # argparse converts a string default with `type`, so a bad value in the
     # environment is a usage error like a bad flag
     p.add_argument("--sieve-limit", type=int,
@@ -147,6 +148,8 @@ def _parse_factors(text: Optional[str]):
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bd
+    from . import enclosure as enc
     deltas = []
     if args.delta:
         deltas.extend(args.delta)
@@ -242,6 +245,10 @@ def _certificate_text(cert) -> str:
 
 
 def cmd_certify(args) -> int:
+    from . import bounds as bd
+    from . import enclosure as enc
+    if args.C0 is not None and args.schedule != "theorem1":
+        raise DomainError("--C0 applies only to --schedule theorem1")
     cert = bd.certify(args.q, schedule=args.schedule, C0=args.C0)
     if args.format == "json":
         _emit(json.dumps(cert.as_dict(), indent=2) + "\n", args.output)
@@ -253,6 +260,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    from . import enclosure as enc
     from . import quadfield as qf
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
     if not args.genus_only and K.disc < 0 and -K.disc <= qf.CLASS_GROUP_CAP:

@@ -10,15 +10,16 @@ A box is exact data: integer basis rows over sqrt(m), R = (2 rho)^2 and a
 rational translate. Every face test is the sign of a + b sqrt(m) + c sqrt(R)
 with integers a, b, c, settled by squaring; a point on a face is outside.
 Floats, each rounded once from an exact value, only rank translates, guess
-where exact searches start and fill the code file header.
+where exact searches start and fill the code file header. numpy scores the
+translate grid and is imported only by the functions that do so, so that
+reading and verifying a code file never loads it.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
@@ -29,6 +30,8 @@ PAIRWISE_CAP = 10 ** 5
 _GRID_OFFSET = Fraction(1, 1 << 20)
 _SCORE_CHUNK = 1 << 14
 GRID_CELL_CAP = 1 << 22
+# mask bits one block of the distance scan may hold: 128 MiB
+_SCAN_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,14 @@ def _box_floats(E: LatticeEmbedding, box: BoxSpec):
     return t1, t2, _float(0, Fraction(1, 2), R)
 
 
-def _float_columns(bf, tau1, tau2, rho: float, u: np.ndarray):
-    """Float guesses of each column's v-range [lo, hi] inside the open box.
+def _float_columns(bf, tau1, tau2, rho: float, u):
+    """Float guesses of each column's v-range [lo, hi] inside the open box,
+    for a numpy array u of column indices.
 
     alive is False where a face that does not depend on v excludes u.
     tau1 and tau2 may be (cells, 1) columns, one box per row of the result.
     """
+    import numpy as np
     b00, b01, b10, b11 = bf
     vlo = np.full_like(u, -np.inf)
     vhi = np.full_like(u, np.inf)
@@ -223,6 +228,7 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
     -2 rho < u - floor(s_1) < 2 rho + 1 (|u| < 2 rho when centred), so the
     u-range [floor(s_1) - P, floor(s_1) + P] of _reach is exact.
     """
+    import numpy as np
     rows, m = _integer_basis(E.field)
     R, P = _reach(E.field, box.r, box.G)
     if box.shift is None:
@@ -258,13 +264,14 @@ def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
 
 
-def _grid_scores(bf, rho: float, us: np.ndarray, g: int) -> np.ndarray:
+def _grid_scores(bf, rho: float, us, g: int):
     """Float point counts of the boxes at the g x g grid translates, cell
-    (i, j) at index i g + j.
+    (i, j) at index i g + j, for the column indices us.
 
     Cells are scored in chunks, so no temporary holds more than
     _SCORE_CHUNK floats.
     """
+    import numpy as np
     off = float(_GRID_OFFSET)
     step = max(1, _SCORE_CHUNK // len(us))
     score = np.empty(g * g)
@@ -289,8 +296,12 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     max_grid); an under-counted box is never returned. A grid of more than
     GRID_CELL_CAP cells raises CapacityError before it is scored.
     """
+    import numpy as np
     if start_grid < 1:
         raise DomainError("start grid must be >= 1, got %r" % (start_grid,))
+    if start_grid > max_grid:
+        raise DomainError("start grid %d exceeds max grid %d"
+                          % (start_grid, max_grid))
     K = E.field
     target = minkowski_target(r, G, abs(K.disc))
     if r ** G > OMEGA_CAP * math.isqrt(abs(K.disc)) + OMEGA_CAP:
@@ -392,6 +403,8 @@ def parse_code_file(text: str) -> LenstraCode:
         if "=" not in tok:
             raise DomainError("line 1: bad header token %r" % tok)
         key, val = tok.split("=", 1)
+        if key in fields:
+            raise DomainError("line 1: duplicate header key %r" % key)
         fields[key] = val
     try:
         q = int(fields["q"])
@@ -432,31 +445,66 @@ def read_code_file(path) -> LenstraCode:
         return parse_code_file(fp.read())
 
 
-def _distance_scan(arr: np.ndarray, threads: int = 1):
-    """Exact min Hamming distance and an argmin pair over all row pairs."""
-    m, n = arr.shape
-    block = max(1, min(512, (1 << 22) // max(1, m * n)))
+def _distance_scan(words, n: int, block: int = 0):
+    """Exact min Hamming distance over all pairs of rows of words (at least
+    two, of length n), and the lexicographically least pair at it.
 
-    def scan(lo):
-        hi = min(lo + block, m - 1)
-        local = (n + 1, None)
-        for i in range(lo, hi):
-            diffs = (arr[i + 1:] != arr[i]).sum(axis=1)
-            j = int(np.argmin(diffs))
-            d = int(diffs[j])
-            if d < local[0]:
-                local = (d, (i, i + 1 + j))
-        return local
+    The later rows are taken in blocks of `block` rows, from the last block
+    to the first; by default a block is as large as keeps its masks within
+    _SCAN_BITS bits. For each block, every row i before its end is visited
+    from last to first, block row j standing for bit hi - 1 - j, so that the
+    least j is the highest bit. For each column a dict maps a symbol to the
+    mask of the block rows after i that hold it; a symbol that occurs once
+    in its column agrees with no other row and gets no entry. level[k] is
+    the mask of those rows that agree with row i in at least k of the
+    columns seen so far, kept for k <= top + 1, where top is the most
+    agreement any pair has reached. level[top + 1] starts empty, and a
+    column adds at most one agreement, so when it fills, top rises by one
+    and the level above it is still empty.
+    """
+    m = len(words)
+    repeated = [[s for s, c in Counter(col).items() if c > 1]
+                for col in zip(*words)]
+    if not block:
+        block = m
+        while block > 1 and block * sum(min(len(r), block)
+                                        for r in repeated) > _SCAN_BITS:
+            block = (block + 1) // 2
+    top, pair = 0, None
+    for hi in range(m, 0, -block):
+        lo = max(hi - block, 0)
+        cols = [dict.fromkeys(r, 0) for r in repeated]
+        for i in range(hi - 1, -1, -1):
+            bit = 1 << (hi - 1 - i) if i >= lo else 0
+            level = [(bit or 1 << (hi - lo)) - 1] + [0] * (top + 1)
+            start = top
+            for col, s in zip(cols, words[i]):
+                mask = col.get(s)
+                if mask is None:
+                    continue
+                if bit:
+                    col[s] = mask | bit
+                if mask:
+                    for k in range(top + 1, 0, -1):
+                        level[k] |= level[k - 1] & mask
+                    if level[top + 1]:
+                        top += 1
+                        level.append(0)
+            if level[top]:
+                cand = (i, hi - level[top].bit_length())
+                if top > start or pair is None or cand < pair:
+                    pair = cand
+    return n - top, pair
 
-    starts = list(range(0, m - 1, block))
-    if threads and threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(scan, starts))
-    else:
-        results = [scan(lo) for lo in starts]
-    # smallest d, then the smallest pair
-    return min(results)
+
+def _first_duplicate(words):
+    """The lexicographically least pair (i, j), i < j, of equal rows."""
+    first, pair = {}, None
+    for j, w in enumerate(words):
+        i = first.setdefault(w, j)
+        if i < j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    return pair
 
 
 def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
@@ -466,7 +514,8 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     ok requires every symbol in [0, q), M >= ceil(r^G/sqrt|disc|), an
     injective word map, and d >= n + 1 - G (a single word has d = n by
     convention). A target above PAIRWISE_CAP fails without being computed,
-    since M <= PAIRWISE_CAP.
+    since M <= PAIRWISE_CAP. Repeated rows give d = 0 at the least pair of
+    equal rows without a scan. threads has no effect; the scan is serial.
     """
     words = code.codewords
     total = len(words)
@@ -480,14 +529,10 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     bad_symbol = next(((i, s) for i, w in enumerate(words) for s in w
                        if not 0 <= s < code.q), None)
     d, pair = code.n, None
-    if total >= 2:
-        if bad_symbol is None and code.q <= 1 << 63:
-            arr = np.asarray(words, np.uint8 if code.q <= 255 else np.int64)
-        else:
-            # the scan needs only equality, and dense labels fit int64
-            labels = {s: i for i, s in enumerate({s for w in words for s in w})}
-            arr = np.asarray([[labels[s] for s in w] for w in words], np.int64)
-        d, pair = _distance_scan(arr, threads=threads)
+    if not injective:
+        d, pair = 0, _first_duplicate(words)
+    elif total >= 2:
+        d, pair = _distance_scan(words, code.n)
     ok = (bad_symbol is None and injective and target is not None
           and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,

@@ -9,7 +9,8 @@ never from the request. The inert window of the construction is only
 counted, never listed: one pass over its class 3 (mod 4), with its own base
 primes, counts the primes above each of several lower ends at once.
 Transcendental quantities (log of a primorial, Chebyshev theta) are returned
-as interval enclosures from `enclosure`.
+as interval enclosures from `enclosure`, which the two functions that need
+it import, so that the sieve and the exact helpers never load mpmath.
 """
 
 import math
@@ -17,8 +18,6 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress
 
-from . import enclosure as enc
-from .enclosure import iv
 from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
@@ -185,12 +184,13 @@ def inert_counts(q: int, lows) -> list:
 _CHUNK_BITS = 4000
 
 
-def chebyshev_theta(x: int) -> enc.HighReal:
+def chebyshev_theta(x: int):
     """theta(x) = sum of log p over primes p <= x, as an enclosure.
 
     Products of primes are taken exactly in integers, then logged in chunks
     so every rounding step is an outward interval operation.
     """
+    from .enclosure import iv
     if x < 2:
         return iv.mpf(0)
     total = iv.mpf(0)
@@ -210,6 +210,7 @@ PRIMORIAL_CAP = 10 ** 5
 
 def primorial_D(ell: int):
     """(D, log D) with D = 4 * p_1 * ... * p_ell, D exact, log D enclosed."""
+    from .enclosure import iv
     if ell < 1:
         raise DomainError("ell must be >= 1")
     if ell > PRIMORIAL_CAP:

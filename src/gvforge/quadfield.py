@@ -2,17 +2,16 @@
 data from reduced binary quadratic forms, and class-field-tower certification.
 
 Everything here is exact integer arithmetic except the reported tower
-threshold, which is an interval enclosure.
+threshold, which is an interval enclosure. numpy (in the class-group scan)
+and `enclosure` (for the threshold) are imported by the functions that use
+them, so that listing prime ideals loads neither.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import numtheory as nt
-from .enclosure import iv
 from .errors import CapacityError, DomainError
 
 SPLIT = "split"
@@ -251,6 +250,7 @@ def class_group_imaginary(K: QuadraticField) -> ClassGroupSummary:
     with ideal classes. The 2-rank comes from the count of ambiguous reduced
     forms (b = 0, a = b, or a = c), which is exactly 2^rank.
     """
+    import numpy as np
     D = K.disc
     if D >= 0:
         raise DomainError("class group enumeration requires an imaginary field")
@@ -307,6 +307,7 @@ def golod_shafarevich_check(K: QuadraticField, d2: int, sc_size: int) -> TowerCe
     verdict uses the equivalent integer inequality (d2-2)^2 >= 4n with
     d2 >= 2, so the outcome is never indeterminate.
     """
+    from .enclosure import iv
     if d2 < 0 or sc_size < 0:
         raise DomainError("d2 and sc_size must be >= 0")
     n = sc_size + K.archimedean_places + 1

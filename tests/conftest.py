@@ -93,6 +93,24 @@ def norm_gap_check(code) -> bool:
     return True
 
 
+def dense_distance_scan(arr) -> tuple:
+    """Oracle for the distance scan: the least Hamming distance over all
+    pairs of rows of the integer array arr (at least two rows), and the
+    lexicographically least pair at it.
+
+    Each row is compared with every later row in one numpy broadcast; the
+    first minimum of each comparison is the least j for its row i.
+    """
+    arr = np.asarray(arr)
+    best = (arr.shape[1] + 1, None)
+    for i in range(len(arr) - 1):
+        diffs = (arr[i + 1:] != arr[i]).sum(axis=1)
+        j = int(np.argmin(diffs))
+        if int(diffs[j]) < best[0]:
+            best = (int(diffs[j]), (i, i + 1 + j))
+    return best
+
+
 def embed_mp(D: int, u, v):
     """The embedding of u + v*omega at the working mpmath precision, written
     from the discriminant D; u and v may be mpf."""

@@ -163,6 +163,14 @@ def test_certify_theorem1(capsys):
     assert code == 1  # eps leaves (0, 1)
 
 
+def test_certify_refuses_C0_without_theorem1(capsys):
+    for extra in ((), ("--schedule", "theorem2")):
+        code, out, err = run(capsys, "certify", "--q", str(Q42),
+                             "--C0", "5/2", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: --C0 applies only to --schedule theorem1\n"
+
+
 def test_certify_q_too_small(capsys):
     code, out, err = run(capsys, "certify", "--q", "2")
     assert code == 1
@@ -269,6 +277,15 @@ def test_construct_grid_below_one(capsys):
                          "--q", "13", "--G", "1", "--grid", "0")
     assert code == 1
     assert err == "error: start grid must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--grid", "3000"), "start grid 3000 exceeds max grid 1024"),
+    (("--max-grid", "0"), "start grid 64 exceeds max grid 0")])
+def test_construct_start_grid_above_max_grid(capsys, flags, message):
+    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
+                         "--q", "13", "--G", "1", *flags)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
 def test_construct_search_exhaustion(capsys):

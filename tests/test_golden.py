@@ -32,7 +32,8 @@ def _cases() -> dict:
         for t in ("1", "2"):
             cases["verify_t%s_%s" % (t, tag)] = [
                 "--threads", t, "verify", "{golden}/%s.code" % tag]
-    for name in ("symbol_negative", "symbol_equals_q"):
+    for name in ("symbol_negative", "symbol_equals_q", "tampered",
+                 "shortfall"):
         cases["verify_" + name] = ["--threads", "1", "verify",
                                    "{golden}/%s.code" % name]
     for q in (3931334297144, 2 ** 42, 10 ** 16):

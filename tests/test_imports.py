@@ -8,9 +8,11 @@ are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
 `src/`, as a plain name, an attribute (`nt._WINDOW`) or an imported name.
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
-algebraic, so it needs no interval enclosures. `bounds` and `certify` run
-without numpy: only `quadfield` and `lenstra` use it, and the CLI imports
-them inside the commands that need them.
+algebraic, so it needs no interval enclosures. numpy and `enclosure` (so
+mpmath) are imported only inside the functions that use them, and the CLI
+imports each module inside the commands that need it: `import gvforge.cli`
+and `verify` load neither numpy nor mpmath, `construct` loads no mpmath,
+and `bounds` and `certify` load no numpy.
 """
 
 import ast
@@ -172,6 +174,23 @@ def test_numpy_free_modules_import_no_numpy(name):
     assert not {"numpy", "lenstra", "quadfield"} & module_level_imports(source)
 
 
+@pytest.mark.parametrize("name", ("lenstra", "quadfield"))
+def test_numpy_is_imported_only_where_it_is_used(name):
+    source = (SRC / (name + ".py")).read_text()
+    assert "numpy" not in module_level_imports(source)
+
+
+# modules that `import gvforge.cli`, `construct` and `verify` load; none may
+# import `enclosure`, mpmath, or `bounds` (which imports them) at module level
+MPMATH_FREE = ("numtheory", "quadfield", "lenstra", "errors", "cli")
+
+
+@pytest.mark.parametrize("name", MPMATH_FREE)
+def test_mpmath_free_modules_import_no_enclosure(name):
+    source = (SRC / (name + ".py")).read_text()
+    assert not {"enclosure", "mpmath", "bounds"} & module_level_imports(source)
+
+
 LOADED = """
 import contextlib, io, json, sys
 heavy = ("numpy", "gvforge.lenstra", "gvforge.quadfield")
@@ -196,3 +215,31 @@ def test_certify_and_bounds_load_no_numpy():
         [sys.executable, "-c", LOADED], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert json.loads(run.stdout) == [[], [0, 0], []]
+
+
+COMMAND_LOADS = """
+import contextlib, io, json, sys
+from gvforge import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(argv) if argv else 0
+print(json.dumps([rc, [m for m in ("numpy", "mpmath") if m in sys.modules]]))
+"""
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, rc, loaded", [
+    ([], 0, []),
+    (["verify", str(GOLDEN / "13_11_70_2.code")], 0, []),
+    (["verify", str(GOLDEN / "tampered.code")], 2, []),
+    (["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1"], 0,
+     ["numpy"]),
+], ids=("import", "verify", "verify_tampered", "construct"))
+def test_commands_load_only_what_they_use(argv, rc, loaded):
+    """In a fresh interpreter: `import gvforge.cli` and `verify` load
+    neither numpy nor mpmath, and `construct` loads numpy but no mpmath."""
+    run = subprocess.run(
+        [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert json.loads(run.stdout) == [rc, loaded]

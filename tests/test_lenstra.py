@@ -6,8 +6,9 @@ with the exact integer classifier they check, and they report every point
 they find near a box face.
 """
 
-import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ from gvforge import lenstra as ln
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError, TauSearchError
 
-from conftest import basis_mp, box_mp, norm_gap_check, scan_box_mp
+from conftest import (basis_mp, box_mp, dense_distance_scan, norm_gap_check,
+                      scan_box_mp)
 
 
 def brute_box_count(D: int, box) -> int:
@@ -398,6 +400,9 @@ def test_parse_code_file_errors():
         ln.parse_code_file("# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0\n")
     with pytest.raises(DomainError, match="line 1"):
         ln.parse_code_file("# lenstra q=13 junk r=9 G=1 disc=-4 n=3 tau=0.0,0.0\n")
+    with pytest.raises(DomainError, match="line 1: duplicate header key 'q'"):
+        ln.parse_code_file(
+            "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0 q=14\n1 2 3\n")
     head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0\n"
     with pytest.raises(DomainError, match="line 2"):
         ln.parse_code_file(head + "1 2\n")
@@ -425,7 +430,7 @@ def test_verify_code_details():
     dup = manual_code([(0, 0, 0), (0, 0, 0)], G=3)
     chk = ln.verify_code(dup)
     assert not chk.injective and not chk.ok
-    assert chk.d == 0
+    assert (chk.d, chk.worst_pair) == (0, (0, 1))
 
     single = manual_code([(1, 2, 3)], r=2, G=1)
     chk = ln.verify_code(single)
@@ -438,7 +443,7 @@ def test_verify_code_owns_the_symbol_range():
     chk = ln.verify_code(manual_code(words, q=13, r=2, G=1))
     assert chk.bad_symbol == (1, 104) and not chk.ok
     assert (chk.M, chk.d, chk.worst_pair) == (4, 1, (1, 2))
-    # symbols past int64 are relabelled, so d and the worst pair stay exact
+    # symbols are only compared, so ones past int64 keep d and the pair exact
     big = 10 ** 23
     words = [(big, 0, 1), (big + 1, 5, 6), (big, 0, 2)]
     for q, bad in ((13, (0, big)), (10 ** 30, None)):
@@ -468,17 +473,68 @@ def test_verify_code_threads_agree(rng):
     assert (a.M, a.d, a.worst_pair) == (b.M, b.d, b.worst_pair)
 
 
-def test_distance_scan_matches_itertools(rng):
-    for _ in range(20):
-        m = rng.randrange(2, 50)
-        n = rng.randrange(1, 6)
-        arr = np.array([[rng.randrange(4) for _ in range(n)] for _ in range(m)])
-        d, pair = ln._distance_scan(arr, threads=rng.choice([1, 2]))
-        want = min(int((arr[i] != arr[j]).sum())
-                   for i, j in itertools.combinations(range(m), 2))
-        assert d == want
-        i, j = pair
-        assert int((arr[i] != arr[j]).sum()) == d
+@st.composite
+def scan_cases(draw):
+    """(words, labels, block): m rows of n symbols from a q-symbol alphabet,
+    the same rows as the labels 0..q-1 of their symbols, and a block size
+    for the scan (0: its default). Symbols may be negative or past 2^63;
+    some columns are made constant and some rows are copied onto others."""
+    q, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    m = draw(st.integers(2, 40))
+    alphabet = draw(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                                       st.integers(2 ** 63, 2 ** 66)),
+                             min_size=q, max_size=q, unique=True))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    labels = draw(st.lists(row, min_size=m, max_size=m))
+    for k in draw(st.sets(st.integers(0, n - 1))):
+        for r in labels:
+            r[k] = labels[0][k]
+    index = st.integers(0, m - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        labels[dst] = list(labels[src])
+    words = tuple(tuple(alphabet[x] for x in r) for r in labels)
+    return words, labels, draw(st.integers(0, m))
+
+
+@given(scan_cases())
+@settings(max_examples=300, deadline=None)
+def test_distance_scan_matches_dense_oracle(case):
+    """The bitset scan, in blocks of any size, and verify_code give the
+    dense scan's least distance and its lexicographically least pair,
+    repeated rows included."""
+    words, labels, block = case
+    want = dense_distance_scan(labels)
+    assert ln._distance_scan(words, len(words[0]), block) == want
+    chk = ln.verify_code(manual_code(words))
+    assert (chk.d, chk.worst_pair) == want
+
+
+def test_distance_scan_gives_singletons_no_mask():
+    """A symbol that occurs once in its column gets no mask: with nearly
+    every symbol distinct, the masks of all symbols would take about
+    20 * 2000 * 1000 bits = 5 MB, and the scan stays under 1 MB."""
+    rng = random.Random(7)
+    rows = [[rng.randrange(10 ** 9) for _ in range(20)] for _ in range(2000)]
+    rows[1500] = rows[300][:5] + rows[1500][5:]
+    words = tuple(map(tuple, rows))
+    tracemalloc.start()
+    try:
+        got = ln._distance_scan(words, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == dense_distance_scan(rows) == (15, (300, 1500))
+
+
+def test_distance_scan_splits_the_rows_into_blocks(monkeypatch):
+    """Under a mask budget of 2^16 bits, 600 rows with 50 symbols per column
+    are scanned in blocks of 38 rows, and d and the pair stay exact."""
+    rng = random.Random(8)
+    rows = [[rng.randrange(50) for _ in range(20)] for _ in range(600)]
+    monkeypatch.setattr(ln, "_SCAN_BITS", 1 << 16)
+    assert ln._distance_scan(tuple(map(tuple, rows)), 20) == \
+        dense_distance_scan(rows)
 
 
 def test_norm_gap_check():
