@@ -200,7 +200,7 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     rows.append(("condition1_r_in_range", r, q, min(r - 2, q - r), ok1))
     lhs2 = 4 * (k + 2)
     rhs2 = (ell - 2) ** 2 - 4 * (ell - 2)
-    ok2 = k >= 1 and lhs2 <= rhs2
+    ok2 = 1 <= k <= _largest_k(ell)
     rows.append(("condition2_k_within_quadratic", lhs2, rhs2, rhs2 - lhs2, ok2))
     if counted is None:
         p_ell = nt.nth_prime(ell)
@@ -226,6 +226,11 @@ def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
     return witness
 
 
+def _largest_k(ell: int) -> int:
+    """Condition 2: the largest k with 4 (k + 2) <= (ell-2)^2 - 4 (ell-2)."""
+    return ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
+
+
 def _schedule(name: str, q: int, eps_fn) -> Schedule:
     """The tail both schedules share: r = ceil((1-eps)^2 q), ell =
     floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
@@ -235,8 +240,7 @@ def _schedule(name: str, q: int, eps_fn) -> Schedule:
     """
     r = enc.resolve_int(lambda: (1 - eps_fn()) ** 2 * q, enc.ceil_exact)
     ell = nt.int_nth_root(q, 6)
-    k = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
-    return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=k)
+    return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=_largest_k(ell))
 
 
 def theorem2_schedule(q: int) -> Schedule:
@@ -426,7 +430,7 @@ def _candidates(q: int, budget: int) -> list:
     pairs = []  # (r, ell, k_quad, p_ell)
     for r in r_candidates:
         for ell in range(3, ell_hi + 1):
-            k_quad = ((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2
+            k_quad = _largest_k(ell)
             if k_quad >= 1:
                 pairs.append((r, ell, k_quad, nt.nth_prime(ell)))
     # one pass over the union of the windows counts every pair's window
@@ -444,7 +448,7 @@ def _candidates(q: int, budget: int) -> list:
     return out
 
 
-def bound_points(q: int, deltas, budget: int = 8) -> list:
+def bound_points(q: int, deltas, budget: int = 6) -> list:
     """Sweep rows at q, one BoundPoint per delta: gv and plotkin always, nfc
     when a witness certifies.
 
@@ -473,7 +477,7 @@ def bound_points(q: int, deltas, budget: int = 8) -> list:
     return points
 
 
-def search_params(q: int, delta, budget: int = 8) -> SearchOutcome:
+def search_params(q: int, delta, budget: int = 6) -> SearchOutcome:
     """Deterministic witness search maximizing the construction rate bound
     at one delta: bound_points at that delta, plus the comparison with gv.
     """

@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import numtheory as nt
 from .errors import (CapacityError, ConditionFailure, DomainError,
                      IndeterminateError)
 
@@ -72,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="accepted (>= 1) but has no effect: the distance "
                         "scan of verify runs in one thread")
-    # argparse converts a string default with `type`, so a bad value in the
-    # environment is a usage error like a bad flag
-    p.add_argument("--sieve-limit", type=int,
-                   default=os.environ.get("GVFORGE_SIEVE_LIMIT",
-                                          nt.HARD_SIEVE_CAP),
-                   help="cap on sieve size (default: GVFORGE_SIEVE_LIMIT or 2^32)")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="rate-bound sweep to CSV or JSON")
@@ -88,9 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--delta-grid", type=_delta_grid, default=None,
                    help="start:stop:step over relative distances")
     b.add_argument("--budget", type=int, default=6,
-                   help="witness search budget (eps halvings); 6 rather than "
-                        "the library's 8, which gave the same rows on the "
-                        "2^20, 2^30 and 10^15 sweeps at about 1.2x the time")
+                   help="witness search budget (eps halvings)")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--output", default=None)
 
@@ -292,7 +283,6 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
-        nt.set_sieve_cap(args.sieve_limit)
         return _DISPATCH[args.command](args)
     except (DomainError, OSError, UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -17,6 +17,8 @@ from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 PREC_BITS = 120
+# resolve_int doubles the precision while it stays within this many bits
+MAX_PREC_BITS = 640
 iv = MPIntervalContext()
 iv.prec = PREC_BITS
 
@@ -131,7 +133,7 @@ class IndeterminateFloor(Exception):
     """Enclosure straddles an integer; retry at higher precision."""
 
 
-def resolve_int(compute, rounder, max_prec: int = 640) -> int:
+def resolve_int(compute, rounder) -> int:
     """Evaluate rounder(compute()) with escalating precision until unambiguous.
 
     `compute` must rebuild its enclosure from exact inputs each call so the
@@ -142,14 +144,14 @@ def resolve_int(compute, rounder, max_prec: int = 640) -> int:
     saved = iv.prec
     try:
         prec = saved
-        while prec <= max_prec:
+        while prec <= MAX_PREC_BITS:
             iv.prec = prec
             try:
                 return rounder(compute())
             except IndeterminateFloor:
                 prec *= 2
         raise IndeterminateError(
-            "enclosure still straddles an integer at %d bits" % max_prec)
+            "enclosure still straddles an integer at %d bits" % MAX_PREC_BITS)
     finally:
         iv.prec = saved
 

@@ -129,6 +129,13 @@ def _check_domain(r: int, q: int, G: int, n: int, disc: int) -> None:
                           % (r ** (2 * G), abs(disc)))
 
 
+def _check_point_cap(r: int, G: int, disc: int) -> None:
+    """Refuse r^G past OMEGA_CAP (isqrt|disc| + 1) points without building
+    r^G; r < 2 is left to the domain checks."""
+    if r >= 2 and _pow_above(r, G, OMEGA_CAP * math.isqrt(abs(disc)) + OMEGA_CAP):
+        raise CapacityError("expected point count exceeds cap %d" % OMEGA_CAP)
+
+
 def minkowski_target(r: int, G: int, abs_disc: int) -> int:
     """ceil(r^G / sqrt(abs_disc)) exactly, in integers."""
     A = r ** (2 * G)
@@ -138,8 +145,7 @@ def minkowski_target(r: int, G: int, abs_disc: int) -> int:
     return t
 
 
-def box_at(E: LatticeEmbedding, r: int, G: int, shift, grid: int = 0,
-           cell: tuple = (-1, -1)) -> BoxSpec:
+def box_at(r: int, G: int, shift, grid: int = 0, cell: tuple = (-1, -1)) -> BoxSpec:
     """The box of side rho(r, G) at basis coordinates shift (None: centred)."""
     if r < 2 or G < 1:
         raise DomainError("need r >= 2 and G >= 1")
@@ -303,10 +309,9 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
         raise DomainError("start grid %d exceeds max grid %d"
                           % (start_grid, max_grid))
     K = E.field
+    _check_point_cap(r, G, K.disc)
     target = minkowski_target(r, G, abs(K.disc))
-    if r ** G > OMEGA_CAP * math.isqrt(abs(K.disc)) + OMEGA_CAP:
-        raise CapacityError("expected point count exceeds cap %d" % OMEGA_CAP)
-    centred = box_at(E, r, G, None)
+    centred = box_at(r, G, None)
     centred_count = _count(E, centred)
     rho_f = _box_floats(E, centred)[2]
     bf = E.floats
@@ -325,14 +330,14 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
             if score[c] < target and best is not None:
                 break
             i, j = divmod(c, g)
-            box = box_at(E, r, G, (Fraction(i, g) + _GRID_OFFSET,
-                                   Fraction(j, g) + _GRID_OFFSET), g, (i, j))
+            box = box_at(r, G, (Fraction(i, g) + _GRID_OFFSET,
+                                Fraction(j, g) + _GRID_OFFSET), g, (i, j))
             count = _count(E, box)
             if count > best_count:
                 best, best_count = box, count
         # the centred box covers sparse boxes the coarse grid misses
         if centred_count > best_count:
-            best, best_count = box_at(E, r, G, None, g), centred_count
+            best, best_count = box_at(r, G, None, g), centred_count
         if best_count >= target:
             return best
         g *= 2
@@ -366,7 +371,11 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
 
     Requires 2 <= r <= q, 1 <= G <= n for the n prime ideals with norm in
     [r, q], and r^(2G) >= |disc|, so the box out-volumes the lattice cell.
+    A box expected to hold more than OMEGA_CAP points is refused before the
+    ideals are listed, since listing them sieves up to q.
     """
+    if r <= q:  # past q, the listing below reports the domain error
+        _check_point_cap(r, G, K.disc)
     ideals = prime_ideals_in_norm_range(K, r, q)
     n = len(ideals)
     _check_domain(r, q, G, n, K.disc)

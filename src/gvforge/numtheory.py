@@ -23,25 +23,11 @@ from .errors import CapacityError, DomainError
 HARD_SIEVE_CAP = 1 << 32
 _WINDOW = 1 << 21
 
-_sieve_cap = HARD_SIEVE_CAP
-
-
-def set_sieve_cap(limit: int) -> None:
-    """Lower (or restore) the admissible sieve limit; hard cap is 2^32."""
-    global _sieve_cap
-    if limit < 2:
-        raise DomainError("sieve cap must be >= 2")
-    _sieve_cap = min(int(limit), HARD_SIEVE_CAP)
-
-
-def sieve_cap() -> int:
-    return _sieve_cap
-
 
 def _check_cap(limit: int) -> None:
-    if limit > _sieve_cap:
+    if limit > HARD_SIEVE_CAP:
         raise CapacityError(
-            "limit %d exceeds sieve cap %d" % (limit, _sieve_cap))
+            "limit %d exceeds sieve cap %d" % (limit, HARD_SIEVE_CAP))
 
 
 def _segments(start: int, stop: int, step: int, base: list):
@@ -120,10 +106,10 @@ def _shared_table(limit: int) -> array:
     global _table
     limit = int(limit)
     _check_cap(limit)
-    limit = max(limit, min(1 << 10, _sieve_cap))
+    limit = max(limit, 1 << 10)
     old = _table[0]
     if old < limit:
-        new = min(max(limit, old + old // 4), _sieve_cap)
+        new = min(max(limit, old + old // 4), HARD_SIEVE_CAP)
         _table = (new, sieve_primes(new))
     return _table[1]
 
@@ -138,10 +124,9 @@ def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) = 2)."""
     if i < 1:
         raise DomainError("prime index must be >= 1")
-    if i < 6:
-        return [2, 3, 5, 7, 11][i - 1]
-    # Rosser-type upper bound p_i < i (ln i + ln ln i) for i >= 6
-    bound = int(i * (math.log(i) + math.log(math.log(i)))) + 16
+    # Rosser-type upper bound p_i < i (ln i + ln ln i), which holds for i >= 6
+    j = max(i, 6)
+    bound = int(j * (math.log(j) + math.log(math.log(j)))) + 16
     primes = _shared_table(bound)
     if i > len(primes):
         raise CapacityError("table holds %d primes, need index %d"

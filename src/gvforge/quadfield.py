@@ -265,13 +265,8 @@ def class_group_imaginary(K: QuadraticField) -> ClassGroupSummary:
         b0 = -a + 1
         if (b0 & 1) != parity:
             b0 += 1
-        if a > 64:
-            bs = np.arange(b0, a + 1, 2, dtype=np.int64)
-            cand = bs[(bs * bs - D) % four_a == 0]
-        else:
-            cand = [b for b in range(b0, a + 1, 2) if (b * b - D) % four_a == 0]
-        for b in cand:
-            b = int(b)
+        bs = np.arange(b0, a + 1, 2, dtype=np.int64)
+        for b in bs[(bs * bs - D) % four_a == 0].tolist():
             c = (b * b - D) // four_a
             if c < a:
                 continue

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvforge import cli
-from gvforge import numtheory as nt
+from gvforge import lenstra as ln
 
 Q42 = 2 ** 42
 
@@ -178,54 +178,23 @@ def test_certify_q_too_small(capsys):
 
 
 def test_certify_capacity(capsys):
-    saved = nt.sieve_cap()
-    try:
-        code, out, err = run(capsys, "--sieve-limit", "1000",
-                             "certify", "--q", str(Q42))
-        assert code == 3
-        assert "capacity" in err
-    finally:
-        nt.set_sieve_cap(saved)
+    # isqrt(2^66) = 2^33 is past the 2^32 sieve cap
+    code, out, err = run(capsys, "certify", "--q", str(2 ** 66))
+    assert (code, out) == (3, "")
+    assert err == "capacity: limit 8589934592 exceeds sieve cap 4294967296\n"
 
 
-def run_exit(capsys, *argv):
-    """run(), with a usage error's SystemExit turned into its exit code."""
-    try:
-        return run(capsys, *argv)
-    except SystemExit as e:
-        captured = capsys.readouterr()
-        return e.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("flag, env", [("0", None), ("1", None),
-                                       (None, "abc"), (None, "1")])
-def test_sieve_limit_is_validated(capsys, monkeypatch, flag, env):
-    """The flag and GVFORGE_SIEVE_LIMIT, its default, pass one check."""
-    saved = nt.sieve_cap()
-    if env is None:
-        monkeypatch.delenv("GVFORGE_SIEVE_LIMIT", raising=False)
-    else:
-        monkeypatch.setenv("GVFORGE_SIEVE_LIMIT", env)
-    argv = ["certify", "--q", "64"]
-    if flag is not None:
-        argv = ["--sieve-limit", flag] + argv
-    code, out, err = run_exit(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith("error: "), err
-    assert nt.sieve_cap() == saved
-
-
-def test_sieve_limit_from_environment(capsys, monkeypatch):
-    monkeypatch.setattr(nt, "_sieve_cap", nt.sieve_cap())  # restored after
+def test_sieve_limit_environment_variable_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("GVFORGE_SIEVE_LIMIT", "1000")
-    code, out, err = run(capsys, "certify", "--q", str(Q42))
-    assert code == 3 and "capacity" in err
-    # the flag overrides the environment, and no flag means 2^32
-    assert run(capsys, "--sieve-limit", "10000000",
-               "certify", "--q", str(Q42))[0] == 0
-    monkeypatch.delenv("GVFORGE_SIEVE_LIMIT")
     assert run(capsys, "certify", "--q", str(Q42))[0] == 0
-    assert nt.sieve_cap() == nt.HARD_SIEVE_CAP
+
+
+def test_sieve_limit_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--sieve-limit", "1000", "certify", "--q", "64"])
+    captured = capsys.readouterr()
+    assert (e.value.code, captured.out) == (1, "")
+    assert captured.err.splitlines()[-1].startswith("error: ")
 
 
 def test_certify_deterministic(capsys, tmp_path):
@@ -304,6 +273,20 @@ def test_construct_refuses_a_grid_past_the_cell_cap(capsys):
     assert code == 3 and out == ""
     assert err == ("capacity: translate grid 1000000 has 1000000000000 "
                    "cells, cap 4194304\n")
+
+
+def test_construct_refuses_a_box_past_the_point_cap_before_listing(
+        capsys, monkeypatch):
+    """r^G past OMEGA_CAP exits 3 before the ideals are listed, which here
+    would sieve every prime up to 10^9."""
+    def listed(*args):
+        raise AssertionError("prime ideals were listed")
+
+    monkeypatch.setattr(ln, "prime_ideals_in_norm_range", listed)
+    code, out, err = run(capsys, "construct", "--disc", "-4",
+                         "--r", "999999000", "--q", "1000000000", "--G", "1")
+    assert (code, out) == (3, "")
+    assert err == "capacity: expected point count exceeds cap 1000000\n"
 
 
 def test_verify_detects_bad_symbol(capsys, tmp_path):

@@ -12,7 +12,9 @@ algebraic, so it needs no interval enclosures. numpy and `enclosure` (so
 mpmath) are imported only inside the functions that use them, and the CLI
 imports each module inside the commands that need it: `import gvforge.cli`
 and `verify` load neither numpy nor mpmath, `construct` loads no mpmath,
-and `bounds` and `certify` load no numpy.
+and `bounds` and `certify` load no numpy; `import gvforge.cli` loads no
+other module of the package than `gvforge.errors`. No module reads the
+environment, so no setting hides in a variable.
 """
 
 import ast
@@ -243,3 +245,48 @@ def test_commands_load_only_what_they_use(argv, rc, loaded):
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert json.loads(run.stdout) == [rc, loaded]
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) of each read of os.environ or os.getenv, and of each
+    import of either from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out.extend((node.lineno, alias.name) for alias in node.names
+                       if alias.name in ENVIRONMENT)
+    return sorted(out)
+
+
+def test_checker_finds_environment_reads():
+    source = ("import os\nfrom os import getenv, path\n\n"
+              "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.cpu_count()\n")
+    assert environment_reads(source) == [
+        (2, "getenv"), (4, "environ"), (5, "getenv")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
+CLI_LOADS = """
+import json, sys
+import gvforge.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "gvforge")))
+"""
+
+
+def test_cli_import_loads_no_other_package_module():
+    """In a fresh interpreter, `import gvforge.cli` loads only the package,
+    the CLI and the exception types."""
+    run = subprocess.run(
+        [sys.executable, "-c", CLI_LOADS], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert json.loads(run.stdout) == ["gvforge", "gvforge.cli", "gvforge.errors"]

@@ -61,7 +61,7 @@ def test_box_at_domain_and_reach():
     E = ln.make_embedding(qf.make_field(-4))
     for r, G in ((1, 1), (9, 0)):
         with pytest.raises(DomainError):
-            ln.box_at(E, r, G, None)
+            ln.box_at(r, G, None)
         with pytest.raises(DomainError):
             ln.find_tau(E, r, G)
     # R = (2 rho)^2 = 4 r^G 2^-t, and P = isqrt(R) + 1
@@ -95,7 +95,7 @@ def test_half_shifted_box_on_gaussian_lattice():
     E = ln.make_embedding(K)
     eps = Fraction(1, 1 << 20)
     tau = Fraction(-1, 2) + eps
-    box = ln.box_at(E, 9, 1, (tau, tau))
+    box = ln.box_at(9, 1, (tau, tau))
     pts = ln.enumerate_omega(E, box)
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert brute_box_count(-4, box) == 4
@@ -105,15 +105,15 @@ def test_faces_through_lattice_points_exclude_them():
     # tau = (0, 0), rho = 3/sqrt(2): the lower faces u = 0 and v = 0 pass
     # through lattice points, which an open box leaves out
     E = ln.make_embedding(qf.make_field(-4))
-    box = ln.box_at(E, 9, 1, (0, 0))
+    box = ln.box_at(9, 1, (0, 0))
     assert ln.enumerate_omega(E, box) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     # centred at rho = 2 (r^G = 8), the faces x = +-1 hold lattice points
-    centred = ln.box_at(E, 2, 3, None)
+    centred = ln.box_at(2, 3, None)
     assert ln.enumerate_omega(E, centred) == [(0, 0)]
     # disc 8, x = (u + v sqrt 2, u - v sqrt 2) in (0, 2)^2: (0, 0) and
     # (2, 0) sit on corners, and only (1, 0) is inside
     E8 = ln.make_embedding(qf.make_field(8))
-    assert ln.enumerate_omega(E8, ln.box_at(E8, 4, 1, (0, 0))) == [(1, 0)]
+    assert ln.enumerate_omega(E8, ln.box_at(4, 1, (0, 0))) == [(1, 0)]
 
 
 def test_find_tau_meets_target():
@@ -152,7 +152,7 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
     where every grid is exhausted."""
     D = E.field.disc
     target = ln.minkowski_target(r, G, abs(D))
-    centred = ln.box_at(E, r, G, None)
+    centred = ln.box_at(r, G, None)
     centred_count = len(ln.enumerate_omega(E, centred))
     with mp.workdps(60):
         rho = float(box_mp(D, centred)[2])
@@ -177,7 +177,7 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
             if -negscore < target and best is not None:
                 break
             shift = (Fraction(i, g) + off, Fraction(j, g) + off)
-            count = len(ln.enumerate_omega(E, ln.box_at(E, r, G, shift)))
+            count = len(ln.enumerate_omega(E, ln.box_at(r, G, shift)))
             if count > best_count:
                 best, best_count = (g, (i, j), shift), count
         if centred_count > best_count:
@@ -277,7 +277,7 @@ def grid_shifts(draw):
        st.one_of(st.none(), grid_shifts()))
 def test_exact_membership_matches_60_digits(D, r, G, shift):
     E = ln.make_embedding(qf.make_field(D))
-    box = ln.box_at(E, r, G, shift)
+    box = ln.box_at(r, G, shift)
     inside, near = scan_box_mp(D, box)
     assume(not near)
     assert ln.enumerate_omega(E, box) == inside

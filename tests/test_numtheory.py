@@ -116,36 +116,16 @@ def test_shared_table_grows_from_its_own_limit(monkeypatch):
     assert len(nt.table_for(10 ** 6)) == 78498
 
 
-def test_sieve_cap_below_the_table_floor(monkeypatch):
-    """The 1,024 floor of the shared table never exceeds the cap."""
-    monkeypatch.setattr(nt, "_table", (0, None))
-    saved = nt.sieve_cap()
-    try:
-        nt.set_sieve_cap(1000)
-        assert nt.nth_prime(7) == 17
-        assert len(nt.table_for(500)) == 95
-        with pytest.raises(CapacityError, match="1001"):
-            nt.table_for(1001)
-    finally:
-        nt.set_sieve_cap(saved)
-
-
 def test_sieve_cap_enforced():
-    saved = nt.sieve_cap()
-    try:
-        nt.set_sieve_cap(10 ** 4)
-        with pytest.raises(CapacityError):
-            nt.sieve_primes(10 ** 5)
-        with pytest.raises(CapacityError):
-            nt.table_for(10 ** 5)
-        with pytest.raises(CapacityError, match="10001"):
-            nt.inert_counts(10001 ** 2, [10 ** 4])
-        # a window that lies wholly above isqrt(q) is empty: nothing is sieved
-        assert nt.inert_counts(10 ** 12, [10 ** 6 + 1]) == [0]
-    finally:
-        nt.set_sieve_cap(saved)
-    with pytest.raises(CapacityError):
-        nt.sieve_primes(nt.HARD_SIEVE_CAP + 1)
+    over = nt.HARD_SIEVE_CAP + 1
+    with pytest.raises(CapacityError, match="limit %d exceeds" % over):
+        nt.sieve_primes(over)
+    with pytest.raises(CapacityError, match="limit %d exceeds" % over):
+        nt.table_for(over)
+    with pytest.raises(CapacityError, match="limit %d exceeds" % 2 ** 33):
+        nt.inert_counts(2 ** 66, [10 ** 6])
+    # a window that lies wholly above isqrt(q) is empty: nothing is sieved
+    assert nt.inert_counts(10 ** 12, [10 ** 6 + 1]) == [0]
 
 
 def test_count_3mod4_in_window():
