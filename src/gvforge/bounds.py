@@ -10,7 +10,6 @@ argument with its enclosure margin and a three-way status.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Optional
 
 from . import enclosure as enc
@@ -26,7 +25,6 @@ C_FINAL_B = Fraction(-139, 100)              # ... <= C_FINAL_B + C_FINAL_C * (k
 C_FINAL_C = Fraction(58, 100)
 
 
-@cache
 def eligible_q_floor() -> int:
     """Smallest q admitted by the main schedule: ceil(exp(29))."""
     return enc.resolve_int(lambda: iv.exp(iv.mpf(29)), enc.ceil_exact)
@@ -174,11 +172,6 @@ def _nfc(one_minus_d, log_r, dlog_2k, log_q) -> enc.HighReal:
     return (one_minus_d * log_r - dlog_2k) / log_q
 
 
-@cache
-def _dlog(ell: int):
-    return nt.primorial_D(ell)[1]
-
-
 def _window_low(r: int, p_ell: int) -> int:
     """The least p with p > p_ell and p^2 >= r (r >= 1): Nq counts the
     primes p = 3 (mod 4) from here up to isqrt(q)."""
@@ -188,31 +181,34 @@ def _window_low(r: int, p_ell: int) -> int:
 def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     """Exact evaluation of the three construction conditions.
 
-    counted is (p_ell, Nq) when the caller has already counted the inert
-    window. Returns (rows, witness_or_None); each row is
-    (name, lhs_int, rhs_int, margin_int, ok).
+    counted is (p_ell, Nq, log D) when the caller has already counted the
+    inert window and enclosed log D; otherwise the primorial is built only
+    for a witness. Returns (rows, witness_or_None); each row is
+    (name, lhs_int, rhs_int, ok).
     """
     _check_q(q)
     if ell < 1:
         raise DomainError("ell must be >= 1")
     rows = []
     ok1 = 2 <= r <= q
-    rows.append(("condition1_r_in_range", r, q, min(r - 2, q - r), ok1))
+    rows.append(("condition1_r_in_range", r, q, ok1))
     lhs2 = 4 * (k + 2)
     rhs2 = (ell - 2) ** 2 - 4 * (ell - 2)
     ok2 = 1 <= k <= _largest_k(ell)
-    rows.append(("condition2_k_within_quadratic", lhs2, rhs2, rhs2 - lhs2, ok2))
+    rows.append(("condition2_k_within_quadratic", lhs2, rhs2, ok2))
     if counted is None:
         p_ell = nt.nth_prime(ell)
         Nq = nt.inert_counts(q, [_window_low(r, p_ell)])[0] if r >= 2 else 0
     else:
-        p_ell, Nq = counted
+        p_ell, Nq, D_log = counted
     ok3 = k >= 1 and Nq >= 2 * k
-    rows.append(("condition3_enough_inert_primes", 2 * k, Nq, Nq - 2 * k, ok3))
+    rows.append(("condition3_enough_inert_primes", 2 * k, Nq, ok3))
     witness = None
     if ok1 and ok2 and ok3:
+        if counted is None:
+            D_log = nt.primorial_D(ell)[1]
         witness = ParamWitness(q=q, r=r, ell=ell, k=k, p_ell=p_ell, Nq=Nq,
-                               D_log=_dlog(ell))
+                               D_log=D_log)
     return rows, witness
 
 
@@ -222,7 +218,7 @@ def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
     if witness is None:
         raise ConditionFailure(
             ["%s: %d vs %d" % (name, lhs, rhs)
-             for (name, lhs, rhs, margin, ok) in rows if not ok])
+             for (name, lhs, rhs, ok) in rows if not ok])
     return witness
 
 
@@ -344,7 +340,7 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         raise DomainError("unknown schedule %r" % (schedule,))
 
     rows, witness = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
-    for (name, lhs, rhs, margin, ok) in rows:
+    for (name, lhs, rhs, ok) in rows:
         checks.append(_mk_check(name, lhs, rhs, ok=ok))
 
     ell, r, k = sch.ell, sch.r, sch.k
@@ -413,8 +409,10 @@ def _candidates(q: int, budget: int) -> list:
     Candidate r values come from eps = 2^-i (i <= budget) plus the main
     schedule when eligible; ell ranges over [3, 2 floor(q^(1/6)) + 2]; k is
     the largest value allowed by the quadratic condition and the available
-    prime count.
+    prime count. One sieve lists the first ell primes, and one pass over
+    them builds every primorial D and encloses its log.
     """
+    nt.check_cap(math.isqrt(q))  # the inert windows reach isqrt(q)
     r_candidates = []
     for i in range(1, budget + 1):
         num = (2 ** i - 1) ** 2 * q
@@ -426,23 +424,24 @@ def _candidates(q: int, budget: int) -> list:
         r_candidates.append(theorem2_schedule(q).r)
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))
 
-    ell_hi = 2 * nt.int_nth_root(q, 6) + 2
-    pairs = []  # (r, ell, k_quad, p_ell)
-    for r in r_candidates:
-        for ell in range(3, ell_hi + 1):
-            k_quad = _largest_k(ell)
-            if k_quad >= 1:
-                pairs.append((r, ell, k_quad, nt.nth_prime(ell)))
+    primes = nt.first_primes(2 * nt.int_nth_root(q, 6) + 2)
+    D, D_log = 4, {}  # ell -> log(4 p_1 ... p_ell), for every ell with a k
+    for ell, p_ell in enumerate(primes, 1):
+        D *= p_ell
+        if _largest_k(ell) >= 1:
+            D_log[ell] = iv.log(iv.mpf(D))
+    pairs = [(r, ell) for r in r_candidates for ell in D_log]
     # one pass over the union of the windows counts every pair's window
-    counts = nt.inert_counts(q, [_window_low(r, p_ell)
-                                 for r, _, _, p_ell in pairs])
+    counts = nt.inert_counts(q, [_window_low(r, primes[ell - 1])
+                                 for r, ell in pairs])
     out = []
     log_r = {r: iv.log(iv.mpf(r)) for r in r_candidates}
-    for (r, ell, k_quad, p_ell), Nq in zip(pairs, counts):
-        k = min(k_quad, Nq // 2)
+    for (r, ell), Nq in zip(pairs, counts):
+        k = min(_largest_k(ell), Nq // 2)
         if k < 1:
             continue
-        _, w = _evaluate_conditions(q, r, ell, k, counted=(p_ell, Nq))
+        _, w = _evaluate_conditions(q, r, ell, k,
+                                    counted=(primes[ell - 1], Nq, D_log[ell]))
         if w is not None:
             out.append((w, log_r[r], w.D_log / (2 * w.k)))
     return out

@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="gvforge",
         description="codes from quadratic-field lattices and certified rate bounds")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=int, default=1,
                    help="accepted (>= 1) but has no effect: the distance "
                         "scan of verify runs in one thread")
     sub = p.add_subparsers(dest="command", required=True)
@@ -201,7 +200,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     from . import lenstra as ln
     code = ln.read_code_file(args.path)
-    check = ln.verify_code(code, threads=args.threads)
+    check = ln.verify_code(code)
     required_d = code.n + 1 - code.G
     # a target past the pairwise cap may be too long to print in decimal
     target = ("%d" % check.min_target if check.min_target is not None
@@ -280,7 +279,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
         return _DISPATCH[args.command](args)

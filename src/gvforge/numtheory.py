@@ -2,12 +2,12 @@
 
 Primes come from one segmented sieve of Eratosthenes over an odd arithmetic
 progression (the odd numbers, or the numbers = 3 (mod 4)), on bytearray
-segments, with no numpy. One shared table per process, an `array('I')` of
-every prime up to a limit (exact below the 2^32 hard cap), serves the
-queries that need every prime; it grows geometrically from its own limit,
-never from the request. The inert window of the construction is only
-counted, never listed: one pass over its class 3 (mod 4), with its own base
-primes, counts the primes above each of several lower ends at once.
+segments, with no numpy. The module keeps no state between calls: each
+caller sieves exactly the primes it asks for, as an `array('I')` (exact
+below the 2^32 hard cap), either every prime up to a limit or the first n
+primes. The inert window of the construction is only counted, never
+listed: one pass over its class 3 (mod 4), with its own base primes, counts
+the primes above each of several lower ends at once.
 Transcendental quantities (log of a primorial, Chebyshev theta) are returned
 as interval enclosures from `enclosure`, which the two functions that need
 it import, so that the sieve and the exact helpers never load mpmath.
@@ -24,7 +24,8 @@ HARD_SIEVE_CAP = 1 << 32
 _WINDOW = 1 << 21
 
 
-def _check_cap(limit: int) -> None:
+def check_cap(limit: int) -> None:
+    """Refuse a sieve past HARD_SIEVE_CAP."""
     if limit > HARD_SIEVE_CAP:
         raise CapacityError(
             "limit %d exceeds sieve cap %d" % (limit, HARD_SIEVE_CAP))
@@ -84,7 +85,7 @@ def sieve_primes(limit: int) -> array:
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be >= 2, got %r" % limit)
-    _check_cap(limit)
+    check_cap(limit)
     primes = array("I")
     for lo, seg in _segments(1, limit, 2, _odd_primes(math.isqrt(limit))):
         primes.extend(_survivors(lo, seg, 2))
@@ -92,46 +93,32 @@ def sieve_primes(limit: int) -> array:
     return primes
 
 
-_table = (0, None)  # (limit, every prime <= limit) of the shared table
+# perfbench/tracer.py wraps `table_for` by name, so the name stays until the
+# benchmark's next change drops it from the tracer. It is a function rather
+# than `table_for = sieve_primes`: the tracer replaces every attribute that
+# holds the function it wraps, so it would wrap that one object twice and
+# leave a wrapper in place when it restores the module.
+def table_for(limit: int) -> array:
+    """All primes <= limit: `sieve_primes` under its old name."""
+    return sieve_primes(limit)
 
 
-def _shared_table(limit: int) -> array:
-    """The shared table's primes, covering at least `limit`.
-
-    It grows geometrically from its own limit (by at least a quarter, up to
-    the sieve cap), so a run of small increases re-sieves only
-    logarithmically often, while a jump to a large limit sieves exactly
-    that limit.
-    """
-    global _table
-    limit = int(limit)
-    _check_cap(limit)
-    limit = max(limit, 1 << 10)
-    old = _table[0]
-    if old < limit:
-        new = min(max(limit, old + old // 4), HARD_SIEVE_CAP)
-        _table = (new, sieve_primes(new))
-    return _table[1]
-
-
-def table_for(limit: int) -> memoryview:
-    """The primes <= limit: a read-only view of the shared growing table."""
-    primes = _shared_table(limit)
-    return memoryview(primes)[:bisect_right(primes, limit)].toreadonly()
+def first_primes(n: int) -> array:
+    """The first n primes, ascending, from one sieve up to the Rosser-type
+    bound p_n < n (ln n + ln ln n), which holds for n >= 6."""
+    if n < 1:
+        raise DomainError("prime index must be >= 1")
+    j = max(n, 6)
+    primes = sieve_primes(int(j * (math.log(j) + math.log(math.log(j)))) + 16)
+    if n > len(primes):
+        raise CapacityError("sieve holds %d primes, need index %d"
+                            % (len(primes), n))
+    return primes[:n]
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) = 2)."""
-    if i < 1:
-        raise DomainError("prime index must be >= 1")
-    # Rosser-type upper bound p_i < i (ln i + ln ln i), which holds for i >= 6
-    j = max(i, 6)
-    bound = int(j * (math.log(j) + math.log(math.log(j)))) + 16
-    primes = _shared_table(bound)
-    if i > len(primes):
-        raise CapacityError("table holds %d primes, need index %d"
-                            % (len(primes), i))
-    return primes[i - 1]
+    return first_primes(i)[-1]
 
 
 def inert_counts(q: int, lows) -> list:
@@ -149,7 +136,7 @@ def inert_counts(q: int, lows) -> list:
     edges = sorted(set(lo for lo in lows if lo <= hi))
     if not edges:
         return [0] * len(lows)
-    _check_cap(hi)
+    check_cap(hi)
     start = edges[0] + (3 - edges[0]) % 4
     stretch = [0] * len(edges)  # primes in [edges[i], edges[i + 1])
     for lo, seg in _segments(start, hi, 4, _odd_primes(math.isqrt(hi))):
@@ -180,7 +167,7 @@ def chebyshev_theta(x: int):
         return iv.mpf(0)
     total = iv.mpf(0)
     prod = 1
-    for p in table_for(int(x)):
+    for p in sieve_primes(int(x)):
         prod *= p
         if prod.bit_length() >= _CHUNK_BITS:
             total += iv.log(iv.mpf(prod))
@@ -201,7 +188,7 @@ def primorial_D(ell: int):
     if ell > PRIMORIAL_CAP:
         raise CapacityError("ell %d exceeds primorial cap %d" % (ell, PRIMORIAL_CAP))
     D = 4
-    for p in table_for(nth_prime(ell)):  # exactly ell primes
+    for p in first_primes(ell):
         D *= p
     return D, iv.log(iv.mpf(D))
 

@@ -228,7 +228,7 @@ def prime_ideals_in_norm_range(K: QuadraticField, r: int, q: int) -> list:
         raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
     out = []
     inert_max = math.isqrt(q)
-    for p in nt.table_for(q):
+    for p in nt.sieve_primes(q):
         sym = nt.kronecker_symbol(K.disc, p)
         if sym == -1:
             if p <= inert_max and p * p >= r:

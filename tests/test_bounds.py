@@ -295,15 +295,15 @@ def test_inert_count_sieves_only_the_window(monkeypatch):
                         lambda limit: sieved.append(limit) or sieve(limit))
     monkeypatch.setattr(nt, "inert_counts",
                         lambda q, lows: calls.append(lows) or counts(q, lows))
-    monkeypatch.setattr(nt, "_table", (0, None))
     w = bd.certify(10 ** 14).witness
     assert (w.r, w.ell, w.k, w.Nq) == (47030915873199, 215, 11127, 98546)
     assert w.Nq == inert_count_oracle(10 ** 14, w.r, w.p_ell)
     assert sieved and max(sieved) < 10 ** 5
     calls.clear()
+    sieved.clear()
     bd.bound_points(Q42, [Fraction(1, 2)], budget=6)
     assert len(calls) == 1 and len(calls[0]) > 1
-    assert max(sieved) < 10 ** 5
+    assert len(sieved) == 1 and max(sieved) < 10 ** 5  # one prime list
 
 
 def test_certify_fails_small_q_with_named_checks():
@@ -485,6 +485,44 @@ def test_candidates_count_each_window_in_the_union(q):
     got = [w for w, _, _ in bd._candidates(q, 6)]
     assert got == reference_witnesses(q, 6)
     assert bool(got) == (q > 100)
+
+
+@pytest.mark.parametrize("q", [2 ** 30, Q42])
+def test_candidates_build_each_primorial_as_primorial_D(q):
+    """The one-pass primorials of the search enclose log D with the same
+    endpoints as primorial_D, which builds each D on its own."""
+    candidates = bd._candidates(q, 6)
+    assert candidates
+    for w, _, dlog_2k in candidates:
+        assert w.D_log._mpi_ == nt.primorial_D(w.ell)[1]._mpi_, w.ell
+        assert dlog_2k._mpi_ == (w.D_log / (2 * w.k))._mpi_
+
+
+ORDER = """
+import sys
+from fractions import Fraction
+from gvforge import bounds
+def certificate():
+    return repr(bounds.certify(10 ** 16).as_dict())
+def sweep():
+    return repr([(p.witness, p.nfc, p.gv, p.plotkin) for p in bounds.bound_points(
+        2 ** 30, [Fraction(i, 10) for i in range(1, 10)])])
+runs = [certificate, sweep]
+if sys.argv[1] == "sweep first":
+    runs.reverse()
+print(sorted(f() for f in runs))
+"""
+
+
+def test_results_do_not_depend_on_which_runs_first():
+    """certify and a bounds sweep give the same results in either order in
+    a fresh interpreter: nothing one leaves behind changes the other."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = [subprocess.run([sys.executable, "-c", ORDER, order],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+           for order in ("certify first", "sweep first")]
+    assert out[0] == out[1] and "10000000000000000" in out[0]
 
 
 # at the two largest q, budget 1 leaves two r (ceil(q/4) and the

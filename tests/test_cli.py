@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gvforge import cli
 from gvforge import lenstra as ln
+from gvforge import numtheory as nt
 
 Q42 = 2 ** 42
 
@@ -180,6 +181,20 @@ def test_certify_q_too_small(capsys):
 def test_certify_capacity(capsys):
     # isqrt(2^66) = 2^33 is past the 2^32 sieve cap
     code, out, err = run(capsys, "certify", "--q", str(2 ** 66))
+    assert (code, out) == (3, "")
+    assert err == "capacity: limit 8589934592 exceeds sieve cap 4294967296\n"
+
+
+def test_bounds_refuses_a_q_past_the_sieve_cap_before_listing_primes(
+        capsys, monkeypatch):
+    """isqrt(2^66) is past the sieve cap: bounds exits 3 before it lists the
+    first primes of its witness search."""
+    def listed(limit):
+        raise AssertionError("primes were listed")
+
+    monkeypatch.setattr(nt, "sieve_primes", listed)
+    code, out, err = run(capsys, "bounds", "--q", str(2 ** 66),
+                         "--delta", "1/2")
     assert (code, out) == (3, "")
     assert err == "capacity: limit 8589934592 exceeds sieve cap 4294967296\n"
 
@@ -501,3 +516,4 @@ def test_threads_flag_accepted(capsys, tmp_path):
         "--G", "3", "--output", str(path))
     code, out, err = run(capsys, "--threads", "2", "verify", str(path))
     assert code == 0
+    assert cli.build_parser().parse_args(["verify", str(path)]).threads == 1

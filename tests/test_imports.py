@@ -14,7 +14,9 @@ imports each module inside the commands that need it: `import gvforge.cli`
 and `verify` load neither numpy nor mpmath, `construct` loads no mpmath,
 and `bounds` and `certify` load no numpy; `import gvforge.cli` loads no
 other module of the package than `gvforge.errors`. No module reads the
-environment, so no setting hides in a variable.
+environment, so no setting hides in a variable, and none keeps state
+between calls: no `global` statement and no `functools.cache` or
+`lru_cache` memo.
 """
 
 import ast
@@ -290,3 +292,41 @@ def test_cli_import_loads_no_other_package_module():
         [sys.executable, "-c", CLI_LOADS], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert json.loads(run.stdout) == ["gvforge", "gvforge.cli", "gvforge.errors"]
+
+
+MEMOS = ("cache", "lru_cache")
+
+
+def hidden_state(source: str) -> list:
+    """(line, what) of each `global` statement and each function decorated
+    with `cache` or `lru_cache`, bare or called, as a plain name or as an
+    attribute (`functools.cache`)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            out.append((node.lineno, "global"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                fn = dec.func if isinstance(dec, ast.Call) else dec
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(
+                    fn, "id", None)
+                if name in MEMOS:
+                    out.append((dec.lineno, name))
+    return sorted(out)
+
+
+def test_checker_finds_hidden_state():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "_t = None\n\n@cache\ndef a():\n    global _t\n    return 1\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef b():\n    return 2\n\n"
+              "@lru_cache\ndef c():\n    return 3\n\n"
+              "@functools.cache\ndef d():\n    return 4\n\n"
+              "@staticmethod\ndef e():\n    return 5\n")
+    assert hidden_state(source) == [
+        (5, "cache"), (7, "global"), (10, "lru_cache"), (14, "lru_cache"),
+        (18, "cache")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_keeps_hidden_state(path):
+    assert hidden_state(path.read_text()) == []

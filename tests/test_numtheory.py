@@ -7,7 +7,6 @@ scans), and enclosures are checked against logs of exact integer products.
 """
 
 import math
-import tracemalloc
 from itertools import compress
 
 import mpmath
@@ -84,36 +83,6 @@ def test_sieve_across_segments(monkeypatch, window):
     monkeypatch.setattr(nt, "_WINDOW", window)
     for limit in range(2, 501):
         assert nt.sieve_primes(limit).tolist() == bytearray_primes(limit)
-
-
-def test_table_queries_do_not_copy_the_table():
-    """table_for is a read-only view of the shared table, not a copy."""
-    nt.table_for(10 ** 7)
-    x = 10 ** 7 - 1
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        view = nt.table_for(x)
-        assert tracemalloc.get_traced_memory()[1] - before < 1 << 20
-    finally:
-        tracemalloc.stop()
-    assert len(view) == 664579 and view[-1] == 9999991
-    with pytest.raises(TypeError):
-        view[0] = 4
-
-
-def test_shared_table_grows_from_its_own_limit(monkeypatch):
-    sieved = []
-    sieve = nt.sieve_primes
-    monkeypatch.setattr(nt, "sieve_primes",
-                        lambda limit: sieved.append(limit) or sieve(limit))
-    monkeypatch.setattr(nt, "_table", (0, None))
-    nt.table_for(2000)
-    nt.table_for(2001)   # a small step grows by a quarter of the table
-    nt.table_for(2400)   # already covered
-    nt.table_for(10 ** 6)  # a jump sieves exactly what was asked
-    assert sieved == [2000, 2500, 10 ** 6]
-    assert len(nt.table_for(10 ** 6)) == 78498
 
 
 def test_sieve_cap_enforced():
@@ -267,13 +236,14 @@ def test_inert_counts_at_many_lows(data):
 
 
 def test_table_for_stops_at_x():
-    nt.table_for(10 ** 5)  # grow the shared table well past x
     assert nt.table_for(100).tolist() == [n for n in range(2, 101)
                                           if trial_division_is_prime(n)]
 
 
 def test_nth_prime():
     assert [nt.nth_prime(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
+    for n in (1, 5, 6, 7, 125, 1000):
+        assert nt.first_primes(n).tolist() == bytearray_primes(7919)[:n]
     assert nt.nth_prime(125) == 691
     assert nt.nth_prime(1000) == 7919
     assert trial_division_is_prime(7919)
