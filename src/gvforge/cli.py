@@ -12,7 +12,8 @@ Each command imports what it uses when it runs, so `import gvforge.cli`
 loads neither numpy nor mpmath. `bounds` and `certify` load bounds and
 enclosure (and so mpmath) but not numpy; `construct` loads lenstra,
 quadfield and numpy but not mpmath; `verify` loads lenstra and quadfield
-and neither numpy nor mpmath; `tower` loads quadfield, numpy and enclosure.
+and neither numpy nor mpmath; `tower` loads quadfield and enclosure but
+not numpy.
 """
 
 import argparse

@@ -58,6 +58,38 @@ def inert_count_oracle(q: int, r: int, p_ell: int) -> int:
     return int(np.count_nonzero((ps > p_ell) & (ps * ps >= r)))
 
 
+def reduced_forms_oracle(D: int) -> tuple:
+    """(h, 2-rank) of the class group of discriminant D < 0, by a plain scan
+    of the reduced forms: for each a <= sqrt(|D|/3), one numpy pass over
+    every b in (-a, a] of the parity of D keeps those with 4a | b^2 - D.
+
+    A form (a, b, c) counts when c >= a, b >= 0 if a = c, and gcd(a, b, c)
+    = 1; it is ambiguous when b = 0, a = b or a = c, and the ambiguous forms
+    number 2^rank. No root finding and no code shared with the library.
+    """
+    a_max = math.isqrt(-D // 3)
+    parity = D & 1
+    h = 0
+    ambiguous = 0
+    for a in range(1, a_max + 1):
+        four_a = 4 * a
+        b0 = -a + 1
+        if (b0 & 1) != parity:
+            b0 += 1
+        bs = np.arange(b0, a + 1, 2, dtype=np.int64)
+        for b in bs[(bs * bs - D) % four_a == 0].tolist():
+            c = (b * b - D) // four_a
+            if c < a or (b < 0 and a == c):
+                continue
+            if math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            h += 1
+            if b == 0 or a == b or a == c:
+                ambiguous += 1
+    assert ambiguous & (ambiguous - 1) == 0
+    return h, ambiguous.bit_length() - 1
+
+
 def norm_gap_check(code) -> bool:
     """Oracle for the norm lemma of Lenstra's construction: for every pair
     a != b in code.omega, r^(agree) <= |N(a - b)| < r^G, where agree counts

@@ -1,8 +1,9 @@
 """Quadratic fields: fundamentality, splitting, class groups, tower check.
 
-The class-number oracle is the character sum h = -(w/(2|D|)) sum chi(a) a,
-w the number of units, which shares no code with the reduced-form
-enumeration it checks.
+The class-number oracles are the character sum h = -(w/(2|D|)) sum chi(a) a,
+w the number of units, and a plain scan of every b in (-a, a] for each a
+(`conftest.reduced_forms_oracle`), which also gives the 2-rank; neither
+shares code with the root-and-CRT enumeration they check.
 """
 
 import mpmath
@@ -15,7 +16,7 @@ from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError
 
-from conftest import trial_division_is_prime
+from conftest import reduced_forms_oracle, trial_division_is_prime
 
 
 def oracle_is_fundamental(D: int) -> bool:
@@ -259,6 +260,35 @@ def test_class_group_property(D):
     cg = qf.class_group_imaginary(K)
     assert cg.h == character_class_number(D)
     assert cg.two_rank == qf.genus_two_rank_lower(K)
+
+
+def summary(D: int) -> tuple:
+    cg = qf.class_group_imaginary(qf.make_field(D))
+    return cg.h, cg.two_rank
+
+
+def test_class_group_matches_reduced_form_scan():
+    n = 0
+    for D in range(-4999, -2):
+        if oracle_is_fundamental(D):
+            assert summary(D) == reduced_forms_oracle(D), D
+            n += 1
+    assert n > 1500
+
+
+@pytest.mark.parametrize("D", (-19399380, -99999768, -99999971))
+def test_class_group_matches_reduced_form_scan_near_cap(D):
+    assert summary(D) == reduced_forms_oracle(D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10 ** 6 + 1, -3).filter(oracle_is_fundamental))
+@example(-3)
+@example(-4)
+@example(-8)
+@example(-789503)  # 1 mod 8: the reduced form (512, -511, 513) needs roots mod 2^9
+def test_class_group_property_against_reduced_form_scan(D):
+    assert summary(D) == reduced_forms_oracle(D)
 
 
 def test_class_group_big_example():
