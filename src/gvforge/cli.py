@@ -9,11 +9,9 @@ check, 3 capacity refusal or running out of memory. Given identical
 arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
-loads neither numpy nor mpmath. `bounds` and `certify` load bounds and
-enclosure (and so mpmath) but not numpy; `construct` loads lenstra,
-quadfield and numpy but not mpmath; `verify` loads lenstra and quadfield
-and neither numpy nor mpmath; `tower` loads quadfield and enclosure but
-not numpy.
+loads no mpmath. `bounds` and `certify` load bounds and enclosure (and so
+mpmath); `construct` and `verify` load lenstra and quadfield but not
+mpmath; `tower` loads quadfield and enclosure. No command loads numpy.
 """
 
 import argparse

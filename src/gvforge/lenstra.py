@@ -10,15 +10,18 @@ A box is exact data: integer basis rows over sqrt(m), R = (2 rho)^2 and a
 rational translate. Every face test is the sign of a + b sqrt(m) + c sqrt(R)
 with integers a, b, c, settled by squaring; a point on a face is outside.
 Floats, each rounded once from an exact value, only rank translates, guess
-where exact searches start and fill the code file header. numpy scores the
-translate grid and is imported only by the functions that do so, so that
-reading and verifying a code file never loads it.
+where exact searches start and fill the code file header. The module is
+pure Python: the translate grid is scored in one pass over a fine lattice,
+and the words are read off the box's points column by column.
 """
 
+import heapq
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import CapacityError, DomainError, TauSearchError
@@ -28,7 +31,6 @@ from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
 _GRID_OFFSET = Fraction(1, 1 << 20)
-_SCORE_CHUNK = 1 << 14
 GRID_CELL_CAP = 1 << 22
 # mask bits one block of the distance scan may hold: 128 MiB
 _SCAN_BITS = 1 << 30
@@ -198,30 +200,30 @@ def _box_floats(E: LatticeEmbedding, box: BoxSpec):
     return t1, t2, _float(0, Fraction(1, 2), R)
 
 
-def _float_columns(bf, tau1, tau2, rho: float, u):
-    """Float guesses of each column's v-range [lo, hi] inside the open box,
-    for a numpy array u of column indices.
-
-    alive is False where a face that does not depend on v excludes u.
-    tau1 and tau2 may be (cells, 1) columns, one box per row of the result.
-    """
-    import numpy as np
+def _float_columns(bf, tau1, tau2, rho: float, us):
+    """Yield float guesses (lo, hi, alive) for each column index u of us:
+    the column's v-range inside the open box lies in (lo, hi), and alive is
+    False where a face that does not depend on v excludes u."""
     b00, b01, b10, b11 = bf
-    vlo = np.full_like(u, -np.inf)
-    vhi = np.full_like(u, np.inf)
-    alive = np.ones(len(u), dtype=bool)
-    for (bu, bv, lo) in ((b00, b01, tau1), (b10, b11, tau2)):
-        a = bu * u
-        hi = lo + rho
+    walls, faces = [], []
+    for bu, bv, t in ((b00, b01, tau1), (b10, b11, tau2)):
         if abs(bv) < 1e-300:
-            alive = alive & (a > lo) & (a < hi)
-        else:
-            w1 = (lo - a) / bv
-            w2 = (hi - a) / bv
-            vlo = np.maximum(vlo, np.minimum(w1, w2))
-            vhi = np.minimum(vhi, np.maximum(w1, w2))
-    # the basis is invertible, so at least one coordinate bounds v
-    return np.ceil(vlo + 1e-12), np.floor(vhi - 1e-12), alive
+            walls.append((bu, t, t + rho))
+        else:  # ordered so that (near - a) / bv <= (far - a) / bv
+            faces.append((bu, bv, t, t + rho) if bv > 0 else
+                         (bu, bv, t + rho, t))
+    # the basis is invertible, so at least one face bounds v
+    for u in us:
+        lo, hi = -math.inf, math.inf
+        for bu, bv, near, far in faces:
+            a = bu * u
+            w = (near - a) / bv
+            if w > lo:
+                lo = w
+            w = (far - a) / bv
+            if w < hi:
+                hi = w
+        yield lo, hi, all(t < bu * u < top for bu, t, top in walls)
 
 
 def _columns(E: LatticeEmbedding, box: BoxSpec):
@@ -234,7 +236,6 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
     -2 rho < u - floor(s_1) < 2 rho + 1 (|u| < 2 rho when centred), so the
     u-range [floor(s_1) - P, floor(s_1) + P] of _reach is exact.
     """
-    import numpy as np
     rows, m = _integer_basis(E.field)
     R, P = _reach(E.field, box.r, box.G)
     if box.shift is None:
@@ -255,13 +256,14 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
                    for p, q, e, c in faces[group])
 
     u0 = math.floor(box.shift[0]) if box.shift else 0
-    los, his, _ = _float_columns(E.floats, *_box_floats(E, box),
-                                 np.arange(u0 - P, u0 + P + 1.0))
-    for u, lo, hi in zip(range(u0 - P, u0 + P + 1), los.tolist(), his.tolist()):
+    us = range(u0 - P, u0 + P + 1)
+    guesses = _float_columns(E.floats, *_box_floats(E, box), us)
+    for u, (lo, hi, _) in zip(us, guesses):
         if not inside(0, u, 0):
             continue
-        lo = _first_true(lambda v: inside(1, u, v), int(lo))
-        hi = -_first_true(lambda w: inside(-1, u, -w), -int(hi))
+        lo = _first_true(lambda v: inside(1, u, v), math.ceil(lo + 1e-12))
+        hi = -_first_true(lambda w: inside(-1, u, -w),
+                          -math.floor(hi - 1e-12))
         if lo <= hi:
             yield u, lo, hi
 
@@ -270,24 +272,43 @@ def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
 
 
-def _grid_scores(bf, rho: float, us, g: int):
+def _grid_scores(bf, rho: float, P: int, g: int):
     """Float point counts of the boxes at the g x g grid translates, cell
-    (i, j) at index i g + j, for the column indices us.
+    (i, j) at index i g + j, over the columns u in [-P, P].
 
-    Cells are scored in chunks, so no temporary holds more than
-    _SCORE_CHUNK floats.
+    Cell (i, j) puts the box at s = (i/g + o, j/g + o), o = _GRID_OFFSET,
+    and holds (u, v) exactly when B (u - s_1, v - s_2) lies in the open box
+    at the origin. With a = g u - i and b = g v - j, that is the fine point
+    (a/g - o, b/g - o), and each fine point lands in one cell, the one with
+    i = -a, j = -b (mod g). So row i is one pass over its columns u: the
+    float v-range (lo, hi) of the box at (s_1, 0) gives the fine b-interval
+    g (o + lo, o + hi), and its L points add L // g to every cell of the
+    row and 1 more to a cyclic run of L % g cells, kept as a difference
+    array. The work is g (2P + 1) columns and g^2 cells.
     """
-    import numpy as np
     off = float(_GRID_OFFSET)
-    step = max(1, _SCORE_CHUNK // len(us))
-    score = np.empty(g * g)
-    for start in range(0, g * g, step):
-        c = np.arange(start, min(start + step, g * g))
-        si, sj = c // g / g + off, c % g / g + off
-        t1 = bf[0] * si + bf[1] * sj
-        t2 = bf[2] * si + bf[3] * sj
-        lo, hi, alive = _float_columns(bf, t1[:, None], t2[:, None], rho, us)
-        score[c] = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum(axis=1)
+    score = array("q")
+    for i in range(g):
+        si = i / g + off
+        diff = [0] * g
+        for lo, hi, alive in _float_columns(bf, bf[0] * si, bf[2] * si, rho,
+                                            range(-P, P + 1)):
+            if not alive:
+                continue
+            b = math.ceil(g * (off + lo + 1e-12))
+            full, part = divmod(math.floor(g * (off + hi - 1e-12)) - b + 1, g)
+            if full < 0:
+                continue
+            diff[0] += full
+            if part:  # b .. b + part - 1 land in j = -b - part + 1 .. -b
+                start = (1 - b - part) % g
+                diff[start] += 1
+                if start + part < g:
+                    diff[start + part] -= 1
+                else:
+                    diff[0] += 1
+                    diff[start + part - g] -= 1
+        score.extend(accumulate(diff))
     return score
 
 
@@ -302,7 +323,6 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     max_grid); an under-counted box is never returned. A grid of more than
     GRID_CELL_CAP cells raises CapacityError before it is scored.
     """
-    import numpy as np
     if start_grid < 1:
         raise DomainError("start grid must be >= 1, got %r" % (start_grid,))
     if start_grid > max_grid:
@@ -317,16 +337,15 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     bf = E.floats
     # every grid cell has floor(s_1) = 0, so one u-range serves them all
     P = _reach(K, r, G)[1]
-    us = np.arange(-P, P + 1.0)
     g = start_grid
     while g <= max_grid:
         if g * g > GRID_CELL_CAP:
             raise CapacityError("translate grid %d has %d cells, cap %d"
                                 % (g, g * g, GRID_CELL_CAP))
-        score = _grid_scores(bf, rho_f, us, g)
+        score = _grid_scores(bf, rho_f, P, g)
         best, best_count = None, -1
-        # a stable sort keeps row-major order among equal scores
-        for c in np.argsort(-score, kind="stable")[:6].tolist():
+        # nlargest is stable, so equal scores keep row-major order
+        for c in heapq.nlargest(6, range(g * g), key=score.__getitem__):
             if score[c] < target and best is not None:
                 break
             i, j = divmod(c, g)
@@ -351,18 +370,49 @@ def enumerate_omega(E: LatticeEmbedding, box: BoxSpec) -> list:
     return [(u, v) for u, lo, hi in _columns(E, box) for v in range(lo, hi + 1)]
 
 
-def residue_symbol(a, P: PrimeIdealRecord, q: int) -> int:
-    """Reduce a = (u, v) = u + v*omega modulo P; value in [0, N(P)) < q+1.
+def residue_map(columns, P: PrimeIdealRecord, q: int) -> list:
+    """The residues modulo P of the points of columns, (u, lo, hi) each
+    holding u + v omega for lo <= v <= hi, in order; each lies in
+    [0, N(P)), and N(P) > q raises DomainError.
 
-    Split and ramified ideals reduce through omega -> residue_root in F_p;
-    inert ideals keep both coordinates, packed as (u mod p)*p + (v mod p).
+    Split and ramified ideals send omega to residue_root c in F_p, so a
+    column reads (u + v c) mod p = T[(v + u / c) mod p] for the table
+    T[j] = j c mod p: one slice of T repeated. The table is built only when
+    c is a unit and p is at most the number of points; otherwise each
+    residue is computed. Inert ideals keep both coordinates, packed as
+    (u mod p) p + (v mod p).
     """
     if P.norm > q:
         raise DomainError("ideal norm %d exceeds alphabet bound q=%d" % (P.norm, q))
-    u, v = a
+    p, c = P.p, P.residue_root
+    out = []
     if P.split_type == INERT:
-        return (u % P.p) * P.p + (v % P.p)
-    return (u + v * P.residue_root) % P.p
+        for u, lo, hi in columns:
+            base = u % p * p
+            out += [base + v % p for v in range(lo, hi + 1)]
+    elif c % p == 0 or p > sum(hi - lo + 1 for _, lo, hi in columns):
+        for u, lo, hi in columns:
+            out += [(u + v * c) % p for v in range(lo, hi + 1)]
+    else:
+        inv = pow(c, -1, p)
+        longest = max(hi - lo for _, lo, hi in columns)
+        table = [j * c % p for j in range(p)] * (longest // p + 2)
+        for u, lo, hi in columns:
+            start = (lo + u * inv) % p
+            out += table[start:start + hi - lo + 1]
+    return out
+
+
+def _point_columns(omega) -> list:
+    """(u, lo, hi) of each column of omega, a list of points sorted by u
+    and then v whose v's fill an interval in each column."""
+    columns = []
+    for u, v in omega:
+        if columns and columns[-1][0] == u:
+            columns[-1][2] = v
+        else:
+            columns.append([u, v, v])
+    return columns
 
 
 def build_code(K: QuadraticField, r: int, q: int, G: int,
@@ -384,7 +434,8 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
     omega = enumerate_omega(E, box)
     if len(omega) > OMEGA_CAP:
         raise CapacityError("omega size %d exceeds cap %d" % (len(omega), OMEGA_CAP))
-    words = tuple(tuple(residue_symbol(a, P, q) for P in ideals) for a in omega)
+    columns = _point_columns(omega)
+    words = tuple(zip(*(residue_map(columns, P, q) for P in ideals)))
     return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
                        tau=_box_floats(E, box)[:2],
                        ideals=tuple(ideals), omega=tuple(omega), codewords=words)
@@ -438,7 +489,7 @@ def parse_code_file(text: str) -> LenstraCode:
         if not line.strip():
             continue
         try:
-            word = tuple(int(t) for t in line.split())
+            word = tuple(map(int, line.split()))
         except ValueError:
             raise DomainError("line %d: non-integer symbol" % idx) from None
         if len(word) != n:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from gvforge.errors import DomainError
+
 
 @pytest.fixture
 def rng():
@@ -88,6 +90,65 @@ def reduced_forms_oracle(D: int) -> tuple:
                 ambiguous += 1
     assert ambiguous & (ambiguous - 1) == 0
     return h, ambiguous.bit_length() - 1
+
+
+def float_columns_oracle(bf, tau1, tau2, rho: float, u):
+    """Float guesses (lo, hi, alive) of each column's v-range [lo, hi]
+    inside the open box, for a numpy array u of column indices: the numpy
+    broadcast the translate search used before it became pure Python.
+
+    alive is False where a face that does not depend on v excludes u.
+    tau1 and tau2 may be (cells, 1) columns, one box per row of the result.
+    """
+    b00, b01, b10, b11 = bf
+    vlo = np.full_like(u, -np.inf)
+    vhi = np.full_like(u, np.inf)
+    alive = np.ones(len(u), dtype=bool)
+    for (bu, bv, lo) in ((b00, b01, tau1), (b10, b11, tau2)):
+        a = bu * u
+        hi = lo + rho
+        if abs(bv) < 1e-300:
+            alive = alive & (a > lo) & (a < hi)
+        else:
+            w1 = (lo - a) / bv
+            w2 = (hi - a) / bv
+            vlo = np.maximum(vlo, np.minimum(w1, w2))
+            vhi = np.minimum(vhi, np.maximum(w1, w2))
+    return np.ceil(vlo + 1e-12), np.floor(vhi - 1e-12), alive
+
+
+def grid_scores_oracle(bf, rho: float, P: int, g: int, offset: float):
+    """Float point counts of the boxes at the g x g grid translates
+    (i/g + offset, j/g + offset), cell (i, j) at index i g + j, over the
+    columns u in [-P, P]: each cell's box is placed and counted on its own,
+    in numpy blocks of at most 2^14 floats."""
+    us = np.arange(-P, P + 1.0)
+    step = max(1, (1 << 14) // len(us))
+    score = np.empty(g * g)
+    for start in range(0, g * g, step):
+        c = np.arange(start, min(start + step, g * g))
+        si, sj = c // g / g + offset, c % g / g + offset
+        t1 = bf[0] * si + bf[1] * sj
+        t2 = bf[2] * si + bf[3] * sj
+        lo, hi, alive = float_columns_oracle(bf, t1[:, None], t2[:, None],
+                                             rho, us)
+        score[c] = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum(axis=1)
+    return score
+
+
+def residue_symbol_oracle(a, P, q: int) -> int:
+    """Reduce a = (u, v) = u + v*omega modulo P, one point at a time; value
+    in [0, N(P)), and N(P) > q raises DomainError.
+
+    Split and ramified ideals reduce through omega -> residue_root in F_p;
+    inert ideals keep both coordinates, packed as (u mod p)*p + (v mod p).
+    """
+    if P.norm > q:
+        raise DomainError("ideal norm %d exceeds alphabet bound q=%d" % (P.norm, q))
+    u, v = a
+    if P.residue_root is None:
+        return (u % P.p) * P.p + (v % P.p)
+    return (u + v * P.residue_root) % P.p
 
 
 def norm_gap_check(code) -> bool:

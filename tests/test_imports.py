@@ -8,13 +8,13 @@ are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
 `src/`, as a plain name, an attribute (`nt._WINDOW`) or an imported name.
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
-algebraic, so it needs no interval enclosures. `quadfield` imports numpy
-nowhere, not even inside a function. numpy and `enclosure` (so mpmath) are
-imported only inside the functions that use them, and the CLI imports each
-module inside the commands that need it: `import gvforge.cli` and `verify`
-load neither numpy nor mpmath, `construct` loads no mpmath, and `bounds`,
-`certify` and `tower` load no numpy; `import gvforge.cli` loads no other
-module of the package than `gvforge.errors`. No module reads the
+algebraic, so it needs no interval enclosures. No module under `src/`
+imports numpy, not even inside a function; numpy is a test-only dependency.
+`enclosure` (so mpmath) is imported only inside the functions that use it,
+and the CLI imports each module inside the commands that need it:
+`import gvforge.cli`, `verify` and `construct` load neither numpy nor
+mpmath, and `bounds`, `certify` and `tower` load no numpy; `import
+gvforge.cli` loads no other module of the package than `gvforge.errors`. No module reads the
 environment, so no setting hides in a variable, and none keeps state
 between calls: no `global` statement and no `functools.cache` or
 `lru_cache` memo.
@@ -151,7 +151,7 @@ def test_lenstra_imports_no_interval_arithmetic():
 
 
 # modules that `import gvforge.cli`, `certify` and `bounds` load; none may
-# import numpy, or a module that does, at module level
+# import numpy, lenstra or quadfield at module level
 NUMPY_FREE = ("numtheory", "bounds", "enclosure", "errors", "cli")
 
 
@@ -179,15 +179,17 @@ def test_numpy_free_modules_import_no_numpy(name):
     assert not {"numpy", "lenstra", "quadfield"} & module_level_imports(source)
 
 
-@pytest.mark.parametrize("name", ("lenstra",))
-def test_numpy_is_imported_only_where_it_is_used(name):
-    source = (SRC / (name + ".py")).read_text()
-    assert "numpy" not in module_level_imports(source)
+def test_checker_finds_function_level_numpy():
+    for source in ("def f():\n    import numpy as np\n",
+                   "def f():\n    from numpy import arange\n",
+                   "class C:\n    def f(self):\n        import numpy.linalg\n"):
+        assert "numpy" in imported_modules(source)
 
 
-def test_quadfield_imports_no_numpy():
-    source = (SRC / "quadfield.py").read_text()
-    assert "numpy" not in imported_modules(source)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_numpy(path):
+    """Anywhere in the module, function bodies included."""
+    assert "numpy" not in imported_modules(path.read_text())
 
 
 # modules that `import gvforge.cli`, `construct` and `verify` load; none may
@@ -243,13 +245,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     (["verify", str(GOLDEN / "13_11_70_2.code")], 0, []),
     (["verify", str(GOLDEN / "tampered.code")], 2, []),
     (["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1"], 0,
-     ["numpy"]),
+     []),
     (["tower", "--disc", "-19399380"], 0, ["mpmath"]),
 ], ids=("import", "verify", "verify_tampered", "construct", "tower"))
 def test_commands_load_only_what_they_use(argv, rc, loaded):
-    """In a fresh interpreter: `import gvforge.cli` and `verify` load
-    neither numpy nor mpmath, `construct` loads numpy but no mpmath, and
-    `tower` loads mpmath but no numpy."""
+    """In a fresh interpreter: `import gvforge.cli`, `verify` and
+    `construct` load neither numpy nor mpmath, and `tower` loads mpmath but
+    no numpy."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,

@@ -21,8 +21,9 @@ from gvforge import lenstra as ln
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError, TauSearchError
 
-from conftest import (basis_mp, box_mp, dense_distance_scan, norm_gap_check,
-                      scan_box_mp)
+from conftest import (basis_mp, box_mp, dense_distance_scan,
+                      float_columns_oracle, grid_scores_oracle, norm_gap_check,
+                      residue_symbol_oracle, scan_box_mp)
 
 
 def brute_box_count(D: int, box) -> int:
@@ -147,7 +148,7 @@ def test_find_tau_rejects_a_start_grid_below_one(start_grid):
 
 
 def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
-    """Oracle for find_tau: one _float_columns call per grid cell, the cells
+    """Oracle for find_tau: one float_columns_oracle call per grid cell, the cells
     sorted as (-score, i, j) tuples. Returns (grid, cell, shift), or None
     where every grid is exhausted."""
     D = E.field.disc
@@ -166,7 +167,7 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
         for i in range(g):
             for j in range(g):
                 si, sj = i / g + float(off), j / g + float(off)
-                lo, hi, alive = ln._float_columns(
+                lo, hi, alive = float_columns_oracle(
                     bf, bf[0] * si + bf[1] * sj, bf[2] * si + bf[3] * sj,
                     rho, us)
                 score = np.where(alive, np.maximum(hi - lo + 1, 0), 0).sum()
@@ -222,6 +223,41 @@ def test_find_tau_matches_per_cell_ranking_random(rng):
         want = reference_find_tau(E, r, G, **grids)
         assert _tau_or_none(E, r, G, **grids) == want, (D, r, G, grids)
         done += 1
+
+
+# the four instances (disc, r, q, G) whose stages ROADMAP.md times
+ROADMAP_ROWS = [(-4, 30, 200, 3), (-23, 50, 500, 3), (5, 15, 300, 3),
+                (-4, 15, 200, 3)]
+
+
+@pytest.mark.parametrize("g", [64, 256])
+@pytest.mark.parametrize("D,r,q,G", ROADMAP_ROWS)
+def test_grid_scores_match_per_cell_scores(D, r, q, G, g):
+    """The fine-lattice pass gives every cell the score of placing and
+    counting that cell's box on its own."""
+    K = qf.make_field(D)
+    E = ln.make_embedding(K)
+    rho = ln._box_floats(E, ln.box_at(r, G, None))[2]
+    P = ln._reach(K, r, G)[1]
+    want = grid_scores_oracle(E.floats, rho, P, g, float(ln._GRID_OFFSET))
+    assert ln._grid_scores(E.floats, rho, P, g).tolist() == want.tolist()
+
+
+def test_grid_scores_hold_eight_bytes_a_cell():
+    """At g = 256 the scores, about 1,700 points a cell, take 512 KiB as
+    int64; a list of Python ints would take about five times that."""
+    K = qf.make_field(-4)
+    E = ln.make_embedding(K)
+    rho = ln._box_floats(E, ln.box_at(15, 3, None))[2]
+    P = ln._reach(K, 15, 3)[1]
+    tracemalloc.start()
+    try:
+        score = ln._grid_scores(E.floats, rho, P, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(score) == 256 * 256 and min(score) > 256
+    assert peak < 1 << 20
 
 
 def test_find_tau_exhaustion_raises():
@@ -289,16 +325,16 @@ def test_exact_membership_matches_60_digits(D, r, G, shift):
 def test_residue_symbol_examples():
     Ki = qf.make_field(-4)
     (inert3,) = qf.splitting_type(Ki, 3)
-    assert ln.residue_symbol((4, 5), inert3, q=13) == 5  # (4%3)*3 + (5%3)
+    assert residue_symbol_oracle((4, 5), inert3, q=13) == 5  # (4%3)*3 + (5%3)
     split13 = qf.splitting_type(Ki, 13)
     assert split13[0].residue_root == 5
-    assert ln.residue_symbol((2, 3), split13[0], q=13) == 4  # (2+15) mod 13
-    assert ln.residue_symbol((2, 3), split13[1], q=13) == 0  # (2+24) mod 13
+    assert residue_symbol_oracle((2, 3), split13[0], q=13) == 4  # (2+15) mod 13
+    assert residue_symbol_oracle((2, 3), split13[1], q=13) == 0  # (2+24) mod 13
     K12 = qf.make_field(12)
     (ram3,) = qf.splitting_type(K12, 3)
-    assert ln.residue_symbol((7, 5), ram3, q=12) == 1
+    assert residue_symbol_oracle((7, 5), ram3, q=12) == 1
     with pytest.raises(DomainError):
-        ln.residue_symbol((4, 5), inert3, q=8)  # norm 9 > q
+        residue_symbol_oracle((4, 5), inert3, q=8)  # norm 9 > q
 
 
 def test_residue_symbol_is_a_ring_map(rng):
@@ -309,8 +345,9 @@ def test_residue_symbol_is_a_ring_map(rng):
             b = (rng.randrange(-40, 41), rng.randrange(-40, 41))
             s = (a[0] + b[0], a[1] + b[1])
             m = P.norm
-            ra, rb = ln.residue_symbol(a, P, 169), ln.residue_symbol(b, P, 169)
-            rs = ln.residue_symbol(s, P, 169)
+            ra = residue_symbol_oracle(a, P, 169)
+            rb = residue_symbol_oracle(b, P, 169)
+            rs = residue_symbol_oracle(s, P, 169)
             if P.split_type == qf.INERT:
                 # addition acts coordinatewise on the packed value
                 au, av = divmod(ra, P.p)
@@ -319,6 +356,50 @@ def test_residue_symbol_is_a_ring_map(rng):
             else:
                 assert rs == (ra + rb) % m
                 assert 0 <= rs < m
+
+
+def per_point_residues(columns, P, q):
+    return [residue_symbol_oracle((u, v), P, q)
+            for u, lo, hi in columns for v in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("D,r,q,G", ROADMAP_ROWS)
+def test_residue_map_matches_the_per_point_oracle(D, r, q, G):
+    K = qf.make_field(D)
+    E = ln.make_embedding(K)
+    omega = ln.enumerate_omega(E, ln.find_tau(E, r, G))
+    columns = ln._point_columns(omega)
+    assert [(u, v) for u, lo, hi in columns for v in range(lo, hi + 1)] == omega
+    for P in qf.prime_ideals_in_norm_range(K, r, q):
+        assert ln.residue_map(columns, P, q) == per_point_residues(columns, P, q)
+
+
+def test_residue_map_on_seeded_fields(rng):
+    """Random columns over small fields: inert, split and ramified ideals,
+    roots that are 0 mod p, and both a table's worth of points and fewer
+    points than p."""
+    seen = set()
+    for D in (-4, -3, -7, -8, -15, -20, -23, 5, 8, 12, 13, 21, 24):
+        K = qf.make_field(D)
+        for P in qf.prime_ideals_in_norm_range(K, 2, 200):
+            for size in (3, 400):
+                columns, u = [], rng.randrange(-60, 0)
+                while sum(hi - lo + 1 for _, lo, hi in columns) < size:
+                    lo = rng.randrange(-80, 80)
+                    columns.append((u, lo, lo + rng.randrange(0, 90)))
+                    u += rng.randrange(1, 3)
+                got = ln.residue_map(columns, P, 200)
+                assert got == per_point_residues(columns, P, 200), (D, P)
+                assert all(0 <= s < P.norm for s in got)
+            root = P.residue_root
+            seen.add("inert" if root is None else
+                     "zero" if root % P.p == 0 else P.split_type)
+            with pytest.raises(DomainError,
+                               match="ideal norm %d exceeds alphabet bound "
+                                     "q=%d" % (P.norm, P.norm - 1)):
+                ln.residue_map(columns, P, P.norm - 1)
+    assert seen == {"inert", "zero", qf.SPLIT, qf.RAMIFIED}
+    assert ln.residue_map([], P, 200) == []
 
 
 # ------------------------------------------------------ code construction
@@ -408,6 +489,10 @@ def test_parse_code_file_errors():
         ln.parse_code_file(head + "1 2\n")
     with pytest.raises(DomainError, match="line 3"):
         ln.parse_code_file(head + "1 2 3\n4 x 6\n")
+    for bad in ("4 x 6", "4 5.0 6", "4 5 6e0", "1 2 3 ; 4"):
+        with pytest.raises(DomainError) as info:
+            ln.parse_code_file(head + "1 2 3\n" + bad + "\n")
+        assert str(info.value) == "line 3: non-integer symbol"
     code = ln.parse_code_file(head + "1 2 3\n\n4 5 6\n")
     assert code.codewords == ((1, 2, 3), (4, 5, 6))
 
