@@ -36,8 +36,14 @@ def _cases() -> dict:
                  "shortfall"):
         cases["verify_" + name] = ["--threads", "1", "verify",
                                    "{golden}/%s.code" % name]
-    for q in (3931334297144, 2 ** 42, 10 ** 16):
+    for q in (10 ** 6, 3931334297144, 2 ** 42, 10 ** 16):
         cases["certify_%d" % q] = ["certify", "--q", str(q), "--format", "text"]
+    # theorem1, a JSON certificate, and certificates without a witness
+    cases["certify_3_theorem1_C0_1000_json"] = [
+        "certify", "--q", "3", "--schedule", "theorem1", "--C0", "1000"]
+    cases["certify_10000000000000000_theorem1_C0_100"] = [
+        "certify", "--q", str(10 ** 16), "--schedule", "theorem1", "--C0",
+        "100", "--format", "text"]
     cases["bounds_2_20"] = ["bounds", "--q", "1048576",
                             "--delta-grid", "1/10:9/10:1/10"]
     cases["bounds_2_30_e29_json"] = ["bounds", "--q", "1073741824",
