@@ -178,17 +178,30 @@ def _window_low(r: int, p_ell: int) -> int:
     return max(p_ell + 1, math.isqrt(r - 1) + 1)
 
 
-def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
+def _primorial_logs(primes, ells) -> dict:
+    """ell -> log(4 p_1 ... p_ell), enclosed, for each ell in `ells`: one
+    pass over `primes` (the first primes, ascending) builds every D."""
+    wanted = set(ells)
+    D, out = 4, {}
+    for ell, p in enumerate(primes, 1):
+        D *= p
+        if ell in wanted:
+            out[ell] = iv.log(iv.mpf(D))
+    return out
+
+
+def _evaluate_conditions(q: int, r: int, ell: int, k: int):
     """Exact evaluation of the three construction conditions.
 
-    counted is (p_ell, Nq, log D) when the caller has already counted the
-    inert window and enclosed log D; otherwise the primorial is built only
-    for a witness. Returns (rows, witness_or_None); each row is
+    One list of the first ell primes gives p_ell, the inert window and, for
+    a witness, log D. Returns (rows, witness_or_None, p_ell); each row is
     (name, lhs_int, rhs_int, ok).
     """
     _check_q(q)
     if ell < 1:
         raise DomainError("ell must be >= 1")
+    primes = nt.first_primes(ell)
+    p_ell = primes[-1]
     rows = []
     ok1 = 2 <= r <= q
     rows.append(("condition1_r_in_range", r, q, ok1))
@@ -196,25 +209,19 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int, counted=None):
     rhs2 = (ell - 2) ** 2 - 4 * (ell - 2)
     ok2 = 1 <= k <= _largest_k(ell)
     rows.append(("condition2_k_within_quadratic", lhs2, rhs2, ok2))
-    if counted is None:
-        p_ell = nt.nth_prime(ell)
-        Nq = nt.inert_counts(q, [_window_low(r, p_ell)])[0] if r >= 2 else 0
-    else:
-        p_ell, Nq, D_log = counted
+    Nq = nt.inert_counts(q, [_window_low(r, p_ell)])[0] if r >= 2 else 0
     ok3 = k >= 1 and Nq >= 2 * k
     rows.append(("condition3_enough_inert_primes", 2 * k, Nq, ok3))
     witness = None
     if ok1 and ok2 and ok3:
-        if counted is None:
-            D_log = nt.primorial_D(ell)[1]
         witness = ParamWitness(q=q, r=r, ell=ell, k=k, p_ell=p_ell, Nq=Nq,
-                               D_log=D_log)
-    return rows, witness
+                               D_log=_primorial_logs(primes, [ell])[ell])
+    return rows, witness, p_ell
 
 
 def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
     """Validate (r, ell, k) at q; raises ConditionFailure naming what failed."""
-    rows, witness = _evaluate_conditions(q, r, ell, k)
+    rows, witness, _ = _evaluate_conditions(q, r, ell, k)
     if witness is None:
         raise ConditionFailure(
             ["%s: %d vs %d" % (name, lhs, rhs)
@@ -255,6 +262,14 @@ def theorem2_schedule(q: int) -> Schedule:
     return _schedule("theorem2", q, _eps)
 
 
+def _positive_c0(C0):
+    """C0 as an enclosure, refused unless certifiably positive."""
+    c0 = enc.enc(C0 if not isinstance(C0, float) else Fraction(C0))
+    if enc.gt_status(c0, 0) != enc.PASS:
+        raise DomainError("C0 must be certifiably positive")
+    return c0
+
+
 def theorem1_schedule(q: int, C0) -> Schedule:
     """Alternate schedule eps = (log q)(log log q)/(C0 q^(1/6)); C0 is input.
 
@@ -264,9 +279,7 @@ def theorem1_schedule(q: int, C0) -> Schedule:
     _check_q(q)
     if q < 3:
         raise DomainError("the schedule needs q >= 3")
-    c0 = enc.enc(C0 if not isinstance(C0, float) else Fraction(C0))
-    if enc.gt_status(c0, 0) != enc.PASS:
-        raise DomainError("C0 must be certifiably positive")
+    c0 = _positive_c0(C0)
 
     def _eps():
         logq = iv.log(iv.mpf(q))
@@ -325,26 +338,27 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
     Deterministic: same q, schedule, and precision give identical output.
     """
     _check_q(q)
-    checks = []
+    if schedule == "theorem1":
+        if C0 is None:
+            raise DomainError("theorem1 schedule requires C0")
+        _positive_c0(C0)  # an argument error exits 1 before the cap
+    elif schedule != "theorem2":
+        raise DomainError("unknown schedule %r" % (schedule,))
+    nt.check_cap(math.isqrt(q))  # the inert window reaches isqrt(q)
     if schedule == "theorem2":
         sch = theorem2_schedule(q)
         qfloor = eligible_q_floor()
-        checks.append(_mk_check("eligible_q_at_least_ceil_exp29", qfloor, q,
-                                ok=(q >= qfloor)))
-    elif schedule == "theorem1":
-        if C0 is None:
-            raise DomainError("theorem1 schedule requires C0")
-        sch = theorem1_schedule(q, C0)
-        checks.append(_mk_check("eligible_eps_in_unit_interval", sch.eps, 1))
+        checks = [_mk_check("eligible_q_at_least_ceil_exp29", qfloor, q,
+                            ok=(q >= qfloor))]
     else:
-        raise DomainError("unknown schedule %r" % (schedule,))
+        sch = theorem1_schedule(q, C0)
+        checks = [_mk_check("eligible_eps_in_unit_interval", sch.eps, 1)]
 
-    rows, witness = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
+    rows, witness, p_ell = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
     for (name, lhs, rhs, ok) in rows:
         checks.append(_mk_check(name, lhs, rhs, ok=ok))
 
-    ell, r, k = sch.ell, sch.r, sch.k
-    p_ell = nt.nth_prime(ell)
+    ell, r = sch.ell, sch.r
 
     # sqrt(r) > 0.6745 sqrt(q), decided exactly on squares
     num, den = C_SQRT_FACTOR.numerator, C_SQRT_FACTOR.denominator
@@ -409,8 +423,10 @@ def _candidates(q: int, budget: int) -> list:
     Candidate r values come from eps = 2^-i (i <= budget) plus the main
     schedule when eligible; ell ranges over [3, 2 floor(q^(1/6)) + 2]; k is
     the largest value allowed by the quadratic condition and the available
-    prime count. One sieve lists the first ell primes, and one pass over
-    them builds every primorial D and encloses its log.
+    prime count, so every pair with k >= 1 meets the three conditions and
+    becomes a witness directly. One list of the first primes gives each
+    p_ell, and `_primorial_logs`, the builder `_evaluate_conditions` also
+    uses, encloses every log D in one pass over it.
     """
     nt.check_cap(math.isqrt(q))  # the inert windows reach isqrt(q)
     r_candidates = []
@@ -425,11 +441,8 @@ def _candidates(q: int, budget: int) -> list:
     r_candidates = sorted(set(r for r in r_candidates if 2 <= r <= q))
 
     primes = nt.first_primes(2 * nt.int_nth_root(q, 6) + 2)
-    D, D_log = 4, {}  # ell -> log(4 p_1 ... p_ell), for every ell with a k
-    for ell, p_ell in enumerate(primes, 1):
-        D *= p_ell
-        if _largest_k(ell) >= 1:
-            D_log[ell] = iv.log(iv.mpf(D))
+    D_log = _primorial_logs(primes, [ell for ell in range(1, len(primes) + 1)
+                                     if _largest_k(ell) >= 1])
     pairs = [(r, ell) for r in r_candidates for ell in D_log]
     # one pass over the union of the windows counts every pair's window
     counts = nt.inert_counts(q, [_window_low(r, primes[ell - 1])
@@ -437,13 +450,12 @@ def _candidates(q: int, budget: int) -> list:
     out = []
     log_r = {r: iv.log(iv.mpf(r)) for r in r_candidates}
     for (r, ell), Nq in zip(pairs, counts):
+        # r lies in [2, q] and 1 <= k <= Nq // 2: the three conditions hold
         k = min(_largest_k(ell), Nq // 2)
-        if k < 1:
-            continue
-        _, w = _evaluate_conditions(q, r, ell, k,
-                                    counted=(primes[ell - 1], Nq, D_log[ell]))
-        if w is not None:
-            out.append((w, log_r[r], w.D_log / (2 * w.k)))
+        if k >= 1:
+            w = ParamWitness(q=q, r=r, ell=ell, k=k, p_ell=primes[ell - 1],
+                             Nq=Nq, D_log=D_log[ell])
+            out.append((w, log_r[r], w.D_log / (2 * k)))
     return out
 
 

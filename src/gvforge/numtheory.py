@@ -8,9 +8,10 @@ below the 2^32 hard cap), either every prime up to a limit or the first n
 primes. The inert window of the construction is only counted, never
 listed: one pass over its class 3 (mod 4), with its own base primes, counts
 the primes above each of several lower ends at once.
-Transcendental quantities (log of a primorial, Chebyshev theta) are returned
-as interval enclosures from `enclosure`, which the two functions that need
-it import, so that the sieve and the exact helpers never load mpmath.
+Chebyshev theta is returned as an interval enclosure from `enclosure`,
+which `chebyshev_theta` imports itself, so that the sieve and the exact
+helpers never load mpmath. The primorial D = 4 p_1 ... p_ell of a witness
+is built in `bounds` from the same `first_primes` list that gives p_ell.
 """
 
 import math
@@ -116,11 +117,6 @@ def first_primes(n: int) -> array:
     return primes[:n]
 
 
-def nth_prime(i: int) -> int:
-    """The i-th prime, 1-indexed (nth_prime(1) = 2)."""
-    return first_primes(i)[-1]
-
-
 def inert_counts(q: int, lows) -> list:
     """For each lo in `lows`, the number of primes p = 3 (mod 4) with
     lo <= p <= isqrt(q): the candidate inert primes of the construction.
@@ -175,22 +171,6 @@ def chebyshev_theta(x: int):
     if prod > 1:
         total += iv.log(iv.mpf(prod))
     return total
-
-
-PRIMORIAL_CAP = 10 ** 5
-
-
-def primorial_D(ell: int):
-    """(D, log D) with D = 4 * p_1 * ... * p_ell, D exact, log D enclosed."""
-    from .enclosure import iv
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
-    if ell > PRIMORIAL_CAP:
-        raise CapacityError("ell %d exceeds primorial cap %d" % (ell, PRIMORIAL_CAP))
-    D = 4
-    for p in first_primes(ell):
-        D *= p
-    return D, iv.log(iv.mpf(D))
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -292,14 +272,11 @@ def int_nth_root(n: int, k: int) -> int:
         raise DomainError("int_nth_root needs n >= 0, k >= 1")
     if n == 0:
         return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = int(round(n ** (1.0 / k)))
-    x = max(x, 1)
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # integer Newton steps down from 2^ceil(bits/k) >= n^(1/k); the first
+    # step that does not decrease x stops at the floor of the root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y

@@ -29,6 +29,16 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def first_primes_oracle(n: int) -> list:
+    """The first n primes by per-number trial division (no sieve)."""
+    out, m = [], 1
+    while len(out) < n:
+        m += 1
+        if trial_division_is_prime(m):
+            out.append(m)
+    return out
+
+
 _INERT = [0, np.empty(0, dtype=np.int64)]  # limit, primes = 3 (mod 4) up to it
 
 

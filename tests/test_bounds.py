@@ -20,7 +20,7 @@ from gvforge import enclosure as encl
 from gvforge import numtheory as nt
 from gvforge.errors import ConditionFailure, DomainError
 
-from conftest import inert_count_oracle
+from conftest import first_primes_oracle, inert_count_oracle
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145
@@ -448,9 +448,10 @@ def reference_witnesses(q, budget):
     if q >= bd.eligible_q_floor():
         rs.append(bd.theorem2_schedule(q).r)
     out = []
+    primes = first_primes_oracle(2 * nt.int_nth_root(q, 6) + 2)
     for r in sorted(set(r for r in rs if 2 <= r <= q)):
-        for ell in range(3, 2 * nt.int_nth_root(q, 6) + 3):
-            p_ell = nt.nth_prime(ell)
+        for ell in range(3, len(primes) + 1):
+            p_ell = primes[ell - 1]
             Nq = inert_count_oracle(q, r, p_ell)
             k = min(((ell - 2) ** 2 - 4 * (ell - 2)) // 4 - 2, Nq // 2)
             if k < 1:
@@ -487,15 +488,40 @@ def test_candidates_count_each_window_in_the_union(q):
     assert bool(got) == (q > 100)
 
 
-@pytest.mark.parametrize("q", [2 ** 30, Q42])
-def test_candidates_build_each_primorial_as_primorial_D(q):
-    """The one-pass primorials of the search enclose log D with the same
-    endpoints as primorial_D, which builds each D on its own."""
-    candidates = bd._candidates(q, 6)
-    assert candidates
-    for w, _, dlog_2k in candidates:
-        assert w.D_log._mpi_ == nt.primorial_D(w.ell)[1]._mpi_, w.ell
+@pytest.mark.parametrize("q", [2 ** 30, Q42, 10 ** 16])
+def test_primorials_match_the_trial_division_oracle(q):
+    """Every witness of the search and of certify has the p_ell and log D
+    of D = 4 p_1 ... p_ell for the first ell primes by trial division: log D
+    encloses its 60-digit mpmath log. certify's log D has the same endpoints
+    as the search's at the same ell."""
+    searched = {}
+    for w, _, dlog_2k in bd._candidates(q, 6):
         assert dlog_2k._mpi_ == (w.D_log / (2 * w.k))._mpi_
+        searched.setdefault(w.ell, []).append(w)
+    cert = bd.certify(q).witness
+    assert searched[cert.ell][0].D_log._mpi_ == cert.D_log._mpi_
+    primes = first_primes_oracle(max(searched))
+    D = 4
+    for ell, p in enumerate(primes, 1):
+        D *= p
+        with mp.workdps(60):
+            log_D = mp.log(D)
+        for w in searched.get(ell, []) + [cert] * (cert.ell == ell):
+            assert w.p_ell == p
+            assert encl.contains(w.D_log, log_D), ell
+            assert encl.width(w.D_log) < mpmath.mpf("1e-25")
+
+
+def test_certify_lists_the_first_primes_once(monkeypatch):
+    """p_ell, the inert window and log D of one certificate come from one
+    list of the first ell primes."""
+    calls = []
+    first = nt.first_primes
+    monkeypatch.setattr(nt, "first_primes",
+                        lambda n: calls.append(n) or first(n))
+    cert = bd.certify(Q42)
+    assert cert.overall == "pass"
+    assert calls == [cert.witness.ell]
 
 
 ORDER = """

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,36 @@ def test_bounds_refuses_a_q_past_the_sieve_cap_before_listing_primes(
                          "--delta", "1/2")
     assert (code, out) == (3, "")
     assert err == "capacity: limit 8589934592 exceeds sieve cap 4294967296\n"
+
+
+@pytest.mark.parametrize("e", [300, 470, 700])
+@pytest.mark.parametrize("schedule", [(), ("--schedule", "theorem1", "--C0", "1")],
+                         ids=["theorem2", "theorem1"])
+def test_certify_refuses_a_q_past_the_sieve_cap_before_any_work(
+        capsys, monkeypatch, e, schedule):
+    """Past the sieve cap, certify names isqrt(q) and exits 3 before it
+    lists a prime or encloses a schedule: no first_primes limit, no long
+    root search at 2^470, no straddled ceiling at 2^700."""
+    def listed(limit):
+        raise AssertionError("primes were listed")
+
+    monkeypatch.setattr(nt, "sieve_primes", listed)
+    q = 2 ** e
+    code, out, err = run(capsys, "certify", "--q", str(q), *schedule)
+    assert (code, out) == (3, "")
+    assert err == "capacity: limit %d exceeds sieve cap 4294967296\n" % (
+        math.isqrt(q))
+
+
+def test_certify_argument_errors_come_before_the_sieve_cap(capsys):
+    code, out, err = run(capsys, "certify", "--q", str(2 ** 700),
+                         "--schedule", "theorem1", "--C0", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: C0 must be certifiably positive\n"
+    code, out, err = run(capsys, "certify", "--q", str(2 ** 700),
+                         "--schedule", "theorem1")
+    assert (code, out) == (1, "")
+    assert err == "error: theorem1 schedule requires C0\n"
 
 
 def test_sieve_limit_environment_variable_is_ignored(capsys, monkeypatch):

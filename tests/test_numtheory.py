@@ -7,6 +7,7 @@ scans), and enclosures are checked against logs of exact integer products.
 """
 
 import math
+import time
 from itertools import compress
 
 import mpmath
@@ -240,17 +241,17 @@ def test_table_for_stops_at_x():
                                           if trial_division_is_prime(n)]
 
 
-def test_nth_prime():
-    assert [nt.nth_prime(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
+def test_first_primes():
+    assert [nt.first_primes(i)[-1] for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
     for n in (1, 5, 6, 7, 125, 1000):
         assert nt.first_primes(n).tolist() == bytearray_primes(7919)[:n]
-    assert nt.nth_prime(125) == 691
-    assert nt.nth_prime(1000) == 7919
+    assert nt.first_primes(125)[-1] == 691
+    assert nt.first_primes(1000)[-1] == 7919
     assert trial_division_is_prime(7919)
     assert len(nt.table_for(7919)) == 1000
     assert len(nt.table_for(7918)) == 999
     with pytest.raises(DomainError):
-        nt.nth_prime(0)
+        nt.first_primes(0)
 
 
 # ------------------------------------------------- theta and the primorial
@@ -275,19 +276,16 @@ def test_chebyshev_theta_exact_product_oracle():
 
 
 def test_primorial_matches_theta():
+    """D = 4 p_1 ... p_ell over the first_primes list: log D meets
+    log 4 + theta(p_ell)."""
     for ell in (1, 2, 5, 50, 125):
-        D, logD = nt.primorial_D(ell)
-        p_ell = nt.nth_prime(ell)
-        assert D % 4 == 0
-        recon = iv.log(iv.mpf(4)) + nt.chebyshev_theta(p_ell)
+        primes = nt.first_primes(ell)
+        logD = iv.log(iv.mpf(4 * math.prod(primes)))
+        recon = iv.log(iv.mpf(4)) + nt.chebyshev_theta(primes[-1])
         assert overlap(logD, recon)
         assert encl.width(logD) < mpmath.mpf("1e-28")
-    assert nt.primorial_D(1)[0] == 8
-    assert nt.primorial_D(3)[0] == 120
-    with pytest.raises(DomainError):
-        nt.primorial_D(0)
-    with pytest.raises(CapacityError):
-        nt.primorial_D(nt.PRIMORIAL_CAP + 1)
+    assert 4 * math.prod(nt.first_primes(1)) == 8
+    assert 4 * math.prod(nt.first_primes(3)) == 120
 
 
 # ------------------------------------------------------- kronecker symbol
@@ -442,3 +440,24 @@ def test_int_nth_root(rng):
         m = rng.randrange(1, 10 ** 4)
         assert nt.int_nth_root(m ** k, k) == m
         assert nt.int_nth_root(m ** k - 1, k) == m - 1
+
+
+def test_int_nth_root_past_double_precision(rng):
+    """Roots past 2^53, where a float guess is off by far more than the
+    steps a +-1 walk can take, and n past the float range are exact."""
+    for _ in range(2000):
+        k = rng.randrange(2, 10)
+        n = rng.randrange(1, 2 ** rng.randrange(1, 2200))
+        x = nt.int_nth_root(n, k)
+        assert x ** k <= n < (x + 1) ** k, (n, k)
+    for k in range(1, 8):
+        for n in range(5000):
+            x = nt.int_nth_root(n, k)
+            assert x ** k <= n < (x + 1) ** k, (n, k)
+    assert nt.int_nth_root(2 ** 468, 6) == 2 ** 78
+    assert nt.int_nth_root(2 ** 468 - 1, 6) == 2 ** 78 - 1
+    t0 = time.perf_counter()
+    for n in (2 ** 470, 2 ** 1100):
+        x = nt.int_nth_root(n, 6)
+        assert x ** 6 <= n < (x + 1) ** 6
+    assert time.perf_counter() - t0 < 0.5
