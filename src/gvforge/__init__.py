@@ -6,8 +6,8 @@ quadfield (fields, splitting, class groups, tower criterion), lenstra
 certificates), cli (command-line front end), enclosure (interval substrate),
 errors (the exception types). Import the module you need, as in
 `from gvforge import bounds`; the package itself imports none of them.
-No module imports numpy, and mpmath is imported only where it is used, so
-`verify` and `construct` load no third-party package.
+The package depends on no third-party package: `enclosure` is its own
+pure-Python interval kernel. numpy and mpmath are test oracles only.
 """
 
 __version__ = "0.1.0"

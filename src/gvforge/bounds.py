@@ -194,8 +194,8 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int):
     """Exact evaluation of the three construction conditions.
 
     One list of the first ell primes gives p_ell, the inert window and, for
-    a witness, log D. Returns (rows, witness_or_None, p_ell); each row is
-    (name, lhs_int, rhs_int, ok).
+    a witness, log D. Returns (rows, witness_or_None, primes), primes being
+    that list; each row is (name, lhs_int, rhs_int, ok).
     """
     _check_q(q)
     if ell < 1:
@@ -216,7 +216,7 @@ def _evaluate_conditions(q: int, r: int, ell: int, k: int):
     if ok1 and ok2 and ok3:
         witness = ParamWitness(q=q, r=r, ell=ell, k=k, p_ell=p_ell, Nq=Nq,
                                D_log=_primorial_logs(primes, [ell])[ell])
-    return rows, witness, p_ell
+    return rows, witness, primes
 
 
 def check_conditions(q: int, r: int, ell: int, k: int) -> ParamWitness:
@@ -354,7 +354,8 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         sch = theorem1_schedule(q, C0)
         checks = [_mk_check("eligible_eps_in_unit_interval", sch.eps, 1)]
 
-    rows, witness, p_ell = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
+    rows, witness, primes = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
+    p_ell = primes[-1]
     for (name, lhs, rhs, ok) in rows:
         checks.append(_mk_check(name, lhs, rhs, ok=ok))
 
@@ -384,7 +385,7 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         checks.append(_skipped_check("primorial_log_over_2k_bounded",
                                      "no witness"))
 
-    theta = nt.chebyshev_theta(p_ell)
+    theta = nt.chebyshev_theta(p_ell, primes)
     logp = iv.log(iv.mpf(p_ell))
     checks.append(_mk_check("theta_p_ell_below_rosser_bound",
                             theta, (1 + 3 / logp) * p_ell))

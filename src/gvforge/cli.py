@@ -9,9 +9,10 @@ check, 3 capacity refusal or running out of memory. Given identical
 arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
-loads no mpmath. `bounds` and `certify` load bounds and enclosure (and so
-mpmath); `construct` and `verify` load lenstra and quadfield but not
-mpmath; `tower` loads quadfield and enclosure. No command loads numpy.
+loads only the exception types. `bounds` and `certify` load bounds,
+numtheory and enclosure; `construct` and `verify` load lenstra and
+quadfield; `tower` loads quadfield and enclosure. The package has no
+third-party dependency, so no command loads numpy or mpmath.
 """
 
 import argparse

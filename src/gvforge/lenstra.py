@@ -187,6 +187,33 @@ def _reach(K: QuadraticField, r: int, G: int):
     return R, math.isqrt(R) + 1
 
 
+def _u_span(K: QuadraticField, r: int, G: int):
+    """Rationals lo <= 0 <= hi with lo < u - s_1 < hi for every point (u, v)
+    of the box of side rho at basis shift s; in the centred box,
+    |u| < (hi - lo) / 2.
+
+    B ((u, v) - s) lies in (0, rho)^2, so u - s_1 = c_1 y_1 + c_2 y_2 with
+    y in (0, rho)^2 and (c_1, c_2) the first row of B^-1. Every basis of
+    _integer_basis has p_1 q_2 = p_2 q_1, so its determinant is
+    d sqrt(m)/4 with d = p_1 e_2 - p_2 e_1, and c_k = alpha_k + beta_k /
+    sqrt(m) with the rationals below. rho c_k = (alpha_k sqrt(R) + beta_k
+    sqrt(R m) / m) / 2 is bounded at the corners of the integer brackets
+    of sqrt(R) and sqrt(R m), so the span is never narrower than the box's.
+    """
+    ((p1, q1, e1), (p2, q2, e2)), m = _integer_basis(K)
+    R = _reach(K, r, G)[0]
+    d = p1 * e2 - p2 * e1
+    a, t = math.isqrt(R), math.isqrt(R * m)
+    lo = hi = Fraction(0)
+    for alpha, beta in ((Fraction(2 * e2, d), Fraction(2 * q2, d)),
+                        (Fraction(-2 * e1, d), Fraction(-2 * q1, d))):
+        ends = [(alpha * x + beta * y / m) / 2
+                for x in (a, a + 1) for y in (t, t + 1)]
+        lo += min(min(ends), 0)
+        hi += max(max(ends), 0)
+    return lo, hi
+
+
 def _box_floats(E: LatticeEmbedding, box: BoxSpec):
     """(tau_1, tau_2, rho) of the box, each rounded from its exact value."""
     rows, m = _integer_basis(E.field)
@@ -232,12 +259,11 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
     Face k of the box is sigma (p_k U + q_k V + e_k V sqrt(m)) + c sqrt(R) > 0
     with U = S u - n_1, V = S v - n_2 for the translate's common denominator
     S. Each face is monotone in v, so a column's points are a v-interval
-    found by stepping from the float guess. Every box point has
-    -2 rho < u - floor(s_1) < 2 rho + 1 (|u| < 2 rho when centred), so the
-    u-range [floor(s_1) - P, floor(s_1) + P] of _reach is exact.
+    found by stepping from the float guess. The columns come from the
+    u-range of _u_span, which holds every point of the box.
     """
     rows, m = _integer_basis(E.field)
-    R, P = _reach(E.field, box.r, box.G)
+    R = _reach(E.field, box.r, box.G)[0]
     if box.shift is None:
         S, n1, n2, c0 = 2, 0, 0, 1  # 4 (x + rho/2) = 4 x + sqrt(R)
     else:
@@ -255,8 +281,12 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
         return all(_face_sign(p * U + q * V, e * V, m, c, R) > 0
                    for p, q, e, c in faces[group])
 
-    u0 = math.floor(box.shift[0]) if box.shift else 0
-    us = range(u0 - P, u0 + P + 1)
+    lo, hi = _u_span(E.field, box.r, box.G)
+    if box.shift is None:
+        lo, hi = (lo - hi) / 2, (hi - lo) / 2
+    else:
+        lo, hi = lo + box.shift[0], hi + box.shift[0]
+    us = range(math.floor(lo), math.ceil(hi) + 1)
     guesses = _float_columns(E.floats, *_box_floats(E, box), us)
     for u, (lo, hi, _) in zip(us, guesses):
         if not inside(0, u, 0):
@@ -272,9 +302,10 @@ def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
 
 
-def _grid_scores(bf, rho: float, P: int, g: int):
+def _grid_scores(bf, rho: float, us, g: int):
     """Float point counts of the boxes at the g x g grid translates, cell
-    (i, j) at index i g + j, over the columns u in [-P, P].
+    (i, j) at index i g + j, over the columns u of the range us (an int P
+    stands for [-P, P]).
 
     Cell (i, j) puts the box at s = (i/g + o, j/g + o), o = _GRID_OFFSET,
     and holds (u, v) exactly when B (u - s_1, v - s_2) lies in the open box
@@ -284,15 +315,17 @@ def _grid_scores(bf, rho: float, P: int, g: int):
     float v-range (lo, hi) of the box at (s_1, 0) gives the fine b-interval
     g (o + lo, o + hi), and its L points add L // g to every cell of the
     row and 1 more to a cyclic run of L % g cells, kept as a difference
-    array. The work is g (2P + 1) columns and g^2 cells.
+    array. The work is g len(us) columns and g^2 cells.
     """
+    if isinstance(us, int):
+        us = range(-us, us + 1)
     off = float(_GRID_OFFSET)
     score = array("q")
     for i in range(g):
         si = i / g + off
         diff = [0] * g
         for lo, hi, alive in _float_columns(bf, bf[0] * si, bf[2] * si, rho,
-                                            range(-P, P + 1)):
+                                            us):
             if not alive:
                 continue
             b = math.ceil(g * (off + lo + 1e-12))
@@ -335,14 +368,15 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     centred_count = _count(E, centred)
     rho_f = _box_floats(E, centred)[2]
     bf = E.floats
-    # every grid cell has floor(s_1) = 0, so one u-range serves them all
-    P = _reach(K, r, G)[1]
+    # every grid cell has 0 < s_1 < 1, so one u-range serves them all
+    lo, hi = _u_span(K, r, G)
+    us = range(math.floor(lo), math.ceil(hi + 1) + 1)
     g = start_grid
     while g <= max_grid:
         if g * g > GRID_CELL_CAP:
             raise CapacityError("translate grid %d has %d cells, cap %d"
                                 % (g, g * g, GRID_CELL_CAP))
-        score = _grid_scores(bf, rho_f, P, g)
+        score = _grid_scores(bf, rho_f, us, g)
         best, best_count = None, -1
         # nlargest is stable, so equal scores keep row-major order
         for c in heapq.nlargest(6, range(g * g), key=score.__getitem__):

@@ -10,8 +10,9 @@ listed: one pass over its class 3 (mod 4), with its own base primes, counts
 the primes above each of several lower ends at once.
 Chebyshev theta is returned as an interval enclosure from `enclosure`,
 which `chebyshev_theta` imports itself, so that the sieve and the exact
-helpers never load mpmath. The primorial D = 4 p_1 ... p_ell of a witness
-is built in `bounds` from the same `first_primes` list that gives p_ell.
+helpers load no interval code. The primorial D = 4 p_1 ... p_ell of a
+witness, and theta(p_ell) in its certificate, are built in `bounds` from
+the same `first_primes` list that gives p_ell.
 """
 
 import math
@@ -23,6 +24,7 @@ from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
 _WINDOW = 1 << 21
+_REFILL = 1 << 16  # bytes of the block that refills a segment with ones
 
 
 def check_cap(limit: int) -> None:
@@ -39,17 +41,25 @@ def _segments(start: int, stop: int, step: int, base: list):
 
     step is 2 or 4 and start is odd; `base` holds the odd primes up to at
     least sqrt(stop). Each segment holds at most `_WINDOW` slots, and the
-    first is the largest, so the zero buffer that strikes multiples is sized
-    to it. The first multiple p*m of p at or past max(lo, p^2) in the
-    progression has m = start*p (mod step), since p^2 = 1 (mod 8); the next
-    ones follow every p slots.
+    first is the largest. One buffer holds every segment in turn, so the
+    caller must be done with a segment before it asks for the next. It is
+    refilled with ones from a small block, and multiples are struck from a
+    zero buffer a third of its size, since the least base prime is 3. The
+    first multiple p*m of p at or past max(lo, p^2) in the progression has
+    m = start*p (mod step), since p^2 = 1 (mod 8); the next ones follow
+    every p slots.
     """
-    zeros = None
+    seg = None
     for lo in range(start, stop + 1, step * _WINDOW):
         n = (min(lo + step * _WINDOW, stop + 1) - lo + step - 1) // step
-        if zeros is None:
-            zeros = memoryview(bytes(n))
-        seg = bytearray(b"\x01") * n
+        if seg is None:
+            seg = bytearray(b"\x01") * n
+            zeros = memoryview(bytes(n // 3 + 1))
+            ones = memoryview(b"\x01" * min(n, _REFILL))
+        else:
+            del seg[n:]
+            for k in range(0, n, _REFILL):
+                seg[k:k + _REFILL] = ones[:n - k]
         end = lo + step * (n - 1)
         for p in base:
             if p * p > end:
@@ -152,18 +162,20 @@ def inert_counts(q: int, lows) -> list:
 _CHUNK_BITS = 4000
 
 
-def chebyshev_theta(x: int):
+def chebyshev_theta(x: int, primes=None):
     """theta(x) = sum of log p over primes p <= x, as an enclosure.
 
-    Products of primes are taken exactly in integers, then logged in chunks
-    so every rounding step is an outward interval operation.
+    `primes`, when the caller already holds them, are the primes up to x;
+    otherwise they are sieved here. Products of primes are taken exactly in
+    integers, then logged in chunks so every rounding step is an outward
+    interval operation.
     """
     from .enclosure import iv
     if x < 2:
         return iv.mpf(0)
     total = iv.mpf(0)
     prod = 1
-    for p in sieve_primes(int(x)):
+    for p in sieve_primes(int(x)) if primes is None else primes:
         prod *= p
         if prod.bit_length() >= _CHUNK_BITS:
             total += iv.log(iv.mpf(prod))

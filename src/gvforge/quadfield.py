@@ -2,9 +2,9 @@
 data from reduced binary quadratic forms, and class-field-tower certification.
 
 Everything here is exact integer arithmetic except the reported tower
-threshold, which is an interval enclosure. The module never imports numpy,
-and `enclosure` (for the threshold) is imported by the function that uses
-it, so that listing prime ideals and class groups loads no mpmath.
+threshold, which is an interval enclosure. `enclosure` (for the threshold)
+is imported by the function that uses it, so that listing prime ideals and
+class groups loads no interval code.
 """
 
 import math

@@ -1,6 +1,9 @@
 import math
 import random
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
@@ -11,6 +14,16 @@ from gvforge.errors import DomainError
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def exact(x) -> Fraction:
+    """The exact rational value of an int, float, Fraction or mpmath mpf.
+    The library's lower, upper, midpoint and width are exact Fractions, and
+    every comparison of them, or of an enclosure, with an mpmath value
+    goes through this conversion, which never rounds."""
+    if isinstance(x, mpmath.mpf):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+    return Fraction(x)
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -25,7 +25,7 @@ from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 
-from conftest import basis_mp, box_mp, embed_mp, norm_gap_check
+from conftest import basis_mp, box_mp, embed_mp, exact, norm_gap_check
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145  # floor(exp(29)) + 1, the smallest eligible q
@@ -232,7 +232,7 @@ def test_criterion_6_tower_base_discriminant():
     cg = qf.class_group_imaginary(K)
     cert = qf.golod_shafarevich_check(K, cg.two_rank, 0)
     with mp.workdps(60):
-        thr_ok = encl.contains(cert.threshold, 2 + 2 * mp.sqrt(2))
+        thr_ok = encl.contains(cert.threshold, exact(2 + 2 * mp.sqrt(2)))
     ok = (cg.h == 1536 and cg.two_rank == 7 and cert.passes and thr_ok
           and (cg.two_rank - 2) ** 2 >= 4 * (0 + K.archimedean_places + 1))
     _report(6, ok,
@@ -280,7 +280,7 @@ def test_criterion_7_final_inequality_tail():
     for e in samples:
         sides = bd._final_inequality_sides(e)
         with mp.workdps(60):
-            if not all(encl.contains(s, v) for s, v in
+            if not all(encl.contains(s, exact(v)) for s, v in
                        zip(sides, final_inequality_sides_mp(e))):
                 not_enclosed.append(e)
     ok = (not below_guard and argmin == 125 and min_margin > 0

@@ -5,6 +5,7 @@ interval code shared), exact integer reasoning for every ceiling/floor, and
 float re-evaluation for inequality signs well away from zero.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from gvforge import enclosure as encl
 from gvforge import numtheory as nt
 from gvforge.errors import ConditionFailure, DomainError
 
-from conftest import first_primes_oracle, inert_count_oracle
+from conftest import exact, first_primes_oracle, inert_count_oracle
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145
@@ -32,12 +33,16 @@ def mp_value(fn, dps=50):
 
 
 def assert_encloses(x, value, tol="1e-25"):
-    # endpoint conversions must happen above double precision or they round
+    # the endpoints are exact; value and tol are compared exactly too. The
+    # centre is (lo + hi) / 2; midpoint() is that centre rounded to a double
+    lo, hi = encl.lower(x), encl.upper(x)
+    centre = (lo + hi) / 2
+    value = exact(value)
     with mp.workdps(50):
-        lo, hi, mid = encl.lower(x), encl.upper(x), encl.midpoint(x)
-        eps = mp.mpf(tol)
-        assert lo - eps <= value <= hi + eps
-        assert abs(mid - value) < eps
+        eps = exact(mp.mpf(tol))
+    assert lo - eps <= value <= hi + eps
+    assert abs(centre - value) < eps
+    assert abs(encl.midpoint(x) - centre) <= abs(centre) / 2 ** 53
 
 
 # ------------------------------------------------------------ gv, plotkin
@@ -53,7 +58,7 @@ def test_gv_exact_zero_region():
 
 def test_gv_frozen_point():
     v = bd.gv_bound(2, Fraction(11, 100))
-    assert abs(encl.midpoint(v) - mpmath.mpf("0.50008404")) < 1e-7
+    assert abs(encl.midpoint(v) - exact(mpmath.mpf("0.50008404"))) < 1e-7
 
     def oracle():
         d = mp.mpf(11) / 100
@@ -77,7 +82,7 @@ def test_gv_against_mp_oracle(rng):
             return 1 - (d * mp.log(q - 1) + h) / mp.log(q)
 
         assert_encloses(v, mp_value(oracle))
-        assert encl.width(v) < mpmath.mpf("1e-30")
+        assert encl.width(v) < exact(mpmath.mpf("1e-30"))
 
 
 def test_gv_domain():
@@ -110,7 +115,7 @@ def test_bound_order_on_grid():
             with mp.workdps(60):
                 d = mp.mpf(i) / 20
                 h = -d * mp.log(d) - (1 - d) * mp.log(1 - d)
-                assert encl.lower(gv) > 1 - d - h / mp.log(q), (q, delta)
+                assert encl.lower(gv) > exact(1 - d - h / mp.log(q)), (q, delta)
 
 
 # ------------------------------------------------------- conditions, nfc
@@ -239,6 +244,34 @@ def test_import_leaves_mpmath_precision_alone():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert run.stdout.split() == ["53", "53"]
+
+
+AMBIENT = """
+import json, sys
+from fractions import Fraction
+import mpmath
+if sys.argv[1] == "50":
+    mpmath.mp.dps = 50
+from gvforge import bounds
+cert = bounds.certify(10 ** 16)
+sweep = bounds.bound_points(2 ** 30, [Fraction(i, 20) for i in range(1, 20)])
+print(json.dumps([[list(c.as_dict().values()) for c in cert.checks],
+                  repr(cert.witness), [repr(p.witness) for p in sweep]]))
+"""
+
+
+def test_results_do_not_depend_on_the_ambient_mpmath_precision():
+    """In fresh interpreters, setting mpmath.mp.dps = 50 before certify and
+    a bounds sweep changes no printed check and no chosen witness: the
+    library's digits come from its own precision alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = [json.loads(subprocess.run(
+        [sys.executable, "-c", AMBIENT, dps], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
+        for dps in ("default", "50")]
+    assert out[0] == out[1]
+    lhs = {c[0]: c[1] for c in out[0][0]}
+    assert lhs["nfc_rate_beats_gv_at_half"] == "0.481185625271001171654461"
 
 
 def test_theorem1_schedule():
@@ -496,32 +529,42 @@ def test_primorials_match_the_trial_division_oracle(q):
     as the search's at the same ell."""
     searched = {}
     for w, _, dlog_2k in bd._candidates(q, 6):
-        assert dlog_2k._mpi_ == (w.D_log / (2 * w.k))._mpi_
+        assert dlog_2k.ends == (w.D_log / (2 * w.k)).ends
         searched.setdefault(w.ell, []).append(w)
     cert = bd.certify(q).witness
-    assert searched[cert.ell][0].D_log._mpi_ == cert.D_log._mpi_
+    assert searched[cert.ell][0].D_log.ends == cert.D_log.ends
     primes = first_primes_oracle(max(searched))
     D = 4
     for ell, p in enumerate(primes, 1):
         D *= p
         with mp.workdps(60):
-            log_D = mp.log(D)
+            log_D = exact(mp.log(D))
         for w in searched.get(ell, []) + [cert] * (cert.ell == ell):
             assert w.p_ell == p
             assert encl.contains(w.D_log, log_D), ell
-            assert encl.width(w.D_log) < mpmath.mpf("1e-25")
+            assert encl.width(w.D_log) < exact(mpmath.mpf("1e-25"))
 
 
 def test_certify_lists_the_first_primes_once(monkeypatch):
-    """p_ell, the inert window and log D of one certificate come from one
-    list of the first ell primes."""
-    calls = []
-    first = nt.first_primes
+    """p_ell, the inert window, log D and theta(p_ell) of one certificate
+    come from one list of the first ell primes: one sieve per certificate.
+    theta(p_ell) has the endpoints of chebyshev_theta sieving on its own."""
+    calls, sieves = [], []
+    first, sieve = nt.first_primes, nt.sieve_primes
     monkeypatch.setattr(nt, "first_primes",
                         lambda n: calls.append(n) or first(n))
-    cert = bd.certify(Q42)
-    assert cert.overall == "pass"
-    assert calls == [cert.witness.ell]
+    monkeypatch.setattr(nt, "sieve_primes",
+                        lambda n: sieves.append(n) or sieve(n))
+    for q in (Q42, Q_FLOOR, 10 ** 16):
+        calls.clear()
+        sieves.clear()
+        cert = bd.certify(q)
+        assert cert.overall == "pass"
+        assert calls == [cert.witness.ell]
+        assert len(sieves) == 1
+        p_ell = cert.witness.p_ell
+        assert (nt.chebyshev_theta(p_ell, first_primes_oracle(cert.witness.ell)).ends
+                == nt.chebyshev_theta(p_ell).ends)
 
 
 ORDER = """
@@ -560,7 +603,7 @@ def test_bound_points_match_the_per_delta_search(q, budget):
     deltas = [Fraction(i, 20) for i in range(1, 20)] + [Fraction(q - 1, q)]
     got = bd.bound_points(q, deltas, budget=budget)
     assert [pt.delta for pt in got] == deltas
-    assert got[-1].gv._mpi_ == encl.iv.mpf(0)._mpi_
+    assert got[-1].gv.ends == encl.iv.mpf(0).ends
     witnesses = reference_witnesses(q, budget)
     for pt, delta in zip(got, deltas):
         want = reference_bound_point(witnesses, q, delta)
@@ -568,5 +611,5 @@ def test_bound_points_match_the_per_delta_search(q, budget):
         # identical enclosures, compared by their repr and exact endpoints
         for x, y in zip((pt.gv, pt.plotkin, pt.nfc), want[1:]):
             assert repr(x) == repr(y), delta
-            assert getattr(x, "_mpi_", None) == getattr(y, "_mpi_", None)
+            assert getattr(x, "ends", None) == getattr(y, "ends", None)
     assert (got[0].witness is None) == (q == 64)

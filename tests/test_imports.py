@@ -9,12 +9,12 @@ or in the body of a module-level class, must be read somewhere under
 `src/`, as a plain name, an attribute (`nt._WINDOW`) or an imported name.
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
 algebraic, so it needs no interval enclosures. No module under `src/`
-imports numpy, not even inside a function; numpy is a test-only dependency.
-`enclosure` (so mpmath) is imported only inside the functions that use it,
-and the CLI imports each module inside the commands that need it:
-`import gvforge.cli`, `verify` and `construct` load neither numpy nor
-mpmath, and `bounds`, `certify` and `tower` load no numpy; `import
-gvforge.cli` loads no other module of the package than `gvforge.errors`. No module reads the
+imports numpy or mpmath, not even inside a function; both are test-only
+dependencies, and mpmath is the oracle of the interval kernel. `enclosure`
+is imported only inside the functions that use it, and the CLI imports
+each module inside the commands that need it: no command loads numpy or
+mpmath, and `import gvforge.cli` loads no other module of the package
+than `gvforge.errors`. No module reads the
 environment, so no setting hides in a variable, and none keeps state
 between calls: no `global` statement and no `functools.cache` or
 `lru_cache` memo.
@@ -192,8 +192,24 @@ def test_no_module_imports_numpy(path):
     assert "numpy" not in imported_modules(path.read_text())
 
 
+def test_checker_finds_function_level_mpmath():
+    for source in ("def f():\n    import mpmath\n",
+                   "def f():\n    from mpmath import mp\n",
+                   "def f():\n    from mpmath.ctx_iv import MPIntervalContext\n",
+                   "class C:\n    def f(self):\n        import mpmath.libmp\n"):
+        assert "mpmath" in imported_modules(source)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_mpmath(path):
+    """Anywhere in the module, function bodies included: the interval
+    kernel is the package's own, and mpmath is only its test oracle."""
+    assert "mpmath" not in imported_modules(path.read_text())
+
+
 # modules that `import gvforge.cli`, `construct` and `verify` load; none may
-# import `enclosure`, mpmath, or `bounds` (which imports them) at module level
+# import `enclosure`, mpmath, or `bounds` (which imports `enclosure`) at
+# module level
 MPMATH_FREE = ("numtheory", "quadfield", "lenstra", "errors", "cli")
 
 
@@ -246,12 +262,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     (["verify", str(GOLDEN / "tampered.code")], 2, []),
     (["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1"], 0,
      []),
-    (["tower", "--disc", "-19399380"], 0, ["mpmath"]),
-], ids=("import", "verify", "verify_tampered", "construct", "tower"))
+    (["certify", "--q", str(2 ** 42)], 0, []),
+    (["bounds", "--q", "1048576", "--q", "1073741824", "--delta-grid",
+      "1/10:9/10:1/10"], 0, []),
+    (["tower", "--disc", "-19399380"], 0, []),
+], ids=("import", "verify", "verify_tampered", "construct", "certify",
+        "bounds", "tower"))
 def test_commands_load_only_what_they_use(argv, rc, loaded):
-    """In a fresh interpreter: `import gvforge.cli`, `verify` and
-    `construct` load neither numpy nor mpmath, and `tower` loads mpmath but
-    no numpy."""
+    """In a fresh interpreter, neither `import gvforge.cli` nor any command
+    loads numpy or mpmath."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,

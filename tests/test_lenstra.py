@@ -260,6 +260,59 @@ def test_grid_scores_hold_eight_bytes_a_cell():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_columns_dropped_from_the_old_range_are_empty(seed):
+    """The u-range of _u_span against the old one, u in [floor(s_1) - P,
+    floor(s_1) + P] with P from _reach: at seeded boxes every point the
+    60-digit scan finds inside lies in both, so every column the new range
+    drops is empty, and enumerate_omega still finds every point. For the translate
+    grid, every dropped column gives no fine point to any cell by the float
+    column oracle, so the scores over the new range equal those over
+    [-P, P]. The new range drops at least half of the old columns."""
+    rng = random.Random(seed)
+    old = new = 0
+    for D in rng.sample(BOX_POOL, 4):
+        K = qf.make_field(D)
+        E = ln.make_embedding(K)
+        r, G = rng.randrange(2, 9), rng.randrange(1, 3)
+        if r ** (2 * G) < abs(D):
+            r = math.isqrt(abs(D)) + 1
+        P = ln._reach(K, r, G)[1]
+        lo, hi = ln._u_span(K, r, G)
+        shifts = [None] + [tuple(Fraction(rng.randrange(-99, 100),
+                                          rng.randrange(1, 9))
+                                 for _ in range(2)) for _ in range(3)]
+        for shift in shifts:
+            box = ln.box_at(r, G, shift)
+            inside, near = scan_box_mp(D, box)
+            s1 = shift[0] if shift else 0
+            for u, _ in inside:
+                assert abs(u - math.floor(s1)) <= P, (D, r, G, shift)
+                if shift is None:
+                    assert 2 * abs(u) < hi - lo, (D, r, G, u)
+                else:
+                    assert lo < u - s1 < hi, (D, r, G, shift, u)
+            if not near:
+                assert ln.enumerate_omega(E, box) == inside
+        keep = range(math.floor(lo), math.ceil(hi + 1) + 1)
+        dropped = np.array([u for u in range(-P, P + 1) if u not in keep],
+                           dtype=float)
+        old, new = old + 2 * P + 1, new + len(keep)
+        rho = ln._box_floats(E, ln.box_at(r, G, None))[2]
+        g = 64
+        cells = np.arange(g * g)
+        si, sj = cells // g / g + float(ln._GRID_OFFSET), cells % g / g + float(
+            ln._GRID_OFFSET)
+        b00, b01, b10, b11 = E.floats
+        vlo, vhi, alive = float_columns_oracle(
+            E.floats, (b00 * si + b01 * sj)[:, None],
+            (b10 * si + b11 * sj)[:, None], rho, dropped)
+        assert not np.any(alive & (vhi >= vlo)), (D, r, G)
+        assert (ln._grid_scores(E.floats, rho, keep, g).tolist()
+                == ln._grid_scores(E.floats, rho, P, g).tolist())
+    assert 2 * new <= old
+
+
 def test_find_tau_exhaustion_raises():
     K = qf.make_field(-4)
     E = ln.make_embedding(K)

@@ -20,7 +20,7 @@ from gvforge import numtheory as nt
 from gvforge.enclosure import iv
 from gvforge.errors import CapacityError, DomainError
 
-from conftest import (inert_count_oracle, inert_primes_oracle,
+from conftest import (exact, inert_count_oracle, inert_primes_oracle,
                       trial_division_is_prime)
 
 
@@ -260,7 +260,7 @@ def test_first_primes():
 def test_chebyshev_theta_small():
     theta10 = nt.chebyshev_theta(10)
     assert overlap(theta10, iv.log(iv.mpf(210)))  # 2 * 3 * 5 * 7
-    assert encl.width(theta10) < mpmath.mpf("1e-30")
+    assert encl.width(theta10) < exact(mpmath.mpf("1e-30"))
     assert encl.midpoint(nt.chebyshev_theta(1)) == 0
     assert overlap(nt.chebyshev_theta(2), iv.log(iv.mpf(2)))
 
@@ -272,7 +272,7 @@ def test_chebyshev_theta_exact_product_oracle():
             prod *= p
     theta = nt.chebyshev_theta(691)
     assert overlap(theta, iv.log(iv.mpf(prod)))
-    assert encl.width(theta) < mpmath.mpf("1e-28")
+    assert encl.width(theta) < exact(mpmath.mpf("1e-28"))
 
 
 def test_primorial_matches_theta():
@@ -283,7 +283,7 @@ def test_primorial_matches_theta():
         logD = iv.log(iv.mpf(4 * math.prod(primes)))
         recon = iv.log(iv.mpf(4)) + nt.chebyshev_theta(primes[-1])
         assert overlap(logD, recon)
-        assert encl.width(logD) < mpmath.mpf("1e-28")
+        assert encl.width(logD) < exact(mpmath.mpf("1e-28"))
     assert 4 * math.prod(nt.first_primes(1)) == 8
     assert 4 * math.prod(nt.first_primes(3)) == 120
 
