@@ -8,9 +8,8 @@ argument with its enclosure margin and a three-way status.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import enclosure as enc
 from . import numtheory as nt
@@ -30,8 +29,7 @@ def eligible_q_floor() -> int:
     return enc.resolve_int(lambda: iv.exp(iv.mpf(29)), enc.ceil_exact)
 
 
-@dataclass(frozen=True)
-class ParamWitness:
+class ParamWitness(NamedTuple):
     """(r, ell, k) passing the three construction conditions at q.
 
     Nq counts primes p = 3 (mod 4) with p > p_ell and r <= p^2 <= q (exact);
@@ -47,8 +45,7 @@ class ParamWitness:
     D_log: object
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     name: str
     q: int
     eps: object  # HighReal
@@ -57,8 +54,7 @@ class Schedule:
     k: int
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     name: str
     lhs: str
     rhs: str
@@ -71,8 +67,7 @@ class CertCheck:
                 "margin": self.margin, "width": self.width, "status": self.status}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     q: int
     schedule: str
     witness: Optional[ParamWitness]
@@ -89,8 +84,7 @@ class Certificate:
                 "overall": self.overall}
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     q: int
     delta: object
     gv: object
@@ -99,8 +93,7 @@ class BoundPoint:
     witness: Optional[ParamWitness]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     q: int
     delta: object
     witness: Optional[ParamWitness]

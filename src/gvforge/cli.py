@@ -10,15 +10,13 @@ arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
 loads only the exception types. `bounds` and `certify` load bounds,
-numtheory and enclosure; `construct` and `verify` load lenstra and
-quadfield; `tower` loads quadfield and enclosure. The package has no
-third-party dependency, so no command loads numpy or mpmath.
+numtheory and enclosure, and json or csv for output in those formats;
+`construct` and `verify` load lenstra and quadfield; `tower` loads
+quadfield and enclosure. The package has no third-party dependency, so no
+command loads numpy or mpmath.
 """
 
 import argparse
-import csv
-import io
-import json
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -167,6 +165,8 @@ def cmd_bounds(args) -> int:
                 "k": w.k if w else "",
             })
     if args.format == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
                                 lineterminator="\n")
@@ -174,6 +174,7 @@ def cmd_bounds(args) -> int:
         writer.writerows(rows)
         _emit(buf.getvalue(), args.output)
     else:
+        import json
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -241,6 +242,7 @@ def cmd_certify(args) -> int:
         raise DomainError("--C0 applies only to --schedule theorem1")
     cert = bd.certify(args.q, schedule=args.schedule, C0=args.C0)
     if args.format == "json":
+        import json
         _emit(json.dumps(cert.as_dict(), indent=2) + "\n", args.output)
     else:
         _emit(_certificate_text(cert), args.output)

@@ -17,16 +17,17 @@ and the words are read off the box's points column by column.
 
 import heapq
 import math
+import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, TauSearchError
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
-                        is_fundamental, prime_ideals_in_norm_range)
+                        is_fundamental, make_field, prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
@@ -36,8 +37,7 @@ GRID_CELL_CAP = 1 << 22
 _SCAN_BITS = 1 << 30
 
 
-@dataclass(frozen=True)
-class LatticeEmbedding:
+class LatticeEmbedding(NamedTuple):
     """Integral basis image in R^2: floats = (b00, b01, b10, b11) with
     x = (b00 u + b01 v, b10 u + b11 v), each rounded from its exact value."""
 
@@ -45,8 +45,7 @@ class LatticeEmbedding:
     floats: tuple
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(NamedTuple):
     """Open box (tau_1, tau_1 + rho) x (tau_2, tau_2 + rho), rho^2 =
     2^-t r^G.
 
@@ -62,8 +61,11 @@ class BoxSpec:
     bumps = 0  # exact membership never retries a box; trace tooling reads it
 
 
-@dataclass(frozen=True)
-class LenstraCode:
+class LenstraCode(NamedTuple):
+    """A code and where it came from. box is the exact box whose points the
+    words are the residues of, or None when it is not known: build_code
+    sets it, and a code file carries its shift in the header."""
+
     disc: int
     q: int
     r: int
@@ -73,10 +75,10 @@ class LenstraCode:
     ideals: tuple
     omega: tuple
     codewords: tuple
+    box: Optional[BoxSpec] = None
 
 
-@dataclass(frozen=True)
-class CodeCheck:
+class CodeCheck(NamedTuple):
     """The verdict of verify_code; bad_symbol is the first (word, symbol)
     whose symbol lies outside [0, q), or None. min_target is None when the
     volume target exceeds PAIRWISE_CAP, which no file within the cap meets."""
@@ -181,10 +183,9 @@ def _first_true(pred, v: int) -> int:
     return v
 
 
-def _reach(K: QuadraticField, r: int, G: int):
-    """R = (2 rho)^2, and P = isqrt(R) + 1 > 2 rho, both integers."""
-    R = r ** G * 2 ** (2 - K.t)
-    return R, math.isqrt(R) + 1
+def _reach(K: QuadraticField, r: int, G: int) -> int:
+    """R = (2 rho)^2 = 4 r^G 2^-t, an integer."""
+    return r ** G * 2 ** (2 - K.t)
 
 
 def _u_span(K: QuadraticField, r: int, G: int):
@@ -201,7 +202,7 @@ def _u_span(K: QuadraticField, r: int, G: int):
     of sqrt(R) and sqrt(R m), so the span is never narrower than the box's.
     """
     ((p1, q1, e1), (p2, q2, e2)), m = _integer_basis(K)
-    R = _reach(K, r, G)[0]
+    R = _reach(K, r, G)
     d = p1 * e2 - p2 * e1
     a, t = math.isqrt(R), math.isqrt(R * m)
     lo = hi = Fraction(0)
@@ -217,7 +218,7 @@ def _u_span(K: QuadraticField, r: int, G: int):
 def _box_floats(E: LatticeEmbedding, box: BoxSpec):
     """(tau_1, tau_2, rho) of the box, each rounded from its exact value."""
     rows, m = _integer_basis(E.field)
-    R = _reach(E.field, box.r, box.G)[0]
+    R = _reach(E.field, box.r, box.G)
     if box.shift is None:
         t1 = t2 = _float(0, Fraction(-1, 4), R)
     else:
@@ -263,7 +264,7 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
     u-range of _u_span, which holds every point of the box.
     """
     rows, m = _integer_basis(E.field)
-    R = _reach(E.field, box.r, box.G)[0]
+    R = _reach(E.field, box.r, box.G)
     if box.shift is None:
         S, n1, n2, c0 = 2, 0, 0, 1  # 4 (x + rho/2) = 4 x + sqrt(R)
     else:
@@ -304,8 +305,7 @@ def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
 
 def _grid_scores(bf, rho: float, us, g: int):
     """Float point counts of the boxes at the g x g grid translates, cell
-    (i, j) at index i g + j, over the columns u of the range us (an int P
-    stands for [-P, P]).
+    (i, j) at index i g + j, over the columns u of the range us.
 
     Cell (i, j) puts the box at s = (i/g + o, j/g + o), o = _GRID_OFFSET,
     and holds (u, v) exactly when B (u - s_1, v - s_2) lies in the open box
@@ -317,8 +317,6 @@ def _grid_scores(bf, rho: float, us, g: int):
     row and 1 more to a cyclic run of L % g cells, kept as a difference
     array. The work is g len(us) columns and g^2 cells.
     """
-    if isinstance(us, int):
-        us = range(-us, us + 1)
     off = float(_GRID_OFFSET)
     score = array("q")
     for i in range(g):
@@ -471,21 +469,27 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
     columns = _point_columns(omega)
     words = tuple(zip(*(residue_map(columns, P, q) for P in ideals)))
     return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
-                       tau=_box_floats(E, box)[:2],
-                       ideals=tuple(ideals), omega=tuple(omega), codewords=words)
+                       tau=_box_floats(E, box)[:2], ideals=tuple(ideals),
+                       omega=tuple(omega), codewords=words, box=box)
 
 
 def format_code_file(code: LenstraCode) -> str:
-    """Text form: one header line, then one codeword per line."""
+    """Text form: one header line, then one codeword per line. The header
+    ends with the box's exact basis shift, 'shift=a/b,c/d' or 'shift=none'
+    for the centred box, when the code knows its box."""
     head = "# lenstra q=%d r=%d G=%d disc=%d n=%d tau=%r,%r" % (
         code.q, code.r, code.G, code.disc, code.n, code.tau[0], code.tau[1])
+    if code.box is not None:
+        shift = code.box.shift
+        head += " shift=" + ("none" if shift is None else "%s,%s" % shift)
     lines = [head]
     lines.extend(" ".join(str(s) for s in w) for w in code.codewords)
     return "\n".join(lines) + "\n"
 
 
 def parse_code_file(text: str) -> LenstraCode:
-    """Inverse of format_code_file; ideals and omega are not serialized.
+    """Inverse of format_code_file; ideals and omega are not serialized,
+    and a header shift gives the box without its grid and cell.
 
     Malformed structure raises DomainError with the offending line number.
     """
@@ -518,6 +522,9 @@ def parse_code_file(text: str) -> LenstraCode:
         _check_domain(r, q, G, n, disc)
     except DomainError as e:
         raise DomainError("line 1: %s" % e) from None
+    box = None
+    if "shift" in fields:
+        box = box_at(r, G, _parse_shift(fields["shift"]))
     words = []
     for idx, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -531,7 +538,25 @@ def parse_code_file(text: str) -> LenstraCode:
                               % (idx, n, len(word)))
         words.append(word)
     return LenstraCode(disc=disc, q=q, r=r, G=G, n=n, tau=tau,
-                       ideals=(), omega=(), codewords=tuple(words))
+                       ideals=(), omega=(), codewords=tuple(words),
+                       box=box)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _parse_shift(text: str):
+    """The basis shift of a header: None for 'none', else two rationals
+    written 'a/b' or 'a'."""
+    if text == "none":
+        return None
+    parts = text.split(",")
+    try:
+        if len(parts) == 2 and all(map(_RATIONAL.fullmatch, parts)):
+            return tuple(map(Fraction, parts))
+    except ValueError:  # past the interpreter's limit on integer digits
+        pass
+    raise DomainError("line 1: bad shift %r" % text)
 
 
 def read_code_file(path) -> LenstraCode:
@@ -601,6 +626,124 @@ def _first_duplicate(words):
     return pair
 
 
+# x -> x + 1 on bytes, saturating at 255
+_INCREMENT = bytes(range(1, 256)) + b"\xff"
+
+
+def _box_distance(code: LenstraCode, target: Optional[int]):
+    """(d, worst pair) of an injective code of at least two words, derived
+    from its box; None when the words are not the box's, or when the
+    derivation could cost more than the scan.
+
+    The box's points are enumerated again, stopping once they outnumber the
+    words, and the ideals listed again; the derivation runs only when every
+    word is the residues of its point, compared one ideal at a time. It is
+    tried only when the box holds the volume target (find_tau's guarantee)
+    and lies in the basis cell (a grid shift or the centred box), when
+    sieving to q costs less than reading the words (q <= M n), and when
+    the box has at most 8 sqrt(M) columns, so that the O(columns^2) steps
+    over pairs of columns stay within O(M).
+    """
+    box, words, q, n = code.box, code.codewords, code.q, code.n
+    M = len(words)
+    if (box is None or target is None or target > M or q > M * n
+            or not all(0 <= s < 1 for s in box.shift or ())):
+        return None
+    K = make_field(code.disc)
+    ideals = prime_ideals_in_norm_range(K, code.r, q)
+    if len(ideals) != n:
+        return None
+    columns, count = [], 0
+    for col in _columns(make_embedding(K), box):
+        count += col[2] - col[1] + 1
+        if count > M:
+            return None
+        columns.append(col)
+    if len(columns) ** 2 > 64 * M:
+        return None
+    for k, P in enumerate(ideals):
+        if residue_map(columns, P, q) != list(map(itemgetter(k), words)):
+            return None
+    return _difference_distance(columns, ideals, n)
+
+
+def _difference_distance(columns, ideals, n: int):
+    """(d, worst pair) of the words of the points of columns, (u, lo, hi)
+    each in order, under ideals: rows i < j agree at P exactly when P
+    divides a_j - a_i = (du, dv), and du >= 0, with dv > 0 when du = 0.
+
+    For each du the realised dv form intervals: [lo' - hi, hi' - lo] for
+    the columns u and u + du, and [1, hi - lo] within a column. Merged,
+    they are laid out one du after another in one bytearray of hit counts.
+    Each ideal adds one hit along a progression of each interval:
+    dv = -du / c (mod p) for a root c of P that is a unit, every dv when
+    c = 0 and p | du, and p | dv when P = (p) is inert and p | du. A hit
+    count saturates at 255, and then the scan decides. d = n - top for
+    the most hits top. The worst pair is the least (i, j) at a difference
+    with top hits: the first column that starts such a pair holds the
+    least i, and for each later column the least j, or else the least i,
+    is found with one find over the realised interval.
+    """
+    spans = {}
+    for a, (u, lo, hi) in enumerate(columns):
+        if hi > lo:
+            spans.setdefault(0, []).append((1, hi - lo))
+        for u2, lo2, hi2 in columns[a + 1:]:
+            spans.setdefault(u2 - u, []).append((lo2 - hi, hi2 - lo))
+    rows, size = {}, 0  # du -> (index of dv minus dv, merged intervals)
+    for du, found in spans.items():
+        found.sort()
+        merged = [list(found[0])]
+        for x, y in found[1:]:
+            if x <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], y)
+            else:
+                merged.append([x, y])
+        rows[du] = (size - merged[0][0], merged)
+        size += merged[-1][1] - merged[0][0] + 1
+    hits = bytearray(size)
+    for P in ideals:
+        p, c = P.p, P.residue_root
+        unit = c is not None and c % p != 0
+        step = 1 if c is not None and not unit else p
+        inv = pow(c, -1, p) if unit else 0
+        for du, (o, merged) in rows.items():
+            if not unit and du % p:
+                continue
+            t = -du * inv % p
+            for x, y in merged:
+                s = o + x + (t - x) % step
+                hits[s:o + y + 1:step] = hits[s:o + y + 1:step].translate(
+                    _INCREMENT)
+    top = max(hits)
+    if top == 255:
+        return None
+    starts = list(accumulate((hi - lo + 1 for _, lo, hi in columns),
+                             initial=0))
+    best = None
+    for a, (u, lo, hi) in enumerate(columns):
+        for b, (u2, lo2, hi2) in enumerate(columns[a:], a):
+            x, y = (1, hi - lo) if a == b else (lo2 - hi, hi2 - lo)
+            if x > y:
+                continue
+            o = rows[u2 - u][0]
+            pivot = lo2 - lo  # dv >= pivot pairs (u, lo) with (u2, lo + dv)
+            k = hits.find(top, o + max(x, pivot), o + y + 1)
+            if k >= 0:
+                cand = (starts[a], starts[b] + k - o - pivot)
+            else:
+                k = hits.rfind(top, o + x, o + min(y + 1, pivot)) \
+                    if x < pivot else -1
+                if k < 0:
+                    continue
+                cand = (starts[a] + pivot + o - k, starts[b])
+            if best is None or cand < best:
+                best = cand
+        if best is not None:
+            break
+    return n - top, best
+
+
 def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     """Exact verification: symbol range, distinct count, min distance, and
     the two bounds.
@@ -609,7 +752,11 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     injective word map, and d >= n + 1 - G (a single word has d = n by
     convention). A target above PAIRWISE_CAP fails without being computed,
     since M <= PAIRWISE_CAP. Repeated rows give d = 0 at the least pair of
-    equal rows without a scan. threads has no effect; the scan is serial.
+    equal rows without a scan. The words of a code that knows its box are
+    checked against the box's points, and d and the worst pair then come
+    from the ideals dividing their differences (_box_distance); any other
+    code, or one whose words differ, is scanned pairwise. threads has no
+    effect; the scan is serial.
     """
     words = code.codewords
     total = len(words)
@@ -626,7 +773,8 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     if not injective:
         d, pair = 0, _first_duplicate(words)
     elif total >= 2:
-        d, pair = _distance_scan(words, code.n)
+        d, pair = (_box_distance(code, target)
+                   or _distance_scan(words, code.n))
     ok = (bad_symbol is None and injective and target is not None
           and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,

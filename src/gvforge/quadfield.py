@@ -8,8 +8,7 @@ class groups loads no interval code.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import numtheory as nt
 from .errors import CapacityError, DomainError
@@ -19,8 +18,7 @@ INERT = "inert"
 RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(NamedTuple):
     """K = Q(sqrt(disc)) for a fundamental discriminant disc.
 
     `radicand` is d with omega = sqrt(d) when disc = 4d, and disc itself when
@@ -60,8 +58,7 @@ class QuadraticField:
         return u * u + self.trace_omega * u * v + self.norm_omega * v * v
 
 
-@dataclass(frozen=True)
-class PrimeIdealRecord:
+class PrimeIdealRecord(NamedTuple):
     """One prime ideal above p: its type, absolute norm, and residue data.
 
     residue_root c satisfies omega = c (mod P) on the degree-one quotient;
@@ -77,14 +74,12 @@ class PrimeIdealRecord:
     residue_root: Optional[int]
 
 
-@dataclass(frozen=True)
-class ClassGroupSummary:
+class ClassGroupSummary(NamedTuple):
     h: int
     two_rank: int
 
 
-@dataclass(frozen=True)
-class TowerCertificate:
+class TowerCertificate(NamedTuple):
     disc: int
     s_c_size: int
     d2_lower: int

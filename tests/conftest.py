@@ -140,12 +140,12 @@ def float_columns_oracle(bf, tau1, tau2, rho: float, u):
     return np.ceil(vlo + 1e-12), np.floor(vhi - 1e-12), alive
 
 
-def grid_scores_oracle(bf, rho: float, P: int, g: int, offset: float):
+def grid_scores_oracle(bf, rho: float, us, g: int, offset: float):
     """Float point counts of the boxes at the g x g grid translates
     (i/g + offset, j/g + offset), cell (i, j) at index i g + j, over the
-    columns u in [-P, P]: each cell's box is placed and counted on its own,
-    in numpy blocks of at most 2^14 floats."""
-    us = np.arange(-P, P + 1.0)
+    columns u of the integer range us: each cell's box is placed and
+    counted on its own, in numpy blocks of at most 2^14 floats."""
+    us = np.array(us, dtype=float)
     step = max(1, (1 << 14) // len(us))
     score = np.empty(g * g)
     for start in range(0, g * g, step):

@@ -437,7 +437,9 @@ def code_files(draw):
     n = draw(st.integers(1, 4))
     fields = {"q": near(q), "r": near(r), "G": near(draw(st.integers(1, n))),
               "disc": disc, "n": near(n),
-              "tau": near("0.5,0.25", st.sampled_from(["0", "x,1", "nan,inf"]))}
+              "tau": near("0.5,0.25", st.sampled_from(["0", "x,1", "nan,inf"])),
+              "shift": near("1/2,1/4", st.sampled_from(
+                  ["none", "0,0", "2,-1", "1/0,1", "x,1", "1e9,0"]))}
     head = " ".join("%s=%s" % kv for kv in fields.items()
                     if draw(st.integers(0, 40)))
     rows = [near([near(draw(st.integers(0, q - 1))) for _ in range(n)],

@@ -10,7 +10,8 @@ or in the body of a module-level class, must be read somewhere under
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
 algebraic, so it needs no interval enclosures. No module under `src/`
 imports numpy or mpmath, not even inside a function; both are test-only
-dependencies, and mpmath is the oracle of the interval kernel. `enclosure`
+dependencies, and mpmath is the oracle of the interval kernel. No module
+imports `dataclasses`: the records are NamedTuples. `enclosure`
 is imported only inside the functions that use it, and the CLI imports
 each module inside the commands that need it: no command loads numpy or
 mpmath, and `import gvforge.cli` loads no other module of the package
@@ -207,6 +208,22 @@ def test_no_module_imports_mpmath(path):
     assert "mpmath" not in imported_modules(path.read_text())
 
 
+def test_checker_finds_dataclasses_imports():
+    for source in ("from dataclasses import dataclass\n",
+                   "def f():\n    import dataclasses\n",
+                   "class C:\n    def f(self):\n"
+                   "        from dataclasses import field\n"):
+        assert "dataclasses" in imported_modules(source)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """Anywhere in the module, function bodies included: records are
+    NamedTuples, because creating a dataclass costs about 1.7 ms and
+    `dataclasses` loads `inspect` on import."""
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
 # modules that `import gvforge.cli`, `construct` and `verify` load; none may
 # import `enclosure`, mpmath, or `bounds` (which imports `enclosure`) at
 # module level
@@ -308,19 +325,27 @@ def test_no_module_reads_the_environment(path):
 
 
 CLI_LOADS = """
-import json, sys
+import sys
+before = set(sys.modules)
 import gvforge.cli
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "gvforge")))
+added = {m.split(".")[0] for m in set(sys.modules) - before}
+import json
+print(json.dumps([
+    sorted(m for m in sys.modules if m.split(".")[0] == "gvforge"),
+    sorted(added & {"json", "csv"})]))
 """
 
 
 def test_cli_import_loads_no_other_package_module():
     """In a fresh interpreter, `import gvforge.cli` loads only the package,
-    the CLI and the exception types."""
+    the CLI and the exception types, and neither json nor csv beyond what
+    the interpreter had loaded before it: only the commands that write
+    JSON or CSV import them."""
     run = subprocess.run(
         [sys.executable, "-c", CLI_LOADS], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
-    assert json.loads(run.stdout) == ["gvforge", "gvforge.cli", "gvforge.errors"]
+    assert json.loads(run.stdout) == [
+        ["gvforge", "gvforge.cli", "gvforge.errors"], []]
 
 
 MEMOS = ("cache", "lru_cache")

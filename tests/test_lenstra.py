@@ -6,10 +6,13 @@ with the exact integer classifier they check, and they report every point
 they find near a box face.
 """
 
+import contextlib
+import io
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from gvforge import cli
 from gvforge import lenstra as ln
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError, TauSearchError
@@ -65,10 +69,15 @@ def test_box_at_domain_and_reach():
             ln.box_at(r, G, None)
         with pytest.raises(DomainError):
             ln.find_tau(E, r, G)
-    # R = (2 rho)^2 = 4 r^G 2^-t, and P = isqrt(R) + 1
-    assert ln._reach(E.field, 9, 1) == (18, 5)
-    assert ln._reach(qf.make_field(5), 9, 1) == (36, 7)
-    assert ln._reach(qf.make_field(-3), 4, 3) == (128, 12)
+    # R = (2 rho)^2 = 4 r^G 2^-t; the u-span brackets the box's u-extent,
+    # (0, rho) for disc -4 and 5 and (-rho/sqrt 3, rho) for disc -3
+    K5, K3 = qf.make_field(5), qf.make_field(-3)
+    assert ln._reach(E.field, 9, 1) == 18
+    assert ln._reach(K5, 9, 1) == 36
+    assert ln._reach(K3, 4, 3) == 128
+    assert ln._u_span(E.field, 9, 1) == (0, Fraction(5, 2))   # rho = 2.12
+    assert ln._u_span(K5, 9, 1) == (0, Fraction(71, 20))      # rho = 3
+    assert ln._u_span(K3, 4, 3) == (Fraction(-10, 3), 6)      # rho = 5.66
 
 
 def test_minkowski_target(rng):
@@ -230,6 +239,12 @@ ROADMAP_ROWS = [(-4, 30, 200, 3), (-23, 50, 500, 3), (5, 15, 300, 3),
                 (-4, 15, 200, 3)]
 
 
+def grid_columns(K, r, G):
+    """The column range find_tau scores: every cell has 0 < s_1 < 1."""
+    lo, hi = ln._u_span(K, r, G)
+    return range(math.floor(lo), math.ceil(hi + 1) + 1)
+
+
 @pytest.mark.parametrize("g", [64, 256])
 @pytest.mark.parametrize("D,r,q,G", ROADMAP_ROWS)
 def test_grid_scores_match_per_cell_scores(D, r, q, G, g):
@@ -238,9 +253,9 @@ def test_grid_scores_match_per_cell_scores(D, r, q, G, g):
     K = qf.make_field(D)
     E = ln.make_embedding(K)
     rho = ln._box_floats(E, ln.box_at(r, G, None))[2]
-    P = ln._reach(K, r, G)[1]
-    want = grid_scores_oracle(E.floats, rho, P, g, float(ln._GRID_OFFSET))
-    assert ln._grid_scores(E.floats, rho, P, g).tolist() == want.tolist()
+    us = grid_columns(K, r, G)
+    want = grid_scores_oracle(E.floats, rho, us, g, float(ln._GRID_OFFSET))
+    assert ln._grid_scores(E.floats, rho, us, g).tolist() == want.tolist()
 
 
 def test_grid_scores_hold_eight_bytes_a_cell():
@@ -249,10 +264,10 @@ def test_grid_scores_hold_eight_bytes_a_cell():
     K = qf.make_field(-4)
     E = ln.make_embedding(K)
     rho = ln._box_floats(E, ln.box_at(15, 3, None))[2]
-    P = ln._reach(K, 15, 3)[1]
+    us = grid_columns(K, 15, 3)
     tracemalloc.start()
     try:
-        score = ln._grid_scores(E.floats, rho, P, 256)
+        score = ln._grid_scores(E.floats, rho, us, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,12 +278,13 @@ def test_grid_scores_hold_eight_bytes_a_cell():
 @pytest.mark.parametrize("seed", range(4))
 def test_columns_dropped_from_the_old_range_are_empty(seed):
     """The u-range of _u_span against the old one, u in [floor(s_1) - P,
-    floor(s_1) + P] with P from _reach: at seeded boxes every point the
-    60-digit scan finds inside lies in both, so every column the new range
-    drops is empty, and enumerate_omega still finds every point. For the translate
-    grid, every dropped column gives no fine point to any cell by the float
-    column oracle, so the scores over the new range equal those over
-    [-P, P]. The new range drops at least half of the old columns."""
+    floor(s_1) + P] with P = isqrt(R) + 1 > 2 rho: at seeded boxes every
+    point the 60-digit scan finds inside lies in both, so every column the
+    new range drops is empty, and enumerate_omega still finds every point.
+    For the translate grid, every dropped column gives no fine point to
+    any cell by the float column oracle, so the scores over the new range
+    equal those over [-P, P]. The new range drops at least half of the old
+    columns."""
     rng = random.Random(seed)
     old = new = 0
     for D in rng.sample(BOX_POOL, 4):
@@ -277,7 +293,7 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
         r, G = rng.randrange(2, 9), rng.randrange(1, 3)
         if r ** (2 * G) < abs(D):
             r = math.isqrt(abs(D)) + 1
-        P = ln._reach(K, r, G)[1]
+        P = math.isqrt(ln._reach(K, r, G)) + 1  # > 2 rho
         lo, hi = ln._u_span(K, r, G)
         shifts = [None] + [tuple(Fraction(rng.randrange(-99, 100),
                                           rng.randrange(1, 9))
@@ -308,8 +324,9 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
             E.floats, (b00 * si + b01 * sj)[:, None],
             (b10 * si + b11 * sj)[:, None], rho, dropped)
         assert not np.any(alive & (vhi >= vlo)), (D, r, G)
+        old_range = range(-P, P + 1)
         assert (ln._grid_scores(E.floats, rho, keep, g).tolist()
-                == ln._grid_scores(E.floats, rho, P, g).tolist())
+                == ln._grid_scores(E.floats, rho, old_range, g).tolist())
     assert 2 * new <= old
 
 
@@ -523,6 +540,23 @@ def test_code_file_roundtrip(tmp_path):
     assert (back.q, back.r, back.G, back.disc, back.n) == (13, 9, 1, -4, 3)
     assert back.codewords == code.codewords
     assert back.tau == code.tau  # repr round-trips floats exactly
+    assert back.box.shift == code.box.shift and code.box.shift is not None
+    assert (back.box.r, back.box.G) == (9, 1)
+
+
+def test_parse_code_file_reads_the_shift():
+    head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0"
+    rows = "\n1 2 3\n4 5 6\n"
+    assert ln.parse_code_file(head + rows).box is None
+    centred = ln.parse_code_file(head + " shift=none" + rows).box
+    assert centred == ln.box_at(9, 1, None)
+    box = ln.parse_code_file(head + " shift=1/2,-3" + rows).box
+    assert box.shift == (Fraction(1, 2), Fraction(-3))
+    for bad in ("1/2", "1/2,1/2,0", "1/0,0", "0.5,0", "1e9,0", "x,0", "",
+                "None", "1/-2,0", "+1,0", "1" * 5000 + ",0"):
+        with pytest.raises(DomainError) as info:
+            ln.parse_code_file(head + " shift=" + bad + rows)
+        assert str(info.value).startswith("line 1: bad shift "), bad
 
 
 def test_parse_code_file_errors():
@@ -695,3 +729,180 @@ def test_norm_gap_check():
     with pytest.raises(ValueError):
         norm_gap_check(manual_code([(0,), (1,)], q=2, r=1 << 31, G=2,
                                    omega=[(0, 0), (1, 0)]))
+
+
+# ---------------------------------------------------- distance from the box
+
+
+GOLDEN_CODES = ("-4_9_13_1", "-3_9_40_2", "-23_12_60_2", "8_10_50_2",
+                "13_11_70_2")
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def derived_and_scanned(code):
+    """(_box_distance, _distance_scan) of a code of at least two words."""
+    target = ln.minkowski_target(code.r, code.G, abs(code.disc))
+    return (ln._box_distance(code, target),
+            ln._distance_scan(code.codewords, code.n))
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_box_distance_on_golden_codes(name):
+    code = ln.read_code_file(GOLDEN / (name + ".code"))
+    assert code.box is not None
+    derived, scanned = derived_and_scanned(code)
+    assert derived == scanned == dense_distance_scan(code.codewords)
+
+
+def ideal_kind(P):
+    if P.residue_root is None:
+        return "inert"
+    return "zero root" if P.residue_root % P.p == 0 else P.split_type
+
+
+# rows that hold a ramified ideal with root 0 (-20, 12), a split ideal with
+# root 0 (21: N(omega) = -5), ramified unit roots (21, -23), real fields
+# and the two benchmark rows
+DERIVED_ROWS = [(-20, 5, 60, 2), (21, 5, 60, 2), (12, 4, 40, 2),
+                (-23, 12, 60, 2), (13, 11, 70, 2), (-4, 15, 200, 3),
+                (5, 15, 300, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_box_distance_matches_the_scans_on_seeded_rows(seed):
+    """Fixed rows and seeded ones: the difference-set distance is never
+    skipped on them and gives the bitset scan's and the dense scan's d and
+    worst pair."""
+    rng = random.Random(seed)
+    pool = [-3, -4, -7, -8, -15, -20, -23, -24, 5, 8, 12, 13, 17, 21, 24]
+    rows = list(DERIVED_ROWS) if seed == 0 else []
+    while len(rows) < 8:
+        D, r, G = rng.choice(pool), rng.randrange(2, 13), rng.randrange(1, 4)
+        q = rng.randrange(r, 130)
+        if r ** (2 * G) < abs(D) or r ** G > 3000 or (D, r, q, G) in rows:
+            continue
+        K = qf.make_field(D)
+        n = len(qf.prime_ideals_in_norm_range(K, r, q))
+        M = ln.minkowski_target(r, G, abs(D))
+        if G <= n and q <= M * n and M >= 2:
+            rows.append((D, r, q, G))
+    kinds, signs = set(), set()
+    for D, r, q, G in rows:
+        code = ln.build_code(qf.make_field(D), r, q, G)
+        derived, scanned = derived_and_scanned(code)
+        assert derived is not None, (D, r, q, G)
+        assert derived == scanned == dense_distance_scan(code.codewords), (
+            D, r, q, G)
+        kinds.update(map(ideal_kind, code.ideals))
+        signs.add(D > 0)
+    if seed == 0:
+        assert kinds == {"inert", "zero root", qf.SPLIT, qf.RAMIFIED}
+        assert signs == {True, False}
+
+
+def test_difference_distance_on_seeded_columns(rng):
+    """Columns that no box makes: gaps in u, ragged v-intervals and short
+    columns, so a du holds several merged intervals. The words are the
+    residues of their points under every ideal of norm in [2, 60] of small
+    fields, and the distance from their differences equals the dense
+    scan's, equal words included."""
+    done = 0
+    for D in (-4, -3, -20, -23, 5, 12, 21):
+        ideals = qf.prime_ideals_in_norm_range(qf.make_field(D), 2, 60)
+        for _ in range(6):
+            columns, u = [], rng.randrange(-30, 30)
+            for _ in range(rng.randrange(1, 12)):
+                lo = rng.randrange(-25, 25)
+                columns.append((u, lo, lo + rng.randrange(0, 7)))
+                u += rng.randrange(1, 6)
+            chosen = rng.sample(ideals, rng.randrange(1, len(ideals) + 1))
+            words = list(zip(*(ln.residue_map(columns, P, 60)
+                               for P in chosen)))
+            if len(words) < 2:
+                continue
+            assert ln._difference_distance(columns, chosen, len(chosen)) == \
+                dense_distance_scan(words), (D, columns, chosen)
+            done += 1
+    assert done > 30
+
+
+def test_difference_distance_leaves_255_hits_to_the_scan():
+    """A count that reaches 255 may have saturated, so the derivation
+    declines; at 254 it is exact."""
+    P = qf.splitting_type(qf.make_field(-4), 5)[0]
+    columns = [(0, 0, 7), (5, -3, 3)]
+    for copies, want in ((254, True), (255, False)):
+        words = list(zip(*[ln.residue_map(columns, P, 5)] * copies))
+        got = ln._difference_distance(columns, [P] * copies, copies)
+        assert (got == dense_distance_scan(words)) is want
+        assert (got is None) is not want
+
+
+def test_difference_distance_holds_its_counts_in_bytes():
+    """At (-4, 15, 200, 3), 1,764 points in 42 columns, the hit counts of
+    the realised differences take one byte each: the derivation peaks
+    below 256 KiB."""
+    code = ln.build_code(qf.make_field(-4), 15, 200, 3)
+    columns = list(ln._columns(ln.make_embedding(qf.make_field(-4)),
+                               code.box))
+    tracemalloc.start()
+    try:
+        got = ln._difference_distance(columns, code.ideals, code.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (38, (0, 17))
+    assert peak < 256 << 10
+
+
+def tampered_files(text):
+    """name -> a copy of code file text that is not the residue map of the
+    box its header names."""
+    head, *rows = text.splitlines(keepends=True)
+    word = rows[5].split()
+    word[0] = str(int(word[0]) ^ 1)
+    token = head.split()[-1]
+    assert token.startswith("shift=") and token != "shift=none"
+    s1, s2 = (Fraction(x) for x in token[len("shift="):].split(","))
+    code = ln.parse_code_file(text)
+    K = qf.make_field(code.disc)
+    # a q below the largest ideal norm lists fewer ideals than n columns
+    low_q = max(P.norm for P in qf.prime_ideals_in_norm_range(
+        K, code.r, code.q)) - 1
+    return {
+        "word changed": "".join([head] + rows[:5] + [" ".join(word) + "\n"]
+                                + rows[6:]),
+        "rows swapped": "".join([head, rows[1], rows[0]] + rows[2:]),
+        "centred shift": text.replace(token, "shift=none", 1),
+        # half a cell along u: other points, as many for disc -3
+        "moved shift": text.replace(
+            token, "shift=%s,%s" % ((s1 + Fraction(1, 2)) % 1, s2), 1),
+        "no shift": text.replace(" " + token, "", 1),
+        "fewer ideals": text.replace(" q=%d " % code.q, " q=%d " % low_q, 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["-3_9_40_2", "8_10_50_2"])
+def test_tampered_files_take_the_scan_path(name, tmp_path, monkeypatch):
+    """Each tampered file is refused by the derivation, and `verify` prints
+    exactly what the scan alone prints: the same bytes and exit code as
+    with the derivation switched off."""
+    text = (GOLDEN / (name + ".code")).read_text()
+    box_distance = ln._box_distance
+    for what, tampered in tampered_files(text).items():
+        code = ln.parse_code_file(tampered)
+        target = ln.minkowski_target(code.r, code.G, abs(code.disc))
+        assert box_distance(code, target) is None, what
+        chk = ln.verify_code(code)
+        assert (chk.d, chk.worst_pair) == dense_distance_scan(
+            code.codewords), what
+        path = tmp_path / "t.code"
+        path.write_text(tampered)
+        outputs = []
+        for derive in (box_distance, lambda code, target: None):
+            monkeypatch.setattr(ln, "_box_distance", derive)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(["verify", str(path)])
+            outputs.append((rc, out.getvalue()))
+        assert outputs[0] == outputs[1], what
