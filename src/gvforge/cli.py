@@ -18,7 +18,6 @@ command loads numpy or mpmath.
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (CapacityError, ConditionFailure, DomainError,
@@ -33,11 +32,13 @@ EXIT_CAPACITY = 3
 DELTA_GRID_CAP = 10 ** 4
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+def _fraction(text: str):
+    """numtheory.parse_rational of text, decimals included."""
+    from .numtheory import parse_rational
+    value = parse_rational(text)
+    if value is None:
         raise argparse.ArgumentTypeError("bad rational %r" % text)
+    return value
 
 
 def _delta_grid(text: str):
@@ -126,6 +127,23 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write_lines(lines, output: str) -> None:
+    """Write each of lines and a newline to the file output as they come.
+    They go to output + '.part', renamed over output once all are written,
+    so a failure leaves no partial file and any old one as it was."""
+    import os
+    part = output + ".part"
+    fp = open(part, "w")
+    try:
+        with fp:
+            for line in lines:
+                fp.write(line + "\n")
+        os.replace(part, output)
+    except BaseException:
+        os.unlink(part)
+        raise
+
+
 def _parse_factors(text: Optional[str]):
     if text is None:
         return None
@@ -183,25 +201,26 @@ def cmd_construct(args) -> int:
     from . import lenstra as ln
     from . import quadfield as qf
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
-    code = ln.build_code(K, args.r, args.q, args.G,
-                         start_grid=args.grid, max_grid=args.max_grid)
-    text = ln.format_code_file(code)
+    code = ln.plan_code(K, args.r, args.q, args.G,
+                        start_grid=args.grid, max_grid=args.max_grid)
+    columns, M = ln.box_columns(K, code.box)
+    lines = ln.code_file_lines(code, columns)
     summary = ("n=%d M=%d d_bound=%d target=%d\n"
-               % (code.n, len(code.codewords), code.n + 1 - code.G,
+               % (code.n, M, code.n + 1 - code.G,
                   ln.minkowski_target(code.r, code.G, abs(code.disc))))
     if args.output:
-        _emit(text, args.output)
+        _write_lines(lines, args.output)
         sys.stdout.write(summary)
     else:
-        sys.stdout.write(text)
+        for line in lines:
+            sys.stdout.write(line + "\n")
         sys.stderr.write(summary)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import lenstra as ln
-    code = ln.read_code_file(args.path)
-    check = ln.verify_code(code)
+    code, check = ln.check_code_file(args.path)
     required_d = code.n + 1 - code.G
     # a target past the pairwise cap may be too long to print in decimal
     target = ("%d" % check.min_target if check.min_target is not None

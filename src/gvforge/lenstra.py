@@ -12,20 +12,21 @@ with integers a, b, c, settled by squaring; a point on a face is outside.
 Floats, each rounded once from an exact value, only rank translates, guess
 where exact searches start and fill the code file header. The module is
 pure Python: the translate grid is scored in one pass over a fine lattice,
-and the words are read off the box's points column by column.
+and the words are read off the box's points column by column, as the text
+lines of a code file (code_lines) that construct writes and verify
+compares as they stream, so neither holds more than a column of words.
 """
 
 import heapq
 import math
-import re
 from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, TauSearchError
+from .numtheory import parse_rational
 from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
                         is_fundamental, make_field, prime_ideals_in_norm_range)
 
@@ -63,8 +64,9 @@ class BoxSpec(NamedTuple):
 
 class LenstraCode(NamedTuple):
     """A code and where it came from. box is the exact box whose points the
-    words are the residues of, or None when it is not known: build_code
-    sets it, and a code file carries its shift in the header."""
+    words are the residues of, or None when it is not known: plan_code and
+    build_code set it, and a code file carries its shift in the header.
+    omega and codewords are empty in plan_code's code and in a header."""
 
     disc: int
     q: int
@@ -79,9 +81,10 @@ class LenstraCode(NamedTuple):
 
 
 class CodeCheck(NamedTuple):
-    """The verdict of verify_code; bad_symbol is the first (word, symbol)
-    whose symbol lies outside [0, q), or None. min_target is None when the
-    volume target exceeds PAIRWISE_CAP, which no file within the cap meets."""
+    """The verdict of verify_code or check_code_file; bad_symbol is the
+    first (word, symbol) whose symbol lies outside [0, q), or None.
+    min_target is None when the pairwise scan's volume target exceeds
+    PAIRWISE_CAP, which no file within the cap meets."""
 
     M: int
     d: int
@@ -299,8 +302,12 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
             yield u, lo, hi
 
 
+def _points(columns) -> int:
+    return sum(hi - lo + 1 for _, lo, hi in columns)
+
+
 def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
-    return sum(hi - lo + 1 for _, lo, hi in _columns(E, box))
+    return _points(_columns(E, box))
 
 
 def _grid_scores(bf, rho: float, us, g: int):
@@ -402,37 +409,133 @@ def enumerate_omega(E: LatticeEmbedding, box: BoxSpec) -> list:
     return [(u, v) for u, lo, hi in _columns(E, box) for v in range(lo, hi + 1)]
 
 
-def residue_map(columns, P: PrimeIdealRecord, q: int) -> list:
-    """The residues modulo P of the points of columns, (u, lo, hi) each
-    holding u + v omega for lo <= v <= hi, in order; each lies in
-    [0, N(P)), and N(P) > q raises DomainError.
+def box_columns(K: QuadraticField, box: BoxSpec):
+    """(columns, M): the columns (u, lo, hi) of the box's points, in the
+    order of _columns, and their number M of points; M > OMEGA_CAP raises
+    CapacityError. The columns take O(sqrt M) memory."""
+    columns = list(_columns(make_embedding(K), box))
+    M = _points(columns)
+    if M > OMEGA_CAP:
+        raise CapacityError("omega size %d exceeds cap %d" % (M, OMEGA_CAP))
+    return columns, M
+
+
+def _column_reader(P: PrimeIdealRecord, name, points: int, longest: int):
+    """A function from a column (u, lo, hi), the points u + v omega for
+    lo <= v <= hi, to the list of name(s) for the residue s in [0, N(P))
+    modulo P of each of its points, in order.
 
     Split and ramified ideals send omega to residue_root c in F_p, so a
     column reads (u + v c) mod p = T[(v + u / c) mod p] for the table
-    T[j] = j c mod p: one slice of T repeated. The table is built only when
+    T[j] = name(j c mod p): one slice of T repeated, built here once, when
     c is a unit and p is at most the number of points; otherwise each
     residue is computed. Inert ideals keep both coordinates, packed as
-    (u mod p) p + (v mod p).
+    (u mod p) p + (v mod p). No column read is longer than longest + 1.
     """
-    if P.norm > q:
-        raise DomainError("ideal norm %d exceeds alphabet bound q=%d" % (P.norm, q))
     p, c = P.p, P.residue_root
-    out = []
     if P.split_type == INERT:
-        for u, lo, hi in columns:
-            base = u % p * p
-            out += [base + v % p for v in range(lo, hi + 1)]
-    elif c % p == 0 or p > sum(hi - lo + 1 for _, lo, hi in columns):
-        for u, lo, hi in columns:
-            out += [(u + v * c) % p for v in range(lo, hi + 1)]
-    else:
-        inv = pow(c, -1, p)
-        longest = max(hi - lo for _, lo, hi in columns)
-        table = [j * c % p for j in range(p)] * (longest // p + 2)
-        for u, lo, hi in columns:
-            start = (lo + u * inv) % p
-            out += table[start:start + hi - lo + 1]
+        return lambda u, lo, hi: [name(u % p * p + v % p)
+                                  for v in range(lo, hi + 1)]
+    if c % p == 0:
+        return lambda u, lo, hi: [name(u % p)] * (hi - lo + 1)
+    if p > points:
+        return lambda u, lo, hi: [name((u + v * c) % p)
+                                  for v in range(lo, hi + 1)]
+    inv = pow(c, -1, p)
+    table = [name(j * c % p) for j in range(p)] * (longest // p + 2)
+
+    def read(u, lo, hi):
+        start = (lo + u * inv) % p
+        return table[start:start + hi - lo + 1]
+    return read
+
+
+def _readers(columns, ideals, q: int, name) -> list:
+    """_column_reader of each of ideals for columns; N(P) > q raises
+    DomainError."""
+    for P in ideals:
+        if P.norm > q:
+            raise DomainError("ideal norm %d exceeds alphabet bound q=%d"
+                              % (P.norm, q))
+    points = _points(columns)
+    longest = max((hi - lo for _, lo, hi in columns), default=0)
+    return [_column_reader(P, name, points, longest) for P in ideals]
+
+
+def residue_map(columns, P: PrimeIdealRecord, q: int) -> list:
+    """The residues modulo P of the points of columns, (u, lo, hi) each
+    holding u + v omega for lo <= v <= hi, in order; each lies in
+    [0, N(P)), and N(P) > q raises DomainError."""
+    read, = _readers(columns, [P], q, int)
+    out = []
+    for col in columns:
+        out += read(*col)
     return out
+
+
+def code_lines(columns, ideals, q: int):
+    """Yield the line, without its newline, of the word of each point of
+    columns as residue_map reads them: the residues under ideals in
+    decimal, separated by single spaces. This is the one definition of a
+    code file's rows: construct writes them and verify compares them.
+
+    The lines are made one column at a time, from one table of str(s) for
+    s below the largest norm when it has no more entries than there are
+    points.
+    """
+    top = max((P.norm for P in ideals), default=0)
+    name = ([str(s) for s in range(top)].__getitem__
+            if top <= _points(columns) else str)
+    readers = _readers(columns, ideals, q, name)
+    for col in columns:
+        yield from map(" ".join, zip(*[read(*col) for read in readers]))
+
+
+def plan_code(K: QuadraticField, r: int, q: int, G: int,
+              start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
+    """build_code's code with empty omega and codewords: box_columns and
+    code_file_lines give them.
+
+    Requires 2 <= r <= q, 1 <= G <= n for the n prime ideals with norm in
+    [r, q], and r^(2G) >= |disc|, so the box out-volumes the lattice cell.
+    A box expected to hold more than OMEGA_CAP points is refused before the
+    ideals are listed, since listing them sieves up to q.
+    """
+    if r <= q:  # past q, the listing below reports the domain error
+        _check_point_cap(r, G, K.disc)
+    ideals = prime_ideals_in_norm_range(K, r, q)
+    n = len(ideals)
+    _check_domain(r, q, G, n, K.disc)
+    E = make_embedding(K)
+    box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid)
+    return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
+                       tau=_box_floats(E, box)[:2], ideals=tuple(ideals),
+                       omega=(), codewords=(), box=box)
+
+
+def build_code(K: QuadraticField, r: int, q: int, G: int,
+               start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
+    """Construct the length-n code over [0, q) from the field K: the code of
+    plan_code with the points of its box (omega) and their words."""
+    code = plan_code(K, r, q, G, start_grid=start_grid, max_grid=max_grid)
+    columns, _ = box_columns(K, code.box)
+    omega = tuple((u, v) for u, lo, hi in columns for v in range(lo, hi + 1))
+    words = tuple(zip(*(residue_map(columns, P, q) for P in code.ideals)))
+    return code._replace(omega=omega, codewords=words)
+
+
+def code_file_lines(code: LenstraCode, columns):
+    """Yield the lines of code's file, without newlines: one header line,
+    then code_lines of columns under code's ideals. The header ends with
+    the box's exact basis shift, 'shift=a/b,c/d' or 'shift=none' for the
+    centred box, when the code knows its box."""
+    head = "# lenstra q=%d r=%d G=%d disc=%d n=%d tau=%r,%r" % (
+        code.q, code.r, code.G, code.disc, code.n, code.tau[0], code.tau[1])
+    if code.box is not None:
+        shift = code.box.shift
+        head += " shift=" + ("none" if shift is None else "%s,%s" % shift)
+    yield head
+    yield from code_lines(columns, code.ideals, code.q)
 
 
 def _point_columns(omega) -> list:
@@ -447,57 +550,21 @@ def _point_columns(omega) -> list:
     return columns
 
 
-def build_code(K: QuadraticField, r: int, q: int, G: int,
-               start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
-    """Construct the length-n code over [0, q) from the field K.
-
-    Requires 2 <= r <= q, 1 <= G <= n for the n prime ideals with norm in
-    [r, q], and r^(2G) >= |disc|, so the box out-volumes the lattice cell.
-    A box expected to hold more than OMEGA_CAP points is refused before the
-    ideals are listed, since listing them sieves up to q.
-    """
-    if r <= q:  # past q, the listing below reports the domain error
-        _check_point_cap(r, G, K.disc)
-    ideals = prime_ideals_in_norm_range(K, r, q)
-    n = len(ideals)
-    _check_domain(r, q, G, n, K.disc)
-    E = make_embedding(K)
-    box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid)
-    omega = enumerate_omega(E, box)
-    if len(omega) > OMEGA_CAP:
-        raise CapacityError("omega size %d exceeds cap %d" % (len(omega), OMEGA_CAP))
-    columns = _point_columns(omega)
-    words = tuple(zip(*(residue_map(columns, P, q) for P in ideals)))
-    return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
-                       tau=_box_floats(E, box)[:2], ideals=tuple(ideals),
-                       omega=tuple(omega), codewords=words, box=box)
-
-
 def format_code_file(code: LenstraCode) -> str:
-    """Text form: one header line, then one codeword per line. The header
-    ends with the box's exact basis shift, 'shift=a/b,c/d' or 'shift=none'
-    for the centred box, when the code knows its box."""
-    head = "# lenstra q=%d r=%d G=%d disc=%d n=%d tau=%r,%r" % (
-        code.q, code.r, code.G, code.disc, code.n, code.tau[0], code.tau[1])
-    if code.box is not None:
-        shift = code.box.shift
-        head += " shift=" + ("none" if shift is None else "%s,%s" % shift)
-    lines = [head]
-    lines.extend(" ".join(str(s) for s in w) for w in code.codewords)
-    return "\n".join(lines) + "\n"
+    """The text of code_file_lines, each line ended by a newline, for a
+    code that build_code returned: its ideals and omega give the rows."""
+    return "\n".join(code_file_lines(code, _point_columns(code.omega))) + "\n"
 
 
-def parse_code_file(text: str) -> LenstraCode:
-    """Inverse of format_code_file; ideals and omega are not serialized,
-    and a header shift gives the box without its grid and cell.
-
-    Malformed structure raises DomainError with the offending line number.
-    """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# lenstra "):
+def _read_header(lines) -> LenstraCode:
+    """The code, with no words, that the next of lines, a code file's
+    header, describes; a header shift gives the box without its grid and
+    cell. A malformed header raises DomainError for line 1."""
+    line = next(lines, "")
+    if not line.startswith("# lenstra "):
         raise DomainError("line 1: missing '# lenstra' header")
     fields = {}
-    for tok in lines[0][len("# lenstra "):].split():
+    for tok in line[len("# lenstra "):].split():
         if "=" not in tok:
             raise DomainError("line 1: bad header token %r" % tok)
         key, val = tok.split("=", 1)
@@ -525,24 +592,38 @@ def parse_code_file(text: str) -> LenstraCode:
     box = None
     if "shift" in fields:
         box = box_at(r, G, _parse_shift(fields["shift"]))
+    return LenstraCode(disc=disc, q=q, r=r, G=G, n=n, tau=tau,
+                       ideals=(), omega=(), codewords=(), box=box)
+
+
+def _read_code(lines) -> LenstraCode:
+    """The code of a code file given as an iterator of its lines."""
+    return _read_rows(_read_header(lines), lines)
+
+
+def _read_rows(code: LenstraCode, lines) -> LenstraCode:
+    """code with the words of lines, the rows that follow its header: one
+    word per line from line 2 on, blank lines skipped. Malformed structure
+    raises DomainError with the offending line number.
+    """
     words = []
-    for idx, line in enumerate(lines[1:], start=2):
+    for idx, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
             word = tuple(map(int, line.split()))
         except ValueError:
             raise DomainError("line %d: non-integer symbol" % idx) from None
-        if len(word) != n:
+        if len(word) != code.n:
             raise DomainError("line %d: expected %d symbols, got %d"
-                              % (idx, n, len(word)))
+                              % (idx, code.n, len(word)))
         words.append(word)
-    return LenstraCode(disc=disc, q=q, r=r, G=G, n=n, tau=tau,
-                       ideals=(), omega=(), codewords=tuple(words),
-                       box=box)
+    return code._replace(codewords=tuple(words))
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+def parse_code_file(text: str) -> LenstraCode:
+    """Inverse of format_code_file; ideals and omega are not serialized."""
+    return _read_code(iter(text.splitlines()))
 
 
 def _parse_shift(text: str):
@@ -550,18 +631,23 @@ def _parse_shift(text: str):
     written 'a/b' or 'a'."""
     if text == "none":
         return None
-    parts = text.split(",")
-    try:
-        if len(parts) == 2 and all(map(_RATIONAL.fullmatch, parts)):
-            return tuple(map(Fraction, parts))
-    except ValueError:  # past the interpreter's limit on integer digits
-        pass
-    raise DomainError("line 1: bad shift %r" % text)
+    shift = tuple(parse_rational(t, decimals=False) for t in text.split(","))
+    if len(shift) != 2 or None in shift:
+        raise DomainError("line 1: bad shift %r" % text)
+    return shift
+
+
+def _file_lines(fp):
+    """The lines of the text file fp, as str.splitlines of its whole text
+    gives them, read one at a time."""
+    for line in fp:
+        yield from line.splitlines()
 
 
 def read_code_file(path) -> LenstraCode:
+    """parse_code_file of the file at path, read line by line."""
     with open(path) as fp:
-        return parse_code_file(fp.read())
+        return _read_code(_file_lines(fp))
 
 
 def _distance_scan(words, n: int, block: int = 0):
@@ -630,51 +716,15 @@ def _first_duplicate(words):
 _INCREMENT = bytes(range(1, 256)) + b"\xff"
 
 
-def _box_distance(code: LenstraCode, target: Optional[int]):
-    """(d, worst pair) of an injective code of at least two words, derived
-    from its box; None when the words are not the box's, or when the
-    derivation could cost more than the scan.
-
-    The box's points are enumerated again, stopping once they outnumber the
-    words, and the ideals listed again; the derivation runs only when every
-    word is the residues of its point, compared one ideal at a time. It is
-    tried only when the box holds the volume target (find_tau's guarantee)
-    and lies in the basis cell (a grid shift or the centred box), when
-    sieving to q costs less than reading the words (q <= M n), and when
-    the box has at most 8 sqrt(M) columns, so that the O(columns^2) steps
-    over pairs of columns stay within O(M).
-    """
-    box, words, q, n = code.box, code.codewords, code.q, code.n
-    M = len(words)
-    if (box is None or target is None or target > M or q > M * n
-            or not all(0 <= s < 1 for s in box.shift or ())):
-        return None
-    K = make_field(code.disc)
-    ideals = prime_ideals_in_norm_range(K, code.r, q)
-    if len(ideals) != n:
-        return None
-    columns, count = [], 0
-    for col in _columns(make_embedding(K), box):
-        count += col[2] - col[1] + 1
-        if count > M:
-            return None
-        columns.append(col)
-    if len(columns) ** 2 > 64 * M:
-        return None
-    for k, P in enumerate(ideals):
-        if residue_map(columns, P, q) != list(map(itemgetter(k), words)):
-            return None
-    return _difference_distance(columns, ideals, n)
-
-
 def _difference_distance(columns, ideals, n: int):
     """(d, worst pair) of the words of the points of columns, (u, lo, hi)
     each in order, under ideals: rows i < j agree at P exactly when P
     divides a_j - a_i = (du, dv), and du >= 0, with dv > 0 when du = 0.
 
     For each du the realised dv form intervals: [lo' - hi, hi' - lo] for
-    the columns u and u + du, and [1, hi - lo] within a column. Merged,
-    they are laid out one du after another in one bytearray of hit counts.
+    the columns u and u + du, and [1, hi - lo] within a column. Merged one
+    du at a time, so that only the merged intervals are kept, they are laid
+    out one du after another in one bytearray of hit counts.
     Each ideal adds one hit along a progression of each interval:
     dv = -du / c (mod p) for a root c of P that is a unit, every dv when
     c = 0 and p | du, and p | dv when P = (p) is inert and p | du. A hit
@@ -684,23 +734,25 @@ def _difference_distance(columns, ideals, n: int):
     least i, and for each later column the least j, or else the least i,
     is found with one find over the realised interval.
     """
-    spans = {}
-    for a, (u, lo, hi) in enumerate(columns):
-        if hi > lo:
-            spans.setdefault(0, []).append((1, hi - lo))
-        for u2, lo2, hi2 in columns[a + 1:]:
-            spans.setdefault(u2 - u, []).append((lo2 - hi, hi2 - lo))
+    span = {u: (lo, hi) for u, lo, hi in columns}
     rows, size = {}, 0  # du -> (index of dv minus dv, merged intervals)
-    for du, found in spans.items():
-        found.sort()
-        merged = [list(found[0])]
-        for x, y in found[1:]:
-            if x <= merged[-1][1] + 1:
+    for du in range(columns[-1][0] - columns[0][0] + 1):
+        found = []
+        for u, lo, hi in columns:
+            if u + du in span:
+                lo2, hi2 = span[u + du]
+                found.append((lo2 - hi if du else 1, hi2 - lo))
+        merged = []
+        for x, y in sorted(found):
+            if x > y:  # a column of one point pairs with no other in it
+                continue
+            if merged and x <= merged[-1][1] + 1:
                 merged[-1][1] = max(merged[-1][1], y)
             else:
                 merged.append([x, y])
-        rows[du] = (size - merged[0][0], merged)
-        size += merged[-1][1] - merged[0][0] + 1
+        if merged:
+            rows[du] = (size - merged[0][0], merged)
+            size += merged[-1][1] - merged[0][0] + 1
     hits = bytearray(size)
     for P in ideals:
         p, c = P.p, P.residue_root
@@ -744,19 +796,86 @@ def _difference_distance(columns, ideals, n: int):
     return n - top, best
 
 
+def _derived_check(code: LenstraCode, fp) -> Optional[CodeCheck]:
+    """The verdict on a code file, open as fp past its header line, derived
+    from the box its header code names; None unless the rest of the file
+    is, byte for byte, the code_lines of the box's points, each ended by a
+    newline, and deriving costs no more than the scan.
+
+    That needs a box in the basis cell (a grid shift or the centred box)
+    with M points, max(target, 2) <= M <= OMEGA_CAP; q <= M n, so sieving
+    to q costs less than reading the rows; at most 8 sqrt(M) columns, so
+    the O(columns^2) steps of _difference_distance stay within O(M); and n
+    ideals. Such a file's symbols are residues modulo ideals of norm at
+    most q, and its rows are distinct: two points of the box agree at fewer
+    than G <= n ideals, as their difference has a nonzero norm below r^G.
+    """
+    box, q, n = code.box, code.q, code.n
+    if (box is None or not all(0 <= s < 1 for s in box.shift or ())
+            or q > OMEGA_CAP * n
+            or _pow_above(code.r, 2 * code.G, OMEGA_CAP ** 2 * abs(code.disc))):
+        return None
+    target = minkowski_target(code.r, code.G, abs(code.disc))
+    K = make_field(code.disc)
+    try:
+        columns, M = box_columns(K, box)
+    except CapacityError:
+        return None
+    if M < max(target, 2) or q > M * n or len(columns) ** 2 > 64 * M:
+        return None
+    ideals = prime_ideals_in_norm_range(K, code.r, q)
+    if len(ideals) != n:
+        return None
+    for line in code_lines(columns, ideals, q):
+        if fp.readline() != line + "\n":
+            return None
+    found = None if fp.read(1) else _difference_distance(columns, ideals, n)
+    if found is None:
+        return None
+    d, pair = found
+    return CodeCheck(M=M, d=d, ok=d >= n + 1 - code.G, injective=True,
+                     min_target=target, worst_pair=pair, bad_symbol=None)
+
+
+def check_code_file(path):
+    """(code, check): the code file at path and verify's verdict on it.
+
+    Line 1 is read first. When _derived_check accepts the file, code is
+    its header, with no words. Any other file has its rows counted, past
+    PAIRWISE_CAP raising CapacityError before any is parsed, and is then
+    parsed line by line and scanned by verify_code, which gives the same
+    verdict on a file that _derived_check accepts.
+    """
+    with open(path, newline="") as fp:
+        first = fp.readline()
+        lines = first.splitlines()
+        code = _read_header(iter(lines))
+        check = _derived_check(code, fp) if len(lines) == 1 else None
+    if check is not None:
+        return code, check
+    with open(path) as fp:
+        rows = sum(1 for line in _file_lines(fp) if line.strip()) - 1
+    if rows > PAIRWISE_CAP:
+        raise CapacityError("M=%d exceeds pairwise cap %d" % (rows, PAIRWISE_CAP))
+    with open(path) as fp:
+        lines = _file_lines(fp)
+        next(lines)  # the header, read above
+        code = _read_rows(code, lines)
+    return code, verify_code(code)
+
+
 def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
-    """Exact verification: symbol range, distinct count, min distance, and
-    the two bounds.
+    """Exact verification by the pairwise scan: symbol range, distinct
+    count, min distance, and the two bounds.
 
     ok requires every symbol in [0, q), M >= ceil(r^G/sqrt|disc|), an
     injective word map, and d >= n + 1 - G (a single word has d = n by
     convention). A target above PAIRWISE_CAP fails without being computed,
     since M <= PAIRWISE_CAP. Repeated rows give d = 0 at the least pair of
-    equal rows without a scan. The words of a code that knows its box are
-    checked against the box's points, and d and the worst pair then come
-    from the ideals dividing their differences (_box_distance); any other
-    code, or one whose words differ, is scanned pairwise. threads has no
-    effect; the scan is serial.
+    equal rows without a scan. The least and greatest symbols decide the
+    range, and only a file with a bad symbol is searched for the first
+    one. A code file whose rows are its box's lines is verified without a
+    scan by check_code_file. threads has no effect; the scan is serial.
     """
     words = code.codewords
     total = len(words)
@@ -767,14 +886,16 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     target = None
     if not _pow_above(code.r, 2 * code.G, PAIRWISE_CAP ** 2 * abs(code.disc)):
         target = minkowski_target(code.r, code.G, abs(code.disc))
-    bad_symbol = next(((i, s) for i, w in enumerate(words) for s in w
-                       if not 0 <= s < code.q), None)
+    bad_symbol = None
+    if code.n and words and not (min(map(min, words)) >= 0
+                                 and max(map(max, words)) < code.q):
+        bad_symbol = next((i, s) for i, w in enumerate(words) for s in w
+                          if not 0 <= s < code.q)
     d, pair = code.n, None
     if not injective:
         d, pair = 0, _first_duplicate(words)
     elif total >= 2:
-        d, pair = (_box_distance(code, target)
-                   or _distance_scan(words, code.n))
+        d, pair = _distance_scan(words, code.n)
     ok = (bad_symbol is None and injective and target is not None
           and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,

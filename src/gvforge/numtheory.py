@@ -12,12 +12,16 @@ Chebyshev theta is returned as an interval enclosure from `enclosure`,
 which `chebyshev_theta` imports itself, so that the sieve and the exact
 helpers load no interval code. The primorial D = 4 p_1 ... p_ell of a
 witness, and theta(p_ell) in its certificate, are built in `bounds` from
-the same `first_primes` list that gives p_ell.
+the same `first_primes` list that gives p_ell. `parse_rational` is the
+package's one reader of rationals from text, for the CLI's options and a
+code file's shift.
 """
 
 import math
+import re
 from array import array
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate, compress
 
 from .errors import CapacityError, DomainError
@@ -292,3 +296,24 @@ def int_nth_root(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+# an integer or a/b with b > 0, and in group 1 a plain decimal
+_RATIONAL = re.compile(
+    r"-?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|([0-9]*\.[0-9]+|[0-9]+\.))")
+RATIONAL_CHARS = 200
+
+
+def parse_rational(text: str, decimals: bool = True):
+    """The Fraction that text writes as an integer, as a/b with b > 0 or,
+    when decimals, as a plain decimal (0.25, .5, 3.), each with an optional
+    minus sign; None for any other text.
+
+    An exponent (1e-3), a sign '+', white space and text longer than
+    RATIONAL_CHARS are refused before any Fraction is built, so no text
+    makes the parser build a large power of ten or a long integer.
+    """
+    m = _RATIONAL.fullmatch(text) if len(text) <= RATIONAL_CHARS else None
+    if m is None or (m.group(1) and not decimals):
+        return None
+    return Fraction(text)

@@ -5,7 +5,12 @@ import csv
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +98,29 @@ def test_bounds_deterministic(capsys, tmp_path):
                          "--output", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--delta", "1e-4000000"), ("--delta-grid", "1e-4000000:1/2:1/10"),
+    ("--C0", "1E4000000"), ("--delta", "0." + "1" * 300)])
+def test_a_rational_with_an_exponent_or_too_long_exits_1(capsys, monkeypatch,
+                                                         flag, value):
+    """The one rational parser refuses it before any Fraction is built:
+    Fraction('1e-4000000') alone takes seconds."""
+    def built(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(nt, "Fraction", built)
+    if flag == "--C0":
+        argv = ["certify", "--q", "3", "--schedule", "theorem1", flag, value]
+    else:
+        argv = ["bounds", "--q", "5", flag, value]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (1, "")
+    bad = value.split(":")[0]
+    assert err.endswith("error: argument %s: bad rational %r\n" % (flag, bad))
 
 
 def test_bounds_refuses_a_delta_grid_past_the_cap(capsys, monkeypatch):
@@ -335,6 +363,31 @@ def test_construct_refuses_a_box_past_the_point_cap_before_listing(
     assert err == "capacity: expected point count exceeds cap 1000000\n"
 
 
+def test_construct_failing_midway_leaves_no_file(capsys, tmp_path,
+                                               monkeypatch):
+    """construct --output writes its lines to a new file beside the target
+    and renames it only once all are written: a failure after some rows
+    leaves no file, and an old file as it was."""
+    def failing(columns, ideals, q):
+        yield "0 0 0"
+        raise MemoryError()
+
+    monkeypatch.setattr(ln, "code_lines", failing)
+    path = tmp_path / "code.txt"
+    argv = ["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1",
+            "--output", str(path)]
+    assert run(capsys, *argv) == (3, "", "capacity: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old\n")
+    assert run(capsys, *argv)[0] == 3
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old\n"
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text().startswith("# lenstra q=13 ")
+
+
 def test_verify_detects_bad_symbol(capsys, tmp_path):
     path = tmp_path / "code.txt"
     run(capsys, "construct", "--disc", "-4", "--r", "9", "--q", "13",
@@ -420,6 +473,30 @@ def test_verify_fails_a_target_past_the_pairwise_cap(capsys, tmp_path):
         assert "below the volume target %s\nFAILED\n" % target in out
 
 
+def test_verify_counts_rows_before_parsing(capsys, tmp_path, monkeypatch):
+    """A file of more than PAIRWISE_CAP rows that no box derives exits 3
+    before a row is parsed; blank lines are not rows, so a file of exactly
+    PAIRWISE_CAP rows among them is parsed and scanned."""
+    path = tmp_path / "code.txt"
+    head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0,0\n"
+    cap = ln.PAIRWISE_CAP
+    parse = ln._read_rows
+
+    def parsed(code, lines):
+        raise AssertionError("rows were parsed")
+
+    monkeypatch.setattr(ln, "_read_rows", parsed)
+    path.write_text(head + "0 1 2\n" * (cap + 1))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (3, "")
+    assert err == "capacity: M=%d exceeds pairwise cap %d\n" % (cap + 1, cap)
+    monkeypatch.setattr(ln, "_read_rows", parse)
+    path.write_text(head + "0 1 2\n" * (cap - 1) + "\n \n1 2 3\n\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (2, "")
+    assert "fail: duplicate codewords (M=2 of %d rows)" % cap in out
+
+
 _WILD = st.one_of(st.integers(-2, 14), st.integers(-2 ** 80, 2 ** 80))
 
 
@@ -474,6 +551,64 @@ def test_verify_binary_file_is_a_usage_error(capsys, tmp_path):
     path.write_bytes(b"# lenstra \xff\xfe\x00\x81\n")
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and err.startswith("error:")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Spawns argv and prints its exit code and peak RSS in KiB, then its
+# stdout. A child's peak RSS counts the memory it shared with its parent
+# before exec, so the commands are spawned from this small interpreter
+# rather than from the test process.
+PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+sys.stdout.write(out.decode())
+"""
+
+
+def run_peak(argv, cwd):
+    """(exit code, peak RSS in KiB, stdout) of the CLI on argv."""
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK, sys.executable, "-m", "gvforge.cli",
+         *argv], capture_output=True, text=True, check=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    head, out = run.stdout.split("\n", 1)
+    rc, kib = map(int, head.split())
+    return rc, kib, out
+
+
+def test_construct_and_verify_memory_does_not_grow_with_M(tmp_path):
+    """At (-4, 60, 600, 3), M = 108,241 rows of n = 91 symbols, construct
+    and verify pass with d = 89 = n + 1 - G, and each peaks within 1.5
+    times the peak at (-23, 50, 500, 3), M = 26,250: the rows stream
+    through both. The worst pair is at Hamming distance d in the file,
+    and the scan of seeded rows that hold it finds d too."""
+    peaks = {}
+    for tag, params in (("small", (-23, 50, 500, 3)),
+                        ("large", (-4, 60, 600, 3))):
+        path = tmp_path / (tag + ".code")
+        argv = ["construct"]
+        for flag, value in zip(("--disc", "--r", "--q", "--G"), params):
+            argv += [flag, str(value)]
+        rc, built, _ = run_peak(argv + ["--output", str(path)], tmp_path)
+        assert rc == 0
+        rc, checked, out = run_peak(["verify", str(path)], tmp_path)
+        assert rc == 0 and out.endswith("\nok\n")
+        peaks[tag] = (built, checked)
+    assert out.startswith("M=108241 d=89 n=91\n")
+    assert max(peaks["large"]) <= 1.5 * max(peaks["small"]), peaks
+    code, check = ln.check_code_file(path)
+    assert (check.M, check.d, check.ok) == (108241, 89, True)
+    i, j = check.worst_pair
+    keep = set(random.Random(0).sample(range(check.M), 300)) | {i, j}
+    with open(path) as fp:
+        next(fp)
+        rows = {k: tuple(map(int, line.split()))
+                for k, line in enumerate(fp) if k in keep}
+    assert sum(a != b for a, b in zip(rows[i], rows[j])) == 89
+    assert ln._distance_scan(list(rows.values()), 91)[0] == 89
 
 
 # ------------------------------------------------------------------ tower

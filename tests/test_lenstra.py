@@ -739,19 +739,23 @@ GOLDEN_CODES = ("-4_9_13_1", "-3_9_40_2", "-23_12_60_2", "8_10_50_2",
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def derived_and_scanned(code):
-    """(_box_distance, _distance_scan) of a code of at least two words."""
-    target = ln.minkowski_target(code.r, code.G, abs(code.disc))
-    return (ln._box_distance(code, target),
-            ln._distance_scan(code.codewords, code.n))
+def derived_and_scanned(path):
+    """(derived verdict, verify_code's verdict) of the code file at path,
+    which must take the derived path: its code holds no words."""
+    code, check = ln.check_code_file(path)
+    assert code.box is not None and code.codewords == (), path
+    return check, ln.verify_code(ln.read_code_file(path))
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
 def test_box_distance_on_golden_codes(name):
-    code = ln.read_code_file(GOLDEN / (name + ".code"))
-    assert code.box is not None
-    derived, scanned = derived_and_scanned(code)
-    assert derived == scanned == dense_distance_scan(code.codewords)
+    """Each golden file is derived from its box, with the whole verdict of
+    the bitset scan, and d and the worst pair of the dense scan."""
+    path = GOLDEN / (name + ".code")
+    derived, scanned = derived_and_scanned(path)
+    assert derived == scanned
+    words = ln.read_code_file(path).codewords
+    assert (derived.d, derived.worst_pair) == dense_distance_scan(words)
 
 
 def ideal_kind(P):
@@ -768,11 +772,9 @@ DERIVED_ROWS = [(-20, 5, 60, 2), (21, 5, 60, 2), (12, 4, 40, 2),
                 (5, 15, 300, 3)]
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_box_distance_matches_the_scans_on_seeded_rows(seed):
-    """Fixed rows and seeded ones: the difference-set distance is never
-    skipped on them and gives the bitset scan's and the dense scan's d and
-    worst pair."""
+def seeded_rows(seed):
+    """DERIVED_ROWS for seed 0, else 8 seeded (D, r, q, G) whose files the
+    derivation accepts: q <= M n for the volume target M."""
     rng = random.Random(seed)
     pool = [-3, -4, -7, -8, -15, -20, -23, -24, 5, 8, 12, 13, 17, 21, 24]
     rows = list(DERIVED_ROWS) if seed == 0 else []
@@ -786,18 +788,48 @@ def test_box_distance_matches_the_scans_on_seeded_rows(seed):
         M = ln.minkowski_target(r, G, abs(D))
         if G <= n and q <= M * n and M >= 2:
             rows.append((D, r, q, G))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_box_distance_matches_the_scans_on_seeded_rows(seed, tmp_path):
+    """Fixed rows and seeded ones: the file construct writes is never
+    refused by the derivation, and its verdict is the bitset scan's, with
+    the dense scan's d and worst pair."""
     kinds, signs = set(), set()
-    for D, r, q, G in rows:
+    path = tmp_path / "code.txt"
+    for D, r, q, G in seeded_rows(seed):
         code = ln.build_code(qf.make_field(D), r, q, G)
-        derived, scanned = derived_and_scanned(code)
-        assert derived is not None, (D, r, q, G)
-        assert derived == scanned == dense_distance_scan(code.codewords), (
-            D, r, q, G)
+        path.write_text(ln.format_code_file(code))
+        derived, scanned = derived_and_scanned(path)
+        assert derived == scanned, (D, r, q, G)
+        assert (derived.d, derived.worst_pair) == dense_distance_scan(
+            code.codewords), (D, r, q, G)
         kinds.update(map(ideal_kind, code.ideals))
         signs.add(D > 0)
     if seed == 0:
         assert kinds == {"inert", "zero root", qf.SPLIT, qf.RAMIFIED}
         assert signs == {True, False}
+
+
+GOLDEN_ROWS = [tuple(map(int, name.split("_"))) for name in GOLDEN_CODES]
+
+
+@pytest.mark.parametrize("D, r, q, G", GOLDEN_ROWS + DERIVED_ROWS)
+def test_code_lines_are_the_words_in_decimal(D, r, q, G):
+    """The row generator writes each of build_code's words as its symbols
+    in decimal separated by single spaces, with and without its table of
+    symbols (M < q at (-4, 9, 13, 1)), in real fields and for inert,
+    ramified and zero-root ideals; the golden files hold these rows."""
+    K = qf.make_field(D)
+    code = ln.build_code(K, r, q, G)
+    columns, M = ln.box_columns(K, code.box)
+    lines = list(ln.code_lines(columns, code.ideals, q))
+    assert M == len(lines) == len(code.omega)
+    assert lines == [" ".join(map(str, w)) for w in code.codewords]
+    golden = GOLDEN / ("%d_%d_%d_%d.code" % (D, r, q, G))
+    if (D, r, q, G) in GOLDEN_ROWS:
+        assert golden.read_text().splitlines()[1:] == lines
 
 
 def test_difference_distance_on_seeded_columns(rng):
@@ -856,11 +888,13 @@ def test_difference_distance_holds_its_counts_in_bytes():
 
 
 def tampered_files(text):
-    """name -> a copy of code file text that is not the residue map of the
-    box its header names."""
+    """name -> a copy of code file text that is not, byte for byte, the
+    lines of the box its header names."""
     head, *rows = text.splitlines(keepends=True)
     word = rows[5].split()
     word[0] = str(int(word[0]) ^ 1)
+    padded = rows[3].split()
+    padded[1] = "00" + padded[1]  # 007 for 7
     token = head.split()[-1]
     assert token.startswith("shift=") and token != "shift=none"
     s1, s2 = (Fraction(x) for x in token[len("shift="):].split(","))
@@ -879,30 +913,43 @@ def tampered_files(text):
             token, "shift=%s,%s" % ((s1 + Fraction(1, 2)) % 1, s2), 1),
         "no shift": text.replace(" " + token, "", 1),
         "fewer ideals": text.replace(" q=%d " % code.q, " q=%d " % low_q, 1),
+        # the same words in other text
+        "CRLF": text.replace("\n", "\r\n"),
+        "trailing space": "".join([head] + rows[:2] + [rows[2][:-1] + " \n"]
+                                  + rows[3:]),
+        "blank line": "".join([head] + rows[:4] + ["\n"] + rows[4:]),
+        "leading zeros": "".join([head] + rows[:3] + [" ".join(padded) + "\n"]
+                                 + rows[4:]),
+        "no last newline": text[:-1],
+        "extra row": text + rows[0],
+        # a form feed ends a line too: row 0 twice, once in physical line 1
+        "row in line 1": head[:-1] + "\f" + rows[0] + "".join(rows),
     }
 
 
 @pytest.mark.parametrize("name", ["-3_9_40_2", "8_10_50_2"])
 def test_tampered_files_take_the_scan_path(name, tmp_path, monkeypatch):
-    """Each tampered file is refused by the derivation, and `verify` prints
-    exactly what the scan alone prints: the same bytes and exit code as
-    with the derivation switched off."""
+    """Each tampered file is refused by the derivation and scanned, with
+    the dense scan's d and worst pair, and `verify` prints exactly what the
+    scan alone prints: the same bytes and exit code as with the derivation
+    switched off."""
     text = (GOLDEN / (name + ".code")).read_text()
-    box_distance = ln._box_distance
+    path = tmp_path / "t.code"
+    derived_check = ln._derived_check
     for what, tampered in tampered_files(text).items():
-        code = ln.parse_code_file(tampered)
-        target = ln.minkowski_target(code.r, code.G, abs(code.disc))
-        assert box_distance(code, target) is None, what
-        chk = ln.verify_code(code)
+        path.write_bytes(tampered.encode())
+        monkeypatch.setattr(ln, "_derived_check", derived_check)
+        code, chk = ln.check_code_file(path)
+        assert code.codewords, what
+        assert chk == ln.verify_code(code), what
         assert (chk.d, chk.worst_pair) == dense_distance_scan(
             code.codewords), what
-        path = tmp_path / "t.code"
-        path.write_text(tampered)
         outputs = []
-        for derive in (box_distance, lambda code, target: None):
-            monkeypatch.setattr(ln, "_box_distance", derive)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+        for derive in (derived_check, lambda code, fp: None):
+            monkeypatch.setattr(ln, "_derived_check", derive)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 rc = cli.main(["verify", str(path)])
-            outputs.append((rc, out.getvalue()))
+            outputs.append((rc, out.getvalue(), err.getvalue()))
         assert outputs[0] == outputs[1], what

@@ -8,6 +8,7 @@ scans), and enclosures are checked against logs of exact integer products.
 
 import math
 import time
+from fractions import Fraction
 from itertools import compress
 
 import mpmath
@@ -461,3 +462,38 @@ def test_int_nth_root_past_double_precision(rng):
         x = nt.int_nth_root(n, 6)
         assert x ** 6 <= n < (x + 1) ** 6
     assert time.perf_counter() - t0 < 0.5
+
+
+# ------------------------------------------------------------ rationals
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(0, 40))
+def test_parse_rational_reads_integers_fractions_and_decimals(a, b, places):
+    """a, a/b and a plain decimal with `places` digits after the point give
+    the same Fraction as the fractions module; decimals only when asked."""
+    assert nt.parse_rational(str(a)) == a
+    assert nt.parse_rational("%d/%d" % (a, b), decimals=False) == Fraction(a, b)
+    digits = str(abs(a)).rjust(places + 1, "0")
+    text = "-" * (a < 0) + digits[:len(digits) - places] + "." + \
+        digits[len(digits) - places:]
+    assert nt.parse_rational(text) == Fraction(a, 10 ** places)
+    assert nt.parse_rational(text, decimals=False) is None
+
+
+def test_parse_rational_refuses_exponents_and_long_text(monkeypatch):
+    """Exponents, signs '+', white space, zero denominators and text past
+    RATIONAL_CHARS are refused before any Fraction is built."""
+    assert nt.parse_rational(".5") == Fraction(1, 2)
+    assert nt.parse_rational("-3.") == -3
+    long = "1" * nt.RATIONAL_CHARS
+    assert nt.parse_rational(long) == int(long)
+
+    def built(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(nt, "Fraction", built)
+    for bad in ("1e-4000000", "1E5", "2.5e3", "+1/2", " 1/2", "1/2 ", "1/0",
+                "1/-2", "1_000", "nan", "inf", "", ".", "-", "1/2/3", "0x10",
+                "1" * (nt.RATIONAL_CHARS + 1), "0." + "1" * 5000):
+        assert nt.parse_rational(bad) is None, bad
