@@ -119,26 +119,42 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, output: Optional[str]) -> None:
+    """Write each of chunks, as it comes, to the file output or to stdout.
 
-
-def _write_lines(lines, output: str) -> None:
-    """Write each of lines and a newline to the file output as they come.
-    They go to output + '.part', renamed over output once all are written,
-    so a failure leaves no partial file and any old one as it was."""
+    A new or regular file, followed through any symlink, is written to a
+    temporary file beside it and renamed over it once all chunks are
+    written, so a failure leaves no partial file and any old one as it was;
+    the new file keeps the old one's mode, or takes the umask's. Any other
+    file, such as /dev/stdout, is written in place.
+    """
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
     import os
-    part = output + ".part"
-    fp = open(part, "w")
+    import stat
+    import tempfile
+    if os.path.exists(output) and not os.path.isfile(output):
+        with open(output, "w") as fp:
+            fp.writelines(chunks)
+        return
+    target = os.path.realpath(output)
     try:
-        with fp:
-            for line in lines:
-                fp.write(line + "\n")
-        os.replace(part, output)
+        fd, part = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part",
+                                    prefix=os.path.basename(target) + ".")
+    except OSError as e:  # name the file asked for, not the temporary one
+        raise OSError(e.errno, e.strerror, output) from None
+    try:
+        with open(fd, "w") as fp:
+            if os.path.exists(target):
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            else:
+                mode = os.umask(0)
+                os.umask(mode)
+                mode = 0o666 & ~mode
+            os.fchmod(fd, mode)
+            fp.writelines(chunks)
+        os.replace(part, target)
     except BaseException:
         os.unlink(part)
         raise
@@ -190,10 +206,10 @@ def cmd_bounds(args) -> int:
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue(), args.output)
+        _emit((buf.getvalue(),), args.output)
     else:
         import json
-        _emit(json.dumps(rows, indent=2) + "\n", args.output)
+        _emit((json.dumps(rows, indent=2) + "\n",), args.output)
     return EXIT_OK
 
 
@@ -204,17 +220,12 @@ def cmd_construct(args) -> int:
     code = ln.plan_code(K, args.r, args.q, args.G,
                         start_grid=args.grid, max_grid=args.max_grid)
     columns, M = ln.box_columns(K, code.box)
-    lines = ln.code_file_lines(code, columns)
-    summary = ("n=%d M=%d d_bound=%d target=%d\n"
-               % (code.n, M, code.n + 1 - code.G,
-                  ln.minkowski_target(code.r, code.G, abs(code.disc))))
-    if args.output:
-        _write_lines(lines, args.output)
-        sys.stdout.write(summary)
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        sys.stderr.write(summary)
+    _emit((line + "\n" for line in ln.code_file_lines(code, columns)),
+          args.output)
+    (sys.stdout if args.output else sys.stderr).write(
+        "n=%d M=%d d_bound=%d target=%d\n"
+        % (code.n, M, code.n + 1 - code.G,
+           ln.minkowski_target(code.r, code.G, abs(code.disc))))
     return EXIT_OK
 
 
@@ -262,9 +273,9 @@ def cmd_certify(args) -> int:
     cert = bd.certify(args.q, schedule=args.schedule, C0=args.C0)
     if args.format == "json":
         import json
-        _emit(json.dumps(cert.as_dict(), indent=2) + "\n", args.output)
+        _emit((json.dumps(cert.as_dict(), indent=2) + "\n",), args.output)
     else:
-        _emit(_certificate_text(cert), args.output)
+        _emit((_certificate_text(cert),), args.output)
     if cert.overall == enc.PASS:
         return EXIT_OK
     return EXIT_CHECK

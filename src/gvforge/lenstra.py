@@ -19,6 +19,8 @@ compares as they stream, so neither holds more than a column of words.
 
 import heapq
 import math
+import os
+import stat
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -524,36 +526,31 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
     return code._replace(omega=omega, codewords=words)
 
 
-def code_file_lines(code: LenstraCode, columns):
-    """Yield the lines of code's file, without newlines: one header line,
-    then code_lines of columns under code's ideals. The header ends with
-    the box's exact basis shift, 'shift=a/b,c/d' or 'shift=none' for the
-    centred box, when the code knows its box."""
+def _header(code: LenstraCode) -> str:
+    """Line 1 of code's file. It ends with the box's exact basis shift,
+    'shift=a/b,c/d' or 'shift=none' for the centred box, when the code
+    knows its box."""
     head = "# lenstra q=%d r=%d G=%d disc=%d n=%d tau=%r,%r" % (
         code.q, code.r, code.G, code.disc, code.n, code.tau[0], code.tau[1])
     if code.box is not None:
         shift = code.box.shift
         head += " shift=" + ("none" if shift is None else "%s,%s" % shift)
-    yield head
+    return head
+
+
+def code_file_lines(code: LenstraCode, columns):
+    """Yield the lines of the file of code's box, without newlines: the
+    header, then code_lines of columns under code's ideals."""
+    yield _header(code)
     yield from code_lines(columns, code.ideals, code.q)
 
 
-def _point_columns(omega) -> list:
-    """(u, lo, hi) of each column of omega, a list of points sorted by u
-    and then v whose v's fill an interval in each column."""
-    columns = []
-    for u, v in omega:
-        if columns and columns[-1][0] == u:
-            columns[-1][2] = v
-        else:
-            columns.append([u, v, v])
-    return columns
-
-
 def format_code_file(code: LenstraCode) -> str:
-    """The text of code_file_lines, each line ended by a newline, for a
-    code that build_code returned: its ideals and omega give the rows."""
-    return "\n".join(code_file_lines(code, _point_columns(code.omega))) + "\n"
+    """Text form: the header, then one codeword of code.codewords per line,
+    its symbols in decimal separated by single spaces."""
+    lines = [_header(code)]
+    lines.extend(" ".join(map(str, w)) for w in code.codewords)
+    return "\n".join(lines) + "\n"
 
 
 def _read_header(lines) -> LenstraCode:
@@ -800,28 +797,35 @@ def _derived_check(code: LenstraCode, fp) -> Optional[CodeCheck]:
     """The verdict on a code file, open as fp past its header line, derived
     from the box its header code names; None unless the rest of the file
     is, byte for byte, the code_lines of the box's points, each ended by a
-    newline, and deriving costs no more than the scan.
+    newline, and deriving costs no more than reading the file.
 
     That needs a box in the basis cell (a grid shift or the centred box)
-    with M points, max(target, 2) <= M <= OMEGA_CAP; q <= M n, so sieving
-    to q costs less than reading the rows; at most 8 sqrt(M) columns, so
-    the O(columns^2) steps of _difference_distance stay within O(M); and n
+    with M points, max(target, 2) <= M <= OMEGA_CAP; a file of at least
+    2 M n bytes, as each of its M rows holds n symbols of at least one
+    digit and a separator, checked by its size before the field is made
+    and again before the ideals are listed; q <= M n, so sieving to q costs
+    less than reading the file; at most 8 sqrt(M) columns, so the
+    O(columns^2) steps of _difference_distance stay within O(M); and n
     ideals. Such a file's symbols are residues modulo ideals of norm at
     most q, and its rows are distinct: two points of the box agree at fewer
     than G <= n ideals, as their difference has a nonzero norm below r^G.
     """
     box, q, n = code.box, code.q, code.n
+    size = os.fstat(fp.fileno()).st_size
     if (box is None or not all(0 <= s < 1 for s in box.shift or ())
             or q > OMEGA_CAP * n
             or _pow_above(code.r, 2 * code.G, OMEGA_CAP ** 2 * abs(code.disc))):
         return None
     target = minkowski_target(code.r, code.G, abs(code.disc))
+    if 2 * max(target, 2) * n > size:
+        return None
     K = make_field(code.disc)
     try:
         columns, M = box_columns(K, box)
     except CapacityError:
         return None
-    if M < max(target, 2) or q > M * n or len(columns) ** 2 > 64 * M:
+    if (M < max(target, 2) or 2 * M * n > size or q > M * n
+            or len(columns) ** 2 > 64 * M):
         return None
     ideals = prime_ideals_in_norm_range(K, code.r, q)
     if len(ideals) != n:
@@ -844,23 +848,29 @@ def check_code_file(path):
     its header, with no words. Any other file has its rows counted, past
     PAIRWISE_CAP raising CapacityError before any is parsed, and is then
     parsed line by line and scanned by verify_code, which gives the same
-    verdict on a file that _derived_check accepts.
+    verdict on a file that _derived_check accepts. Only a regular file is
+    derived or read twice; any other, such as a pipe, is read whole once.
     """
     with open(path, newline="") as fp:
         first = fp.readline()
-        lines = first.splitlines()
-        code = _read_header(iter(lines))
-        check = _derived_check(code, fp) if len(lines) == 1 else None
-    if check is not None:
-        return code, check
-    with open(path) as fp:
-        rows = sum(1 for line in _file_lines(fp) if line.strip()) - 1
+        head = first.splitlines()
+        code = _read_header(iter(head))
+        if not stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+            lines = (first + fp.read()).splitlines().__iter__
+        else:
+            check = _derived_check(code, fp) if len(head) == 1 else None
+            if check is not None:
+                return code, check
+
+            def lines():
+                with open(path) as fp:
+                    yield from _file_lines(fp)
+    rows = sum(1 for line in lines() if line.strip()) - 1
     if rows > PAIRWISE_CAP:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (rows, PAIRWISE_CAP))
-    with open(path) as fp:
-        lines = _file_lines(fp)
-        next(lines)  # the header, read above
-        code = _read_rows(code, lines)
+    rest = lines()
+    next(rest)  # the header, read above
+    code = _read_rows(code, rest)
     return code, verify_code(code)
 
 

@@ -21,6 +21,8 @@ from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 
 Q42 = 2 ** 42
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -388,6 +390,59 @@ def test_construct_failing_midway_leaves_no_file(capsys, tmp_path,
     assert path.read_text().startswith("# lenstra q=13 ")
 
 
+def test_output_replaces_the_target_and_nothing_beside_it(capsys, tmp_path):
+    """Every command's --output goes to a temporary file beside the target,
+    renamed over it: an old file keeps its mode, a new one takes the
+    umask's, a symlink still names the file it named, and other files,
+    OUTPUT.part among them, stay as they were. A missing directory is
+    reported by the name given."""
+    target = tmp_path / "out.txt"
+    neighbour = tmp_path / "out.txt.part"
+    link = tmp_path / "link.txt"
+    neighbour.write_text("mine\n")
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    commands = {
+        "# lenstra q=13 ": ["construct", "--disc", "-4", "--r", "9",
+                            "--q", "13", "--G", "1"],
+        "q,delta,": ["bounds", "--q", "64", "--delta", "1/2"],
+        "q=64 schedule=": ["certify", "--q", "64", "--format", "text"],
+    }
+    for start, argv in commands.items():
+        assert run(capsys, *argv, "--output", str(link))[0] in (0, 2)
+        assert link.is_symlink() and target.read_text().startswith(start)
+        assert os.stat(target).st_mode & 0o777 == 0o640
+        assert neighbour.read_text() == "mine\n"
+        assert sorted(tmp_path.iterdir()) == sorted([target, neighbour, link])
+    umask = os.umask(0)
+    os.umask(umask)
+    fresh = tmp_path / "new.txt"
+    assert run(capsys, *commands["# lenstra q=13 "], "--output",
+               str(fresh))[0] == 0
+    assert os.stat(fresh).st_mode & 0o777 == 0o666 & ~umask
+    missing = str(tmp_path / "no" / "out.txt")
+    assert run(capsys, *commands["q,delta,"], "--output", missing) == (
+        1, "", "error: [Errno 2] No such file or directory: %r\n" % missing)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="needs /dev/stdout")
+def test_output_that_is_not_a_regular_file_is_written_in_place(capsys,
+                                                               tmp_path):
+    """--output /dev/stdout on a pipe writes the code file there, followed
+    by the summary, as to a regular file."""
+    argv = ["construct", "--disc", "-23", "--r", "12", "--q", "60", "--G",
+            "2", "--output"]
+    path = tmp_path / "code.txt"
+    rc, summary, _ = run(capsys, *argv, str(path))
+    piped = subprocess.run(
+        [sys.executable, "-m", "gvforge.cli", *argv, "/dev/stdout"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        0, path.read_text() + summary, "")
+
+
 def test_verify_detects_bad_symbol(capsys, tmp_path):
     path = tmp_path / "code.txt"
     run(capsys, "construct", "--disc", "-4", "--r", "9", "--q", "13",
@@ -497,6 +552,43 @@ def test_verify_counts_rows_before_parsing(capsys, tmp_path, monkeypatch):
     assert "fail: duplicate codewords (M=2 of %d rows)" % cap in out
 
 
+def test_verify_bounds_its_work_by_the_file_size(capsys, tmp_path,
+                                                monkeypatch):
+    """A header that raises q and n, with rows left as they are, cannot be
+    derived: a file of M rows of n symbols holds at least 2 M n bytes, so
+    no ideal is listed and the rows are parsed and refused at once."""
+    text = (GOLDEN / "-23_12_60_2.code").read_text()
+    path = tmp_path / "code.txt"
+    path.write_text(text.replace(" q=60 ", " q=4000000000 ", 1)
+                    .replace(" n=15 ", " n=1000000000 ", 1))
+
+    def listed(*args):
+        raise AssertionError("ideals were listed")
+
+    monkeypatch.setattr(ln, "prime_ideals_in_norm_range", listed)
+    assert run(capsys, "verify", str(path)) == (
+        1, "", "error: line 2: expected 1000000000 symbols, got 15\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_verify_reads_a_pipe_once(capsys, tmp_path):
+    """A code file given as a pipe is read whole, once, and verified as the
+    same file on disk is: derivable or not."""
+    text = (GOLDEN / "-23_12_60_2.code").read_text()
+    head, row, rest = text.split("\n", 2)
+    path = tmp_path / "code.txt"
+    for body in (text, head + "\n" + row + "\n" + row + "\n" + rest,
+                 text.replace("\n", "\r\n")):
+        path.write_text(body, newline="")
+        expected = run(capsys, "verify", str(path))
+        piped = subprocess.run(
+            [sys.executable, "-m", "gvforge.cli", "verify", "/dev/stdin"],
+            input=body.encode(), capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (piped.returncode, piped.stdout.decode(),
+                piped.stderr.decode()) == expected
+
+
 _WILD = st.one_of(st.integers(-2, 14), st.integers(-2 ** 80, 2 ** 80))
 
 
@@ -553,7 +645,6 @@ def test_verify_binary_file_is_a_usage_error(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 # Spawns argv and prints its exit code and peak RSS in KiB, then its
 # stdout. A child's peak RSS counts the memory it shared with its parent
 # before exec, so the commands are spawned from this small interpreter

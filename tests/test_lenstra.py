@@ -437,8 +437,9 @@ def per_point_residues(columns, P, q):
 def test_residue_map_matches_the_per_point_oracle(D, r, q, G):
     K = qf.make_field(D)
     E = ln.make_embedding(K)
-    omega = ln.enumerate_omega(E, ln.find_tau(E, r, G))
-    columns = ln._point_columns(omega)
+    box = ln.find_tau(E, r, G)
+    omega = ln.enumerate_omega(E, box)
+    columns, _ = ln.box_columns(K, box)
     assert [(u, v) for u, lo, hi in columns for v in range(lo, hi + 1)] == omega
     for P in qf.prime_ideals_in_norm_range(K, r, q):
         assert ln.residue_map(columns, P, q) == per_point_residues(columns, P, q)
@@ -830,6 +831,20 @@ def test_code_lines_are_the_words_in_decimal(D, r, q, G):
     golden = GOLDEN / ("%d_%d_%d_%d.code" % (D, r, q, G))
     if (D, r, q, G) in GOLDEN_ROWS:
         assert golden.read_text().splitlines()[1:] == lines
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_format_code_file_writes_the_codewords(name):
+    """format_code_file is the inverse of parse_code_file on the golden
+    files, and writes the words a code holds, edited or not, in the form
+    of code_lines."""
+    text = (GOLDEN / (name + ".code")).read_text()
+    code = ln.parse_code_file(text)
+    assert ln.format_code_file(code) == text
+    words = code.codewords[::-1]
+    edited = ln.format_code_file(code._replace(codewords=words))
+    assert edited.splitlines() == text.splitlines()[:1] + [
+        " ".join(map(str, w)) for w in words]
 
 
 def test_difference_distance_on_seeded_columns(rng):
