@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, TauSearchError
 from .numtheory import parse_rational
-from .quadfield import (INERT, PrimeIdealRecord, QuadraticField,
-                        is_fundamental, make_field, prime_ideals_in_norm_range)
+from .quadfield import (INERT, PrimeIdealRecord, QuadraticField, make_field,
+                        prime_ideals_in_norm_range)
 
 OMEGA_CAP = 10 ** 6
 PAIRWISE_CAP = 10 ** 5
@@ -432,19 +432,33 @@ def _column_reader(P: PrimeIdealRecord, name, points: int, longest: int):
     T[j] = name(j c mod p): one slice of T repeated, built here once, when
     c is a unit and p is at most the number of points; otherwise each
     residue is computed. Inert ideals keep both coordinates, packed as
-    (u mod p) p + (v mod p). No column read is longer than longest + 1.
+    (u mod p) p + (v mod p): a column reads row u mod p of the table whose
+    row a holds name(a p + j) for j in [0, p), repeated, when that table
+    has no more entries than there are points. No column read is longer
+    than longest + 1.
     """
     p, c = P.p, P.residue_root
+    reps = longest // p + 2
     if P.split_type == INERT:
-        return lambda u, lo, hi: [name(u % p * p + v % p)
-                                  for v in range(lo, hi + 1)]
+        if p * p * reps > points:
+            return lambda u, lo, hi: [name(u % p * p + v % p)
+                                      for v in range(lo, hi + 1)]
+        width = p * reps
+        rows = []
+        for a in range(0, p * p, p):
+            rows += [name(a + j) for j in range(p)] * reps
+
+        def read_row(u, lo, hi):
+            start = u % p * width + lo % p
+            return rows[start:start + hi - lo + 1]
+        return read_row
     if c % p == 0:
         return lambda u, lo, hi: [name(u % p)] * (hi - lo + 1)
     if p > points:
         return lambda u, lo, hi: [name((u + v * c) % p)
                                   for v in range(lo, hi + 1)]
     inv = pow(c, -1, p)
-    table = [name(j * c % p) for j in range(p)] * (longest // p + 2)
+    table = [name(j * c % p) for j in range(p)] * reps
 
     def read(u, lo, hi):
         start = (lo + u * inv) % p
@@ -553,10 +567,11 @@ def format_code_file(code: LenstraCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_header(lines) -> LenstraCode:
-    """The code, with no words, that the next of lines, a code file's
-    header, describes; a header shift gives the box without its grid and
-    cell. A malformed header raises DomainError for line 1."""
+def _read_header(lines):
+    """(code, K): the code, with no words, that the next of lines, a code
+    file's header, describes, and the field of its disc, whose validation
+    factorizes disc once; a header shift gives the box without its grid
+    and cell. A malformed header raises DomainError for line 1."""
     line = next(lines, "")
     if not line.startswith("# lenstra "):
         raise DomainError("line 1: missing '# lenstra' header")
@@ -579,9 +594,11 @@ def _read_header(lines) -> LenstraCode:
         raise DomainError("line 1: bad header (%s)" % e) from None
     if len(tau) != 2:
         raise DomainError("line 1: tau must have two coordinates")
-    if not is_fundamental(disc):
+    try:
+        K = make_field(disc)
+    except DomainError:
         raise DomainError("line 1: disc=%d is not a fundamental discriminant"
-                          % disc)
+                          % disc) from None
     try:
         _check_domain(r, q, G, n, disc)
     except DomainError as e:
@@ -590,12 +607,12 @@ def _read_header(lines) -> LenstraCode:
     if "shift" in fields:
         box = box_at(r, G, _parse_shift(fields["shift"]))
     return LenstraCode(disc=disc, q=q, r=r, G=G, n=n, tau=tau,
-                       ideals=(), omega=(), codewords=(), box=box)
+                       ideals=(), omega=(), codewords=(), box=box), K
 
 
 def _read_code(lines) -> LenstraCode:
     """The code of a code file given as an iterator of its lines."""
-    return _read_rows(_read_header(lines), lines)
+    return _read_rows(_read_header(lines)[0], lines)
 
 
 def _read_rows(code: LenstraCode, lines) -> LenstraCode:
@@ -793,11 +810,12 @@ def _difference_distance(columns, ideals, n: int):
     return n - top, best
 
 
-def _derived_check(code: LenstraCode, fp) -> Optional[CodeCheck]:
+def _derived_check(code: LenstraCode, K: QuadraticField,
+                   fp) -> Optional[CodeCheck]:
     """The verdict on a code file, open as fp past its header line, derived
-    from the box its header code names; None unless the rest of the file
-    is, byte for byte, the code_lines of the box's points, each ended by a
-    newline, and deriving costs no more than reading the file.
+    from the box its header code names in its field K; None unless the rest
+    of the file is, byte for byte, the code_lines of the box's points, each
+    ended by a newline, and deriving costs no more than reading the file.
 
     That needs a box in the basis cell (a grid shift or the centred box)
     with M points, max(target, 2) <= M <= OMEGA_CAP; a file of at least
@@ -819,7 +837,6 @@ def _derived_check(code: LenstraCode, fp) -> Optional[CodeCheck]:
     target = minkowski_target(code.r, code.G, abs(code.disc))
     if 2 * max(target, 2) * n > size:
         return None
-    K = make_field(code.disc)
     try:
         columns, M = box_columns(K, box)
     except CapacityError:
@@ -854,11 +871,11 @@ def check_code_file(path):
     with open(path, newline="") as fp:
         first = fp.readline()
         head = first.splitlines()
-        code = _read_header(iter(head))
+        code, K = _read_header(iter(head))
         if not stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
             lines = (first + fp.read()).splitlines().__iter__
         else:
-            check = _derived_check(code, fp) if len(head) == 1 else None
+            check = _derived_check(code, K, fp) if len(head) == 1 else None
             if check is not None:
                 return code, check
 

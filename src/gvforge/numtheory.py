@@ -2,7 +2,12 @@
 
 Primes come from one segmented sieve of Eratosthenes over an odd arithmetic
 progression (the odd numbers, or the numbers = 3 (mod 4)), on bytearray
-segments, with no numpy. The module keeps no state between calls: each
+segments, with no numpy. Each base prime's next multiple is carried from
+one segment to the next as an offset, and the segment length follows the
+number of base primes: 2^19 slots up to 2,048 of them (q <= 10^16 has
+1,228), 2^20 up to 4,096 and 2^21 beyond (the 2^32 cap has 6,541), so a
+small sieve stays in cache and a large one pays each prime's step over
+more slots. The module keeps no state between calls: each
 caller sieves exactly the primes it asks for, as an `array('I')` (exact
 below the 2^32 hard cap), either every prime up to a limit or the first n
 primes. The inert window of the construction is only counted, never
@@ -27,7 +32,8 @@ from itertools import accumulate, compress
 from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
-_WINDOW = 1 << 21
+_MIN_WINDOW = 1 << 19  # least and greatest slots per sieve segment
+_MAX_WINDOW = 1 << 21
 _REFILL = 1 << 16  # bytes of the block that refills a segment with ones
 
 
@@ -38,24 +44,38 @@ def check_cap(limit: int) -> None:
             "limit %d exceeds sieve cap %d" % (limit, HARD_SIEVE_CAP))
 
 
+def _segment_length(base: list) -> int:
+    """Slots per segment of a sieve with base primes `base`: the least power
+    of two >= 256 len(base), clamped to [_MIN_WINDOW, _MAX_WINDOW]. Few base
+    primes leave a short segment that stays in cache; many keep it long, so
+    each prime's step into a segment is paid over more slots."""
+    n = 1 << (256 * len(base) - 1).bit_length()
+    return min(max(n, _MIN_WINDOW), _MAX_WINDOW)
+
+
 def _segments(start: int, stop: int, step: int, base: list):
     """Yield (lo, seg) over the progression start, start + step, ... <= stop:
     seg[j] is 1 when no prime in `base` divides lo + step*j, apart from the
     base primes themselves, and 0 otherwise.
 
     step is 2 or 4 and start is odd; `base` holds the odd primes up to at
-    least sqrt(stop). Each segment holds at most `_WINDOW` slots, and the
-    first is the largest. One buffer holds every segment in turn, so the
-    caller must be done with a segment before it asks for the next. It is
-    refilled with ones from a small block, and multiples are struck from a
-    zero buffer a third of its size, since the least base prime is 3. The
-    first multiple p*m of p at or past max(lo, p^2) in the progression has
-    m = start*p (mod step), since p^2 = 1 (mod 8); the next ones follow
-    every p slots.
+    least sqrt(stop), ascending. Each segment holds `_segment_length(base)`
+    slots, the last one fewer. One buffer holds every segment in turn, so
+    the caller must be done with a segment before it asks for the next. It
+    is refilled with ones from a small block, and multiples are struck from
+    a zero buffer a third of its size, since the least base prime is 3.
+
+    Offsets are carried: a prime joins once p^2 falls inside the current
+    segment, with the slot of its first multiple p*m at or past max(lo, p^2)
+    in the progression, m = start*p (mod step) since p^2 = 1 (mod 8). Its
+    multiples then follow every p slots, so after striking a segment of n
+    slots from offset i < n + p, the next segment's offset is (i - n) mod p.
     """
+    width = _segment_length(base)
     seg = None
-    for lo in range(start, stop + 1, step * _WINDOW):
-        n = (min(lo + step * _WINDOW, stop + 1) - lo + step - 1) // step
+    offsets = []  # of the base primes base[:len(offsets)] whose p^2 <= end
+    for lo in range(start, stop + 1, step * width):
+        n = (min(lo + step * width, stop + 1) - lo + step - 1) // step
         if seg is None:
             seg = bytearray(b"\x01") * n
             zeros = memoryview(bytes(n // 3 + 1))
@@ -65,13 +85,14 @@ def _segments(start: int, stop: int, step: int, base: list):
             for k in range(0, n, _REFILL):
                 seg[k:k + _REFILL] = ones[:n - k]
         end = lo + step * (n - 1)
-        for p in base:
-            if p * p > end:
-                break
+        while len(offsets) < len(base) and base[len(offsets)] ** 2 <= end:
+            p = base[len(offsets)]
             m = -(-max(lo, p * p) // p)
             m += (start * p - m) % step
-            i = (p * m - lo) // step
-            seg[i::p] = zeros[:len(range(i, n, p))]
+            offsets.append((p * m - lo) // step)
+        for k, (p, i) in enumerate(zip(base, offsets)):
+            seg[i::p] = zeros[:(n - 1 - i) // p + 1]
+            offsets[k] = (i - n) % p
         yield lo, seg
 
 

@@ -702,6 +702,16 @@ def test_construct_and_verify_memory_does_not_grow_with_M(tmp_path):
     assert ln._distance_scan(list(rows.values()), 91)[0] == 89
 
 
+def test_certify_memory_does_not_grow_with_the_window(tmp_path):
+    """certify at 10^16 sieves a window of 2.5 * 10^7 slots and at 2^42 one
+    of 5 * 10^5, in segments of one length, so both peak within 1 MiB."""
+    rc, small, _ = run_peak(["certify", "--q", "4398046511104"], tmp_path)
+    assert rc == 0
+    rc, large, _ = run_peak(["certify", "--q", "10000000000000000"], tmp_path)
+    assert rc == 0
+    assert large - small <= 1024, (small, large)
+
+
 # ------------------------------------------------------------------ tower
 
 

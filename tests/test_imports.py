@@ -6,7 +6,7 @@ appear somewhere in the module as a plain name (an attribute base such as
 `np` in `np.zeros` counts); `__init__.py` is exempt, because its imports
 are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
-`src/`, as a plain name, an attribute (`nt._WINDOW`) or an imported name.
+`src/`, as a plain name, an attribute (`nt._MAX_WINDOW`) or an imported name.
 `lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
 algebraic, so it needs no interval enclosures. No module under `src/`
 imports numpy or mpmath, not even inside a function; both are test-only

@@ -22,6 +22,7 @@ from mpmath import mp
 
 from gvforge import cli
 from gvforge import lenstra as ln
+from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError, TauSearchError
 
@@ -759,6 +760,21 @@ def test_box_distance_on_golden_codes(name):
     assert (derived.d, derived.worst_pair) == dense_distance_scan(words)
 
 
+def test_check_code_file_factorizes_the_disc_once(monkeypatch):
+    """The header's validation factorizes disc, and the derivation builds
+    its field from that one factorization."""
+    calls = []
+    factorize = nt.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+    monkeypatch.setattr(nt, "factorize", counted)
+    code, check = ln.check_code_file(GOLDEN / "-23_12_60_2.code")
+    assert code.codewords == () and check.ok
+    assert calls == [-23]
+
+
 def ideal_kind(P):
     if P.residue_root is None:
         return "inert"
@@ -831,6 +847,27 @@ def test_code_lines_are_the_words_in_decimal(D, r, q, G):
     golden = GOLDEN / ("%d_%d_%d_%d.code" % (D, r, q, G))
     if (D, r, q, G) in GOLDEN_ROWS:
         assert golden.read_text().splitlines()[1:] == lines
+
+
+def test_code_lines_read_inert_ideals_from_either_path():
+    """An inert ideal's rows come from its table of names when the table
+    has no more entries than the box has points, and point by point
+    otherwise: (-3, 9, 200, 3) holds one of each (p = 5 and 11), the
+    benchmark's boxes only tables, (-23, 12, 60, 2) none. Every line is
+    the per-point oracle's residues in decimal."""
+    sides = set()
+    for D, r, q, G in [(-3, 9, 200, 3), (-4, 15, 200, 3), (5, 15, 300, 3),
+                       (-23, 12, 60, 2)]:
+        K = qf.make_field(D)
+        code = ln.plan_code(K, r, q, G)
+        columns, M = ln.box_columns(K, code.box)
+        longest = max(hi - lo for _, lo, hi in columns)
+        sides.update(P.p ** 2 * (longest // P.p + 2) <= M
+                     for P in code.ideals if P.split_type == qf.INERT)
+        want = zip(*(per_point_residues(columns, P, q) for P in code.ideals))
+        assert list(ln.code_lines(columns, code.ideals, q)) == [
+            " ".join(map(str, w)) for w in want], (D, r, q, G)
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
@@ -960,7 +997,7 @@ def test_tampered_files_take_the_scan_path(name, tmp_path, monkeypatch):
         assert (chk.d, chk.worst_pair) == dense_distance_scan(
             code.codewords), what
         outputs = []
-        for derive in (derived_check, lambda code, fp: None):
+        for derive in (derived_check, lambda code, K, fp: None):
             monkeypatch.setattr(ln, "_derived_check", derive)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \

@@ -8,6 +8,7 @@ scans), and enclosures are checked against logs of exact integer products.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import compress
 
@@ -69,8 +70,32 @@ def test_sieve_small_lists():
         nt.sieve_primes(1)
 
 
-# the step-2 segments start at the odd numbers 1 + 2k * _WINDOW
-WINDOW_EDGES = [1 + 2 * k * nt._WINDOW + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+# the step-2 segments start at the odd numbers 1 + 2k * _MIN_WINDOW: up to
+# 2^23 + 2, the base primes are too few to lengthen a segment
+WINDOW_EDGES = [1 + 2 * k * nt._MIN_WINDOW + d for k in (1, 2, 4, 8)
+                for d in (-2, -1, 0, 1)]
+
+
+def fix_segment_length(monkeypatch, window):
+    """Make every sieve segment `window` slots long."""
+    monkeypatch.setattr(nt, "_MIN_WINDOW", window)
+    monkeypatch.setattr(nt, "_MAX_WINDOW", window)
+
+
+def test_segment_length_follows_the_base_primes():
+    """The least power of two >= 256 per base prime, in [2^19, 2^21]: the
+    floor up to q = 10^16 (1,228 odd base primes) and the ceiling at the
+    sieve cap, 2^32 (6,541). The segment edges the tests below straddle
+    are multiples of the floor."""
+    for limit in (WINDOW_EDGES[-1], 10 ** 6 + 3 + 3 * SEGMENT_SPAN):
+        base = nt._odd_primes(math.isqrt(limit))
+        assert nt._segment_length(base) == nt._MIN_WINDOW == 1 << 19
+    for count, length in ((0, 1 << 19), (1228, 1 << 19), (2048, 1 << 19),
+                          (2049, 1 << 20), (4096, 1 << 20), (4097, 1 << 21),
+                          (6541, 1 << 21), (10 ** 6, 1 << 21)):
+        assert nt._segment_length([3] * count) == length, count
+    assert len(nt._odd_primes(10 ** 4)) == 1228
+    assert len(nt._odd_primes(1 << 16)) == 6541
 
 
 @pytest.mark.parametrize("limit", list(range(2, 41)) + WINDOW_EDGES)
@@ -82,7 +107,7 @@ def test_sieve_matches_bytearray_oracle(limit):
 
 @pytest.mark.parametrize("window", [1, 2, 3, 7])
 def test_sieve_across_segments(monkeypatch, window):
-    monkeypatch.setattr(nt, "_WINDOW", window)
+    fix_segment_length(monkeypatch, window)
     for limit in range(2, 501):
         assert nt.sieve_primes(limit).tolist() == bytearray_primes(limit)
 
@@ -183,7 +208,7 @@ def test_inert_window_at_a_prime_square():
 
 @pytest.mark.parametrize("window", [1, 2, 3, 7])
 def test_inert_window_across_segments(monkeypatch, window):
-    monkeypatch.setattr(nt, "_WINDOW", window)
+    fix_segment_length(monkeypatch, window)
     for hi in range(2, 80):
         for lo in range(1, hi + 2):
             assert_window(hi * hi + hi % 3, max(lo * lo - lo % 2, 1), 0)
@@ -207,15 +232,16 @@ def test_inert_window_matches_oracle(data):
         inert_count_oracle(q, r2, p2), want]
 
 
-# the values one step-4 segment of the inert sieve spans
-SEGMENT_SPAN = 4 * nt._WINDOW
+# the values one step-4 segment of the inert sieve spans: up to 10^6 +
+# 3 * SEGMENT_SPAN, the base primes are too few to lengthen a segment
+SEGMENT_SPAN = 4 * nt._MIN_WINDOW
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_inert_counts_at_many_lows(data):
     """Several lows per call, in any order and with repeats: at and across
-    the 2^21-slot segment edges of the sieve that starts at the least low,
+    the 2^19-slot segment edges of the sieve that starts at the least low,
     at a prime p_ell and just past it, and above isqrt(q)."""
     least = data.draw(st.integers(0, 10 ** 6), label="least")
     first = max(least, 3) + (3 - max(least, 3)) % 4  # the sieve's slot 0
@@ -235,6 +261,20 @@ def test_inert_counts_at_many_lows(data):
                      label="order")
     assert nt.inert_counts(q, lows) == [inert_count_oracle(q, 1, lo - 1)
                                         for lo in lows]
+
+
+def test_inert_counts_memory_stays_within_a_segment():
+    """At q = 10^16 the window sieve holds one 2^19-slot segment, its zero
+    buffer and the offsets of 1,228 base primes: a traced peak under 1.5
+    MiB, which a 2^21-slot segment and its zero buffer (2.7 MiB) exceed."""
+    tracemalloc.start()
+    try:
+        counts = nt.inert_counts(10 ** 16, [307, 69_900_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [2880918, 824353]
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 def test_table_for_stops_at_x():
