@@ -10,10 +10,10 @@ arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
 loads only the exception types. `bounds` and `certify` load bounds,
-numtheory and enclosure, and json or csv for output in those formats;
-`construct` and `verify` load lenstra and quadfield; `tower` loads
-quadfield and enclosure. The package has no third-party dependency, so no
-command loads numpy or mpmath.
+numtheory and enclosure, and json for JSON output; `construct` and
+`verify` load lenstra and quadfield; `tower` loads quadfield and
+enclosure. The package has no third-party dependency, so no command loads
+numpy or mpmath, and `bounds` writes CSV without the csv module.
 """
 
 import argparse
@@ -199,14 +199,10 @@ def cmd_bounds(args) -> int:
                 "k": w.k if w else "",
             })
     if args.format == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit((buf.getvalue(),), args.output)
+        # no field holds a comma, a quote or a newline, so none is quoted
+        table = [list(rows[0])] + [list(row.values()) for row in rows]
+        _emit((",".join(map(str, fields)) + "\n" for fields in table),
+              args.output)
     else:
         import json
         _emit((json.dumps(rows, indent=2) + "\n",), args.output)

@@ -18,6 +18,7 @@ compares as they stream, so neither holds more than a column of words.
 """
 
 import heapq
+import io
 import math
 import os
 import stat
@@ -38,14 +39,6 @@ _GRID_OFFSET = Fraction(1, 1 << 20)
 GRID_CELL_CAP = 1 << 22
 # mask bits one block of the distance scan may hold: 128 MiB
 _SCAN_BITS = 1 << 30
-
-
-class LatticeEmbedding(NamedTuple):
-    """Integral basis image in R^2: floats = (b00, b01, b10, b11) with
-    x = (b00 u + b01 v, b10 u + b11 v), each rounded from its exact value."""
-
-    field: QuadraticField
-    floats: tuple
 
 
 class BoxSpec(NamedTuple):
@@ -112,13 +105,14 @@ def _float(a, b, m: int) -> float:
     return float(a + b * Fraction(math.isqrt(m << 256), 1 << 128))
 
 
-def make_embedding(K: QuadraticField) -> LatticeEmbedding:
-    """Minkowski-style embedding of the ring of integers of K into R^2."""
+def make_embedding(K: QuadraticField) -> tuple:
+    """Minkowski-style embedding of the ring of integers of K into R^2: the
+    basis floats (b00, b01, b10, b11) with x = (b00 u + b01 v, b10 u +
+    b11 v), each rounded once from its exact value."""
     rows, m = _integer_basis(K)
-    (b00, b01), (b10, b11) = ((_float(Fraction(p, 2), 0, m),
-                               _float(Fraction(q, 2), Fraction(e, 2), m))
-                              for p, q, e in rows)
-    return LatticeEmbedding(field=K, floats=(b00, b01, b10, b11))
+    return tuple(x for p, q, e in rows
+                 for x in (_float(Fraction(p, 2), 0, m),
+                           _float(Fraction(q, 2), Fraction(e, 2), m)))
 
 
 def _pow_above(r: int, e: int, bound: int) -> bool:
@@ -220,10 +214,10 @@ def _u_span(K: QuadraticField, r: int, G: int):
     return lo, hi
 
 
-def _box_floats(E: LatticeEmbedding, box: BoxSpec):
+def _box_floats(K: QuadraticField, box: BoxSpec):
     """(tau_1, tau_2, rho) of the box, each rounded from its exact value."""
-    rows, m = _integer_basis(E.field)
-    R = _reach(E.field, box.r, box.G)
+    rows, m = _integer_basis(K)
+    R = _reach(K, box.r, box.G)
     if box.shift is None:
         t1 = t2 = _float(0, Fraction(-1, 4), R)
     else:
@@ -259,7 +253,7 @@ def _float_columns(bf, tau1, tau2, rho: float, us):
         yield lo, hi, all(t < bu * u < top for bu, t, top in walls)
 
 
-def _columns(E: LatticeEmbedding, box: BoxSpec):
+def _columns(K: QuadraticField, box: BoxSpec):
     """Yield (u, v_min, v_max) for each u whose column meets the open box.
 
     Face k of the box is sigma (p_k U + q_k V + e_k V sqrt(m)) + c sqrt(R) > 0
@@ -268,8 +262,8 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
     found by stepping from the float guess. The columns come from the
     u-range of _u_span, which holds every point of the box.
     """
-    rows, m = _integer_basis(E.field)
-    R = _reach(E.field, box.r, box.G)
+    rows, m = _integer_basis(K)
+    R = _reach(K, box.r, box.G)
     if box.shift is None:
         S, n1, n2, c0 = 2, 0, 0, 1  # 4 (x + rho/2) = 4 x + sqrt(R)
     else:
@@ -287,13 +281,13 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
         return all(_face_sign(p * U + q * V, e * V, m, c, R) > 0
                    for p, q, e, c in faces[group])
 
-    lo, hi = _u_span(E.field, box.r, box.G)
+    lo, hi = _u_span(K, box.r, box.G)
     if box.shift is None:
         lo, hi = (lo - hi) / 2, (hi - lo) / 2
     else:
         lo, hi = lo + box.shift[0], hi + box.shift[0]
     us = range(math.floor(lo), math.ceil(hi) + 1)
-    guesses = _float_columns(E.floats, *_box_floats(E, box), us)
+    guesses = _float_columns(make_embedding(K), *_box_floats(K, box), us)
     for u, (lo, hi, _) in zip(us, guesses):
         if not inside(0, u, 0):
             continue
@@ -306,10 +300,6 @@ def _columns(E: LatticeEmbedding, box: BoxSpec):
 
 def _points(columns) -> int:
     return sum(hi - lo + 1 for _, lo, hi in columns)
-
-
-def _count(E: LatticeEmbedding, box: BoxSpec) -> int:
-    return _points(_columns(E, box))
 
 
 def _grid_scores(bf, rho: float, us, g: int):
@@ -352,7 +342,7 @@ def _grid_scores(bf, rho: float, us, g: int):
     return score
 
 
-def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
+def find_tau(K: QuadraticField, r: int, G: int, start_grid: int = 64,
              max_grid: int = 1024) -> BoxSpec:
     """Certified translate: the open box holds >= ceil(r^G/sqrt|disc|) points.
 
@@ -368,13 +358,12 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
     if start_grid > max_grid:
         raise DomainError("start grid %d exceeds max grid %d"
                           % (start_grid, max_grid))
-    K = E.field
     _check_point_cap(r, G, K.disc)
     target = minkowski_target(r, G, abs(K.disc))
     centred = box_at(r, G, None)
-    centred_count = _count(E, centred)
-    rho_f = _box_floats(E, centred)[2]
-    bf = E.floats
+    centred_count = _points(_columns(K, centred))
+    rho_f = _box_floats(K, centred)[2]
+    bf = make_embedding(K)
     # every grid cell has 0 < s_1 < 1, so one u-range serves them all
     lo, hi = _u_span(K, r, G)
     us = range(math.floor(lo), math.ceil(hi + 1) + 1)
@@ -392,7 +381,7 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
             i, j = divmod(c, g)
             box = box_at(r, G, (Fraction(i, g) + _GRID_OFFSET,
                                 Fraction(j, g) + _GRID_OFFSET), g, (i, j))
-            count = _count(E, box)
+            count = _points(_columns(K, box))
             if count > best_count:
                 best, best_count = box, count
         # the centred box covers sparse boxes the coarse grid misses
@@ -406,16 +395,16 @@ def find_tau(E: LatticeEmbedding, r: int, G: int, start_grid: int = 64,
         % (target, max_grid))
 
 
-def enumerate_omega(E: LatticeEmbedding, box: BoxSpec) -> list:
+def enumerate_omega(K: QuadraticField, box: BoxSpec) -> list:
     """Exact sorted list of lattice (u, v) strictly inside the box."""
-    return [(u, v) for u, lo, hi in _columns(E, box) for v in range(lo, hi + 1)]
+    return [(u, v) for u, lo, hi in _columns(K, box) for v in range(lo, hi + 1)]
 
 
 def box_columns(K: QuadraticField, box: BoxSpec):
     """(columns, M): the columns (u, lo, hi) of the box's points, in the
     order of _columns, and their number M of points; M > OMEGA_CAP raises
     CapacityError. The columns take O(sqrt M) memory."""
-    columns = list(_columns(make_embedding(K), box))
+    columns = list(_columns(K, box))
     M = _points(columns)
     if M > OMEGA_CAP:
         raise CapacityError("omega size %d exceeds cap %d" % (M, OMEGA_CAP))
@@ -466,45 +455,34 @@ def _column_reader(P: PrimeIdealRecord, name, points: int, longest: int):
     return read
 
 
-def _readers(columns, ideals, q: int, name) -> list:
-    """_column_reader of each of ideals for columns; N(P) > q raises
-    DomainError."""
+def code_words(columns, ideals, q: int, name=int):
+    """Yield the word of each point of columns, (u, lo, hi) each holding
+    u + v omega for lo <= v <= hi, in order: the tuple of name(s) for its
+    residue s in [0, N(P)) modulo each of ideals. This is the one
+    generator of a box's words, made one column at a time; N(P) > q
+    raises DomainError."""
     for P in ideals:
         if P.norm > q:
             raise DomainError("ideal norm %d exceeds alphabet bound q=%d"
                               % (P.norm, q))
     points = _points(columns)
     longest = max((hi - lo for _, lo, hi in columns), default=0)
-    return [_column_reader(P, name, points, longest) for P in ideals]
-
-
-def residue_map(columns, P: PrimeIdealRecord, q: int) -> list:
-    """The residues modulo P of the points of columns, (u, lo, hi) each
-    holding u + v omega for lo <= v <= hi, in order; each lies in
-    [0, N(P)), and N(P) > q raises DomainError."""
-    read, = _readers(columns, [P], q, int)
-    out = []
+    readers = [_column_reader(P, name, points, longest) for P in ideals]
     for col in columns:
-        out += read(*col)
-    return out
+        yield from zip(*[read(*col) for read in readers])
 
 
 def code_lines(columns, ideals, q: int):
-    """Yield the line, without its newline, of the word of each point of
-    columns as residue_map reads them: the residues under ideals in
-    decimal, separated by single spaces. This is the one definition of a
-    code file's rows: construct writes them and verify compares them.
-
-    The lines are made one column at a time, from one table of str(s) for
-    s below the largest norm when it has no more entries than there are
-    points.
+    """Yield the line, without its newline, of each word of code_words:
+    its symbols in decimal, separated by single spaces. This is the one
+    definition of a code file's rows: construct writes them and verify
+    compares them. The symbols come from one table of str(s) for s below
+    the largest norm when it has no more entries than there are points.
     """
     top = max((P.norm for P in ideals), default=0)
     name = ([str(s) for s in range(top)].__getitem__
             if top <= _points(columns) else str)
-    readers = _readers(columns, ideals, q, name)
-    for col in columns:
-        yield from map(" ".join, zip(*[read(*col) for read in readers]))
+    yield from map(" ".join, code_words(columns, ideals, q, name))
 
 
 def plan_code(K: QuadraticField, r: int, q: int, G: int,
@@ -522,10 +500,9 @@ def plan_code(K: QuadraticField, r: int, q: int, G: int,
     ideals = prime_ideals_in_norm_range(K, r, q)
     n = len(ideals)
     _check_domain(r, q, G, n, K.disc)
-    E = make_embedding(K)
-    box = find_tau(E, r, G, start_grid=start_grid, max_grid=max_grid)
+    box = find_tau(K, r, G, start_grid=start_grid, max_grid=max_grid)
     return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
-                       tau=_box_floats(E, box)[:2], ideals=tuple(ideals),
+                       tau=_box_floats(K, box)[:2], ideals=tuple(ideals),
                        omega=(), codewords=(), box=box)
 
 
@@ -536,8 +513,8 @@ def build_code(K: QuadraticField, r: int, q: int, G: int,
     code = plan_code(K, r, q, G, start_grid=start_grid, max_grid=max_grid)
     columns, _ = box_columns(K, code.box)
     omega = tuple((u, v) for u, lo, hi in columns for v in range(lo, hi + 1))
-    words = tuple(zip(*(residue_map(columns, P, q) for P in code.ideals)))
-    return code._replace(omega=omega, codewords=words)
+    return code._replace(omega=omega,
+                         codewords=tuple(code_words(columns, code.ideals, q)))
 
 
 def _header(code: LenstraCode) -> str:
@@ -716,16 +693,6 @@ def _distance_scan(words, n: int, block: int = 0):
     return n - top, pair
 
 
-def _first_duplicate(words):
-    """The lexicographically least pair (i, j), i < j, of equal rows."""
-    first, pair = {}, None
-    for j, w in enumerate(words):
-        i = first.setdefault(w, j)
-        if i < j and (pair is None or i < pair[0]):
-            pair = (i, j)
-    return pair
-
-
 # x -> x + 1 on bytes, saturating at 255
 _INCREMENT = bytes(range(1, 256)) + b"\xff"
 
@@ -820,13 +787,14 @@ def _derived_check(code: LenstraCode, K: QuadraticField,
     That needs a box in the basis cell (a grid shift or the centred box)
     with M points, max(target, 2) <= M <= OMEGA_CAP; a file of at least
     2 M n bytes, as each of its M rows holds n symbols of at least one
-    digit and a separator, checked by its size before the field is made
-    and again before the ideals are listed; q <= M n, so sieving to q costs
-    less than reading the file; at most 8 sqrt(M) columns, so the
-    O(columns^2) steps of _difference_distance stay within O(M); and n
-    ideals. Such a file's symbols are residues modulo ideals of norm at
-    most q, and its rows are distinct: two points of the box agree at fewer
-    than G <= n ideals, as their difference has a nonzero norm below r^G.
+    digit and a separator, checked with the target for M before the box is
+    enumerated, so a short file costs no enumeration, and with M before
+    the ideals are listed; q <= M n, so sieving to q costs less than
+    reading the file; at most 8 sqrt(M) columns, so the O(columns^2) steps
+    of _difference_distance stay within O(M); and n ideals. Such a file's
+    symbols are residues modulo ideals of norm at most q, and its rows are
+    distinct: two points of the box agree at fewer than G <= n ideals, as
+    their difference has a nonzero norm below r^G.
     """
     box, q, n = code.box, code.q, code.n
     size = os.fstat(fp.fileno()).st_size
@@ -853,9 +821,7 @@ def _derived_check(code: LenstraCode, K: QuadraticField,
     found = None if fp.read(1) else _difference_distance(columns, ideals, n)
     if found is None:
         return None
-    d, pair = found
-    return CodeCheck(M=M, d=d, ok=d >= n + 1 - code.G, injective=True,
-                     min_target=target, worst_pair=pair, bad_symbol=None)
+    return _verdict(code, target, M, *found)
 
 
 def check_code_file(path):
@@ -866,50 +832,49 @@ def check_code_file(path):
     PAIRWISE_CAP raising CapacityError before any is parsed, and is then
     parsed line by line and scanned by verify_code, which gives the same
     verdict on a file that _derived_check accepts. Only a regular file is
-    derived or read twice; any other, such as a pipe, is read whole once.
+    derived; it is read again through its handle from the start, and any
+    other file, such as a pipe, is read whole once into memory.
     """
     with open(path, newline="") as fp:
         first = fp.readline()
         head = first.splitlines()
         code, K = _read_header(iter(head))
+        text = fp
         if not stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
-            lines = (first + fp.read()).splitlines().__iter__
-        else:
-            check = _derived_check(code, K, fp) if len(head) == 1 else None
+            text = io.StringIO(first + fp.read())
+        elif len(head) == 1:
+            check = _derived_check(code, K, fp)
             if check is not None:
                 return code, check
-
-            def lines():
-                with open(path) as fp:
-                    yield from _file_lines(fp)
-    rows = sum(1 for line in lines() if line.strip()) - 1
-    if rows > PAIRWISE_CAP:
-        raise CapacityError("M=%d exceeds pairwise cap %d" % (rows, PAIRWISE_CAP))
-    rest = lines()
-    next(rest)  # the header, read above
-    code = _read_rows(code, rest)
+        text.seek(0)
+        rows = sum(1 for line in _file_lines(text) if line.strip()) - 1
+        if rows > PAIRWISE_CAP:
+            raise CapacityError("M=%d exceeds pairwise cap %d"
+                                % (rows, PAIRWISE_CAP))
+        text.seek(0)
+        rest = _file_lines(text)
+        next(rest)  # the header, read above
+        code = _read_rows(code, rest)
     return code, verify_code(code)
 
 
 def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
     """Exact verification by the pairwise scan: symbol range, distinct
-    count, min distance, and the two bounds.
+    count, min distance, and the two bounds, judged by _verdict.
 
-    ok requires every symbol in [0, q), M >= ceil(r^G/sqrt|disc|), an
-    injective word map, and d >= n + 1 - G (a single word has d = n by
-    convention). A target above PAIRWISE_CAP fails without being computed,
-    since M <= PAIRWISE_CAP. Repeated rows give d = 0 at the least pair of
-    equal rows without a scan. The least and greatest symbols decide the
-    range, and only a file with a bad symbol is searched for the first
-    one. A code file whose rows are its box's lines is verified without a
-    scan by check_code_file. threads has no effect; the scan is serial.
+    A single word has d = n by convention. A target above PAIRWISE_CAP
+    fails without being computed, since M <= PAIRWISE_CAP. One dict pass
+    gives M, injectivity and the least pair of equal rows, at which
+    repeated rows give d = 0 without a scan. The least and greatest
+    symbols decide the range, and only a file with a bad symbol is
+    searched for the first one. A code file whose rows are its box's lines
+    is verified without a scan by check_code_file. threads has no effect;
+    the scan is serial.
     """
     words = code.codewords
     total = len(words)
     if total > PAIRWISE_CAP:
         raise CapacityError("M=%d exceeds pairwise cap %d" % (total, PAIRWISE_CAP))
-    M = len(set(words))
-    injective = (M == total)
     target = None
     if not _pow_above(code.r, 2 * code.G, PAIRWISE_CAP ** 2 * abs(code.disc)):
         target = minkowski_target(code.r, code.G, abs(code.disc))
@@ -918,11 +883,25 @@ def verify_code(code: LenstraCode, threads: int = 1) -> CodeCheck:
                                  and max(map(max, words)) < code.q):
         bad_symbol = next((i, s) for i, w in enumerate(words) for s in w
                           if not 0 <= s < code.q)
-    d, pair = code.n, None
-    if not injective:
-        d, pair = 0, _first_duplicate(words)
-    elif total >= 2:
+    first, pair = {}, None  # word -> its first row; the least equal pair
+    for j, w in enumerate(words):
+        i = first.setdefault(w, j)
+        if i < j and (pair is None or i < pair[0]):
+            pair = (i, j)
+    d = code.n if pair is None else 0
+    if pair is None and total >= 2:
         d, pair = _distance_scan(words, code.n)
+    return _verdict(code, target, len(first), d, pair,
+                    injective=len(first) == total, bad_symbol=bad_symbol)
+
+
+def _verdict(code: LenstraCode, target: Optional[int], M: int, d: int,
+             pair: Optional[tuple], injective: bool = True,
+             bad_symbol: Optional[tuple] = None) -> CodeCheck:
+    """The CodeCheck of code with M distinct words at least distance d
+    apart, worst at pair, and volume target target. ok requires every
+    symbol in [0, q), an injective word map, M >= target (a target of None
+    fails) and d >= n + 1 - G; no other function decides ok."""
     ok = (bad_symbol is None and injective and target is not None
           and M >= target and d >= code.n + 1 - code.G)
     return CodeCheck(M=M, d=d, ok=ok, injective=injective, min_target=target,

@@ -187,9 +187,9 @@ def test_criterion_4_box_counts_match_independent_scan():
         G = rng.choice((1, 2))
         if r ** G > 300:
             continue
-        E = ln.make_embedding(qf.make_field(D))
-        box = ln.find_tau(E, r, G, start_grid=16)
-        pts = ln.enumerate_omega(E, box)
+        K = qf.make_field(D)
+        box = ln.find_tau(K, r, G, start_grid=16)
+        pts = ln.enumerate_omega(K, box)
         want = ln.minkowski_target(r, G, abs(D))
         got = _scan_count(D, box)
         if len(pts) != got or len(pts) < want:

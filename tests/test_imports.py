@@ -268,7 +268,8 @@ from gvforge import cli
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(argv) if argv else 0
-print(json.dumps([rc, [m for m in ("numpy", "mpmath") if m in sys.modules]]))
+print(json.dumps([rc, [m for m in ("numpy", "mpmath", "csv")
+                       if m in sys.modules]]))
 """
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -287,7 +288,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         "bounds", "tower"))
 def test_commands_load_only_what_they_use(argv, rc, loaded):
     """In a fresh interpreter, neither `import gvforge.cli` nor any command
-    loads numpy or mpmath."""
+    loads numpy, mpmath or csv: `bounds` joins its CSV fields itself."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,

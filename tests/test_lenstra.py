@@ -45,16 +45,15 @@ def test_embedding_floats_are_the_basis_rounded():
     """Each basis float is the 60-digit entry rounded once."""
     discs = [D for D in range(-400, 400) if qf.is_fundamental(D)]
     for D in discs + [-19399380, 10 ** 6 + 1]:
-        E = ln.make_embedding(qf.make_field(D))
         with mp.workdps(60):
             want = tuple(float(b) for b in basis_mp(D))
-        assert E.floats == want, D
+        assert ln.make_embedding(qf.make_field(D)) == want, D
 
 
 def test_embedding_reproduces_the_norm(rng):
     for D in (-4, -3, -8, -23, -84, 5, 8, 12, 13, 44):
         K = qf.make_field(D)
-        b00, b01, b10, b11 = ln.make_embedding(K).floats
+        b00, b01, b10, b11 = ln.make_embedding(K)
         for _ in range(40):
             u, v = rng.randrange(-30, 31), rng.randrange(-30, 31)
             x0, x1 = b00 * u + b01 * v, b10 * u + b11 * v
@@ -64,19 +63,19 @@ def test_embedding_reproduces_the_norm(rng):
 
 
 def test_box_at_domain_and_reach():
-    E = ln.make_embedding(qf.make_field(-4))
+    K = qf.make_field(-4)
     for r, G in ((1, 1), (9, 0)):
         with pytest.raises(DomainError):
             ln.box_at(r, G, None)
         with pytest.raises(DomainError):
-            ln.find_tau(E, r, G)
+            ln.find_tau(K, r, G)
     # R = (2 rho)^2 = 4 r^G 2^-t; the u-span brackets the box's u-extent,
     # (0, rho) for disc -4 and 5 and (-rho/sqrt 3, rho) for disc -3
     K5, K3 = qf.make_field(5), qf.make_field(-3)
-    assert ln._reach(E.field, 9, 1) == 18
+    assert ln._reach(K, 9, 1) == 18
     assert ln._reach(K5, 9, 1) == 36
     assert ln._reach(K3, 4, 3) == 128
-    assert ln._u_span(E.field, 9, 1) == (0, Fraction(5, 2))   # rho = 2.12
+    assert ln._u_span(K, 9, 1) == (0, Fraction(5, 2))         # rho = 2.12
     assert ln._u_span(K5, 9, 1) == (0, Fraction(71, 20))      # rho = 3
     assert ln._u_span(K3, 4, 3) == (Fraction(-10, 3), 6)      # rho = 5.66
 
@@ -103,11 +102,10 @@ def test_half_shifted_box_on_gaussian_lattice():
     # tau = (-1/2 + 2^-20, same), rho = 3/sqrt(2): the open square catches
     # exactly the four points {0,1}^2, one short of ceil(9/2) = 5.
     K = qf.make_field(-4)
-    E = ln.make_embedding(K)
     eps = Fraction(1, 1 << 20)
     tau = Fraction(-1, 2) + eps
     box = ln.box_at(9, 1, (tau, tau))
-    pts = ln.enumerate_omega(E, box)
+    pts = ln.enumerate_omega(K, box)
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert brute_box_count(-4, box) == 4
 
@@ -115,16 +113,16 @@ def test_half_shifted_box_on_gaussian_lattice():
 def test_faces_through_lattice_points_exclude_them():
     # tau = (0, 0), rho = 3/sqrt(2): the lower faces u = 0 and v = 0 pass
     # through lattice points, which an open box leaves out
-    E = ln.make_embedding(qf.make_field(-4))
+    K = qf.make_field(-4)
     box = ln.box_at(9, 1, (0, 0))
-    assert ln.enumerate_omega(E, box) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert ln.enumerate_omega(K, box) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     # centred at rho = 2 (r^G = 8), the faces x = +-1 hold lattice points
     centred = ln.box_at(2, 3, None)
-    assert ln.enumerate_omega(E, centred) == [(0, 0)]
+    assert ln.enumerate_omega(K, centred) == [(0, 0)]
     # disc 8, x = (u + v sqrt 2, u - v sqrt 2) in (0, 2)^2: (0, 0) and
     # (2, 0) sit on corners, and only (1, 0) is inside
-    E8 = ln.make_embedding(qf.make_field(8))
-    assert ln.enumerate_omega(E8, ln.box_at(4, 1, (0, 0))) == [(1, 0)]
+    K8 = qf.make_field(8)
+    assert ln.enumerate_omega(K8, ln.box_at(4, 1, (0, 0))) == [(1, 0)]
 
 
 def test_find_tau_meets_target():
@@ -132,39 +130,37 @@ def test_find_tau_meets_target():
              (-163, 2, 1), (5, 4, 1), (8, 3, 1), (12, 5, 2), (13, 4, 1)]
     for D, r, G in cases:
         K = qf.make_field(D)
-        E = ln.make_embedding(K)
-        box = ln.find_tau(E, r, G)
+        box = ln.find_tau(K, r, G)
         target = ln.minkowski_target(r, G, abs(D))
-        pts = ln.enumerate_omega(E, box)
+        pts = ln.enumerate_omega(K, box)
         assert len(pts) >= target, (D, r, G)
         assert pts == sorted(set(pts))
 
 
 def test_find_tau_deterministic():
     K = qf.make_field(-4)
-    E = ln.make_embedding(K)
-    b1 = ln.find_tau(E, 9, 1)
-    b2 = ln.find_tau(E, 9, 1)
+    b1 = ln.find_tau(K, 9, 1)
+    b2 = ln.find_tau(K, 9, 1)
     assert (b1.grid, b1.cell, b1.bumps) == (b2.grid, b2.cell, b2.bumps)
-    assert ln.enumerate_omega(E, b1) == ln.enumerate_omega(E, b2)
+    assert ln.enumerate_omega(K, b1) == ln.enumerate_omega(K, b2)
 
 
 @pytest.mark.parametrize("start_grid", [0, -1])
 def test_find_tau_rejects_a_start_grid_below_one(start_grid):
     """Doubling a grid of 0 never ends, and a negative grid is no grid."""
-    E = ln.make_embedding(qf.make_field(-4))
+    K = qf.make_field(-4)
     with pytest.raises(DomainError, match="start grid"):
-        ln.find_tau(E, 9, 1, start_grid=start_grid)
+        ln.find_tau(K, 9, 1, start_grid=start_grid)
 
 
-def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
+def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
     """Oracle for find_tau: one float_columns_oracle call per grid cell, the cells
     sorted as (-score, i, j) tuples. Returns (grid, cell, shift), or None
     where every grid is exhausted."""
-    D = E.field.disc
+    D = K.disc
     target = ln.minkowski_target(r, G, abs(D))
     centred = ln.box_at(r, G, None)
-    centred_count = len(ln.enumerate_omega(E, centred))
+    centred_count = len(ln.enumerate_omega(K, centred))
     with mp.workdps(60):
         rho = float(box_mp(D, centred)[2])
         bf = tuple(float(b) for b in basis_mp(D))
@@ -188,7 +184,7 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
             if -negscore < target and best is not None:
                 break
             shift = (Fraction(i, g) + off, Fraction(j, g) + off)
-            count = len(ln.enumerate_omega(E, ln.box_at(r, G, shift)))
+            count = len(ln.enumerate_omega(K, ln.box_at(r, G, shift)))
             if count > best_count:
                 best, best_count = (g, (i, j), shift), count
         if centred_count > best_count:
@@ -199,9 +195,9 @@ def reference_find_tau(E, r, G, start_grid=64, max_grid=1024):
     return None
 
 
-def _tau_or_none(E, r, G, **grids):
+def _tau_or_none(K, r, G, **grids):
     try:
-        box = ln.find_tau(E, r, G, **grids)
+        box = ln.find_tau(K, r, G, **grids)
     except TauSearchError:
         return None
     return box.grid, box.cell, box.shift
@@ -215,9 +211,9 @@ def _tau_or_none(E, r, G, **grids):
     # grids that climb to 8 and 4, and one that is exhausted
     (-3, 2, 1, 1, 64), (-3, 3, 1, 1, 64), (-4, 4, 1, 1, 1)])
 def test_find_tau_matches_per_cell_ranking(D, r, G, start, stop):
-    E = ln.make_embedding(qf.make_field(D))
+    K = qf.make_field(D)
     grids = {"start_grid": start, "max_grid": stop}
-    assert _tau_or_none(E, r, G, **grids) == reference_find_tau(E, r, G,
+    assert _tau_or_none(K, r, G, **grids) == reference_find_tau(K, r, G,
                                                                **grids)
 
 
@@ -228,10 +224,10 @@ def test_find_tau_matches_per_cell_ranking_random(rng):
         D, r, G = rng.choice(pool), rng.randrange(2, 40), rng.randrange(1, 4)
         if r ** G > 5000 or r ** (2 * G) < abs(D):
             continue
-        E = ln.make_embedding(qf.make_field(D))
+        K = qf.make_field(D)
         grids = {"start_grid": rng.choice([1, 2, 4, 64]), "max_grid": 64}
-        want = reference_find_tau(E, r, G, **grids)
-        assert _tau_or_none(E, r, G, **grids) == want, (D, r, G, grids)
+        want = reference_find_tau(K, r, G, **grids)
+        assert _tau_or_none(K, r, G, **grids) == want, (D, r, G, grids)
         done += 1
 
 
@@ -252,23 +248,23 @@ def test_grid_scores_match_per_cell_scores(D, r, q, G, g):
     """The fine-lattice pass gives every cell the score of placing and
     counting that cell's box on its own."""
     K = qf.make_field(D)
-    E = ln.make_embedding(K)
-    rho = ln._box_floats(E, ln.box_at(r, G, None))[2]
+    bf = ln.make_embedding(K)
+    rho = ln._box_floats(K, ln.box_at(r, G, None))[2]
     us = grid_columns(K, r, G)
-    want = grid_scores_oracle(E.floats, rho, us, g, float(ln._GRID_OFFSET))
-    assert ln._grid_scores(E.floats, rho, us, g).tolist() == want.tolist()
+    want = grid_scores_oracle(bf, rho, us, g, float(ln._GRID_OFFSET))
+    assert ln._grid_scores(bf, rho, us, g).tolist() == want.tolist()
 
 
 def test_grid_scores_hold_eight_bytes_a_cell():
     """At g = 256 the scores, about 1,700 points a cell, take 512 KiB as
     int64; a list of Python ints would take about five times that."""
     K = qf.make_field(-4)
-    E = ln.make_embedding(K)
-    rho = ln._box_floats(E, ln.box_at(15, 3, None))[2]
+    bf = ln.make_embedding(K)
+    rho = ln._box_floats(K, ln.box_at(15, 3, None))[2]
     us = grid_columns(K, 15, 3)
     tracemalloc.start()
     try:
-        score = ln._grid_scores(E.floats, rho, us, 256)
+        score = ln._grid_scores(bf, rho, us, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +286,7 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
     old = new = 0
     for D in rng.sample(BOX_POOL, 4):
         K = qf.make_field(D)
-        E = ln.make_embedding(K)
+        bf = ln.make_embedding(K)
         r, G = rng.randrange(2, 9), rng.randrange(1, 3)
         if r ** (2 * G) < abs(D):
             r = math.isqrt(abs(D)) + 1
@@ -310,32 +306,31 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
                 else:
                     assert lo < u - s1 < hi, (D, r, G, shift, u)
             if not near:
-                assert ln.enumerate_omega(E, box) == inside
+                assert ln.enumerate_omega(K, box) == inside
         keep = range(math.floor(lo), math.ceil(hi + 1) + 1)
         dropped = np.array([u for u in range(-P, P + 1) if u not in keep],
                            dtype=float)
         old, new = old + 2 * P + 1, new + len(keep)
-        rho = ln._box_floats(E, ln.box_at(r, G, None))[2]
+        rho = ln._box_floats(K, ln.box_at(r, G, None))[2]
         g = 64
         cells = np.arange(g * g)
         si, sj = cells // g / g + float(ln._GRID_OFFSET), cells % g / g + float(
             ln._GRID_OFFSET)
-        b00, b01, b10, b11 = E.floats
+        b00, b01, b10, b11 = bf
         vlo, vhi, alive = float_columns_oracle(
-            E.floats, (b00 * si + b01 * sj)[:, None],
+            bf, (b00 * si + b01 * sj)[:, None],
             (b10 * si + b11 * sj)[:, None], rho, dropped)
         assert not np.any(alive & (vhi >= vlo)), (D, r, G)
         old_range = range(-P, P + 1)
-        assert (ln._grid_scores(E.floats, rho, keep, g).tolist()
-                == ln._grid_scores(E.floats, rho, old_range, g).tolist())
+        assert (ln._grid_scores(bf, rho, keep, g).tolist()
+                == ln._grid_scores(bf, rho, old_range, g).tolist())
     assert 2 * new <= old
 
 
 def test_find_tau_exhaustion_raises():
     K = qf.make_field(-4)
-    E = ln.make_embedding(K)
     with pytest.raises(TauSearchError):
-        ln.find_tau(E, 4, 1, start_grid=1, max_grid=1)
+        ln.find_tau(K, 4, 1, start_grid=1, max_grid=1)
 
 
 def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
@@ -344,9 +339,9 @@ def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
         raise AssertionError("grid scored")
 
     monkeypatch.setattr(ln, "_grid_scores", never)
-    E = ln.make_embedding(qf.make_field(-4))
+    K = qf.make_field(-4)
     with pytest.raises(CapacityError, match="grid 1000000 has 10+ cells"):
-        ln.find_tau(E, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
+        ln.find_tau(K, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
     assert 1024 ** 2 <= ln.GRID_CELL_CAP < 2049 ** 2
 
 
@@ -362,9 +357,8 @@ def test_enumerate_against_brute_force(rng):
         if r ** G > 400 or r ** (2 * G) < abs(D):
             continue
         K = qf.make_field(D)
-        E = ln.make_embedding(K)
-        box = ln.find_tau(E, r, G)
-        pts = ln.enumerate_omega(E, box)
+        box = ln.find_tau(K, r, G)
+        pts = ln.enumerate_omega(K, box)
         assert len(pts) == brute_box_count(D, box), (D, r, G)
         assert len(pts) >= ln.minkowski_target(r, G, abs(D))
         done += 1
@@ -383,11 +377,11 @@ def grid_shifts(draw):
 @given(st.sampled_from(BOX_POOL), st.integers(2, 12), st.sampled_from((1, 2)),
        st.one_of(st.none(), grid_shifts()))
 def test_exact_membership_matches_60_digits(D, r, G, shift):
-    E = ln.make_embedding(qf.make_field(D))
+    K = qf.make_field(D)
     box = ln.box_at(r, G, shift)
     inside, near = scan_box_mp(D, box)
     assume(not near)
-    assert ln.enumerate_omega(E, box) == inside
+    assert ln.enumerate_omega(K, box) == inside
 
 
 # --------------------------------------------------------- residue symbol
@@ -437,13 +431,13 @@ def per_point_residues(columns, P, q):
 @pytest.mark.parametrize("D,r,q,G", ROADMAP_ROWS)
 def test_residue_map_matches_the_per_point_oracle(D, r, q, G):
     K = qf.make_field(D)
-    E = ln.make_embedding(K)
-    box = ln.find_tau(E, r, G)
-    omega = ln.enumerate_omega(E, box)
+    box = ln.find_tau(K, r, G)
+    omega = ln.enumerate_omega(K, box)
     columns, _ = ln.box_columns(K, box)
     assert [(u, v) for u, lo, hi in columns for v in range(lo, hi + 1)] == omega
     for P in qf.prime_ideals_in_norm_range(K, r, q):
-        assert ln.residue_map(columns, P, q) == per_point_residues(columns, P, q)
+        got = [s for s, in ln.code_words(columns, [P], q)]
+        assert got == per_point_residues(columns, P, q)
 
 
 def test_residue_map_on_seeded_fields(rng):
@@ -460,7 +454,7 @@ def test_residue_map_on_seeded_fields(rng):
                     lo = rng.randrange(-80, 80)
                     columns.append((u, lo, lo + rng.randrange(0, 90)))
                     u += rng.randrange(1, 3)
-                got = ln.residue_map(columns, P, 200)
+                got = [s for s, in ln.code_words(columns, [P], 200)]
                 assert got == per_point_residues(columns, P, 200), (D, P)
                 assert all(0 <= s < P.norm for s in got)
             root = P.residue_root
@@ -469,9 +463,9 @@ def test_residue_map_on_seeded_fields(rng):
             with pytest.raises(DomainError,
                                match="ideal norm %d exceeds alphabet bound "
                                      "q=%d" % (P.norm, P.norm - 1)):
-                ln.residue_map(columns, P, P.norm - 1)
+                next(ln.code_words(columns, [P], P.norm - 1))
     assert seen == {"inert", "zero", qf.SPLIT, qf.RAMIFIED}
-    assert ln.residue_map([], P, 200) == []
+    assert list(ln.code_words([], [P], 200)) == []
 
 
 # ------------------------------------------------------ code construction
@@ -610,6 +604,26 @@ def test_verify_code_details():
     chk = ln.verify_code(single)
     assert (chk.M, chk.d) == (1, 3)
     assert chk.worst_pair is None
+
+
+def test_verify_code_counts_repeated_rows(rng):
+    """Rows in several groups of equal words: M, injectivity, d = 0 and
+    the lexicographically least pair (i, j) of equal rows are those of a
+    brute-force search over all pairs."""
+    for _ in range(40):
+        pool = [tuple(rng.randrange(5) for _ in range(3))
+                for _ in range(rng.randrange(2, 8))]
+        words = [rng.choice(pool) for _ in range(rng.randrange(2, 30))]
+        equal = [(i, j) for i in range(len(words))
+                 for j in range(i + 1, len(words)) if words[i] == words[j]]
+        chk = ln.verify_code(manual_code(words, q=5, r=2, G=1))
+        assert (chk.M, chk.injective) == (len(set(words)), not equal), words
+        if equal:
+            assert (chk.d, chk.worst_pair, chk.ok) == (0, min(equal), False)
+    words = [(1, 1), (2, 2), (3, 3), (2, 2), (1, 1), (3, 3), (2, 2)]
+    chk = ln.verify_code(manual_code(words, q=5, r=2, G=1))
+    assert (chk.M, chk.d, chk.injective, chk.worst_pair) == (3, 0, False,
+                                                             (0, 4))
 
 
 def test_verify_code_owns_the_symbol_range():
@@ -900,8 +914,7 @@ def test_difference_distance_on_seeded_columns(rng):
                 columns.append((u, lo, lo + rng.randrange(0, 7)))
                 u += rng.randrange(1, 6)
             chosen = rng.sample(ideals, rng.randrange(1, len(ideals) + 1))
-            words = list(zip(*(ln.residue_map(columns, P, 60)
-                               for P in chosen)))
+            words = list(ln.code_words(columns, chosen, 60))
             if len(words) < 2:
                 continue
             assert ln._difference_distance(columns, chosen, len(chosen)) == \
@@ -916,7 +929,7 @@ def test_difference_distance_leaves_255_hits_to_the_scan():
     P = qf.splitting_type(qf.make_field(-4), 5)[0]
     columns = [(0, 0, 7), (5, -3, 3)]
     for copies, want in ((254, True), (255, False)):
-        words = list(zip(*[ln.residue_map(columns, P, 5)] * copies))
+        words = list(ln.code_words(columns, [P] * copies, 5))
         got = ln._difference_distance(columns, [P] * copies, copies)
         assert (got == dense_distance_scan(words)) is want
         assert (got is None) is not want
@@ -927,8 +940,7 @@ def test_difference_distance_holds_its_counts_in_bytes():
     the realised differences take one byte each: the derivation peaks
     below 256 KiB."""
     code = ln.build_code(qf.make_field(-4), 15, 200, 3)
-    columns = list(ln._columns(ln.make_embedding(qf.make_field(-4)),
-                               code.box))
+    columns = list(ln._columns(qf.make_field(-4), code.box))
     tracemalloc.start()
     try:
         got = ln._difference_distance(columns, code.ideals, code.n)

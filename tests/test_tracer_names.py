@@ -37,7 +37,7 @@ def test_every_wrapped_name_is_a_callable_of_its_module():
 
 
 def test_find_tau_reports_grid_and_bumps():
-    box = ln.find_tau(ln.make_embedding(qf.make_field(-4)), 9, 1)
+    box = ln.find_tau(qf.make_field(-4), 9, 1)
     assert isinstance(box.grid, int) and isinstance(box.bumps, int)
 
 
