@@ -109,7 +109,7 @@ def _delta(delta) -> Fraction:
         raise DomainError("delta must be int, float, or Fraction, got %r" % (delta,))
     dfrac = Fraction(delta)
     if not 0 < dfrac < 1:
-        raise DomainError("delta must lie in (0, 1), got %r" % (delta,))
+        raise DomainError("delta must lie in (0, 1), got %s" % (delta,))
     return dfrac
 
 

@@ -10,10 +10,12 @@ arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
 loads only the exception types. `bounds` and `certify` load bounds,
-numtheory and enclosure, and json for JSON output; `construct` and
-`verify` load lenstra and quadfield; `tower` loads quadfield and
-enclosure. The package has no third-party dependency, so no command loads
-numpy or mpmath, and `bounds` writes CSV without the csv module.
+numtheory and enclosure, and json for JSON output; `construct` loads
+lenstra, translate and quadfield, and `verify` lenstra, codefile and
+quadfield, so neither compiles the other's half of the construction;
+`tower` loads quadfield and enclosure. The package has no third-party
+dependency, so no command loads numpy or mpmath, and `bounds` writes CSV
+without the csv module.
 """
 
 import argparse
@@ -212,8 +214,9 @@ def cmd_bounds(args) -> int:
 def cmd_construct(args) -> int:
     from . import lenstra as ln
     from . import quadfield as qf
+    from . import translate as tr
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
-    code = ln.plan_code(K, args.r, args.q, args.G,
+    code = tr.plan_code(K, args.r, args.q, args.G,
                         start_grid=args.grid, max_grid=args.max_grid)
     columns, M = ln.box_columns(K, code.box)
     _emit((line + "\n" for line in ln.code_file_lines(code, columns)),
@@ -226,8 +229,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import lenstra as ln
-    code, check = ln.check_code_file(args.path)
+    from . import codefile as cf
+    code, check = cf.check_code_file(args.path)
     required_d = code.n + 1 - code.G
     # a target past the pairwise cap may be too long to print in decimal
     target = ("%d" % check.min_target if check.min_target is not None

@@ -20,10 +20,12 @@ import numpy as np
 from mpmath import mp
 
 from gvforge import bounds as bd
+from gvforge import codefile as cf
 from gvforge import enclosure as encl
 from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
+from gvforge import translate as tr
 
 from conftest import basis_mp, box_mp, embed_mp, exact, norm_gap_check
 
@@ -115,8 +117,8 @@ def test_criterion_3_small_codes_build_and_verify():
     n_max = m_max = 0
     for (D, r, q, G) in SMALL_INSTANCES:
         K = qf.make_field(D)
-        code = ln.build_code(K, r, q, G)
-        chk = ln.verify_code(code)
+        code = tr.build_code(K, r, q, G)
+        chk = cf.verify_code(code)
         gap = norm_gap_check(code)
         n_max = max(n_max, code.n)
         m_max = max(m_max, chk.M)
@@ -188,7 +190,7 @@ def test_criterion_4_box_counts_match_independent_scan():
         if r ** G > 300:
             continue
         K = qf.make_field(D)
-        box = ln.find_tau(K, r, G, start_grid=16)
+        box = tr.find_tau(K, r, G, start_grid=16)
         pts = ln.enumerate_omega(K, box)
         want = ln.minkowski_target(r, G, abs(D))
         got = _scan_count(D, box)

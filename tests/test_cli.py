@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvforge import cli
+from gvforge import codefile as cf
 from gvforge import lenstra as ln
 from gvforge import numtheory as nt
+from gvforge import translate as tr
 
 Q42 = 2 ** 42
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -85,6 +87,15 @@ def test_bounds_requires_delta(capsys):
     code, out, err = run(capsys, "bounds", "--q", "64")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--delta", "0", "0"), ("--delta", "3/2", "3/2"),
+    ("--delta-grid", "0:1:1/2", "0")])
+def test_bounds_names_a_delta_outside_the_interval_as_written(
+        capsys, flag, value, shown):
+    assert run(capsys, "bounds", "--q", "3", flag, value) == (
+        1, "", "error: delta must lie in (0, 1), got %s\n" % shown)
 
 
 def test_bounds_bad_q(capsys):
@@ -358,7 +369,7 @@ def test_construct_refuses_a_box_past_the_point_cap_before_listing(
     def listed(*args):
         raise AssertionError("prime ideals were listed")
 
-    monkeypatch.setattr(ln, "prime_ideals_in_norm_range", listed)
+    monkeypatch.setattr(tr, "prime_ideals_in_norm_range", listed)
     code, out, err = run(capsys, "construct", "--disc", "-4",
                          "--r", "999999000", "--q", "1000000000", "--G", "1")
     assert (code, out) == (3, "")
@@ -534,18 +545,18 @@ def test_verify_counts_rows_before_parsing(capsys, tmp_path, monkeypatch):
     PAIRWISE_CAP rows among them is parsed and scanned."""
     path = tmp_path / "code.txt"
     head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0,0\n"
-    cap = ln.PAIRWISE_CAP
-    parse = ln._read_rows
+    cap = cf.PAIRWISE_CAP
+    parse = cf._read_rows
 
-    def parsed(code, lines):
+    def parsed(*args):
         raise AssertionError("rows were parsed")
 
-    monkeypatch.setattr(ln, "_read_rows", parsed)
+    monkeypatch.setattr(cf, "_read_rows", parsed)
     path.write_text(head + "0 1 2\n" * (cap + 1))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out) == (3, "")
     assert err == "capacity: M=%d exceeds pairwise cap %d\n" % (cap + 1, cap)
-    monkeypatch.setattr(ln, "_read_rows", parse)
+    monkeypatch.setattr(cf, "_read_rows", parse)
     path.write_text(head + "0 1 2\n" * (cap - 1) + "\n \n1 2 3\n\n")
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (2, "")
@@ -565,7 +576,7 @@ def test_verify_bounds_its_work_by_the_file_size(capsys, tmp_path,
     def listed(*args):
         raise AssertionError("ideals were listed")
 
-    monkeypatch.setattr(ln, "prime_ideals_in_norm_range", listed)
+    monkeypatch.setattr(cf, "prime_ideals_in_norm_range", listed)
     assert run(capsys, "verify", str(path)) == (
         1, "", "error: line 2: expected 1000000000 symbols, got 15\n")
 
@@ -690,7 +701,7 @@ def test_construct_and_verify_memory_does_not_grow_with_M(tmp_path):
         peaks[tag] = (built, checked)
     assert out.startswith("M=108241 d=89 n=91\n")
     assert max(peaks["large"]) <= 1.5 * max(peaks["small"]), peaks
-    code, check = ln.check_code_file(path)
+    code, check = cf.check_code_file(path)
     assert (check.M, check.d, check.ok) == (108241, 89, True)
     i, j = check.worst_pair
     keep = set(random.Random(0).sample(range(check.M), 300)) | {i, j}
@@ -699,7 +710,7 @@ def test_construct_and_verify_memory_does_not_grow_with_M(tmp_path):
         rows = {k: tuple(map(int, line.split()))
                 for k, line in enumerate(fp) if k in keep}
     assert sum(a != b for a, b in zip(rows[i], rows[j])) == 89
-    assert ln._distance_scan(list(rows.values()), 91)[0] == 89
+    assert cf._distance_scan(list(rows.values()), 91)[0] == 89
 
 
 def test_certify_memory_does_not_grow_with_the_window(tmp_path):

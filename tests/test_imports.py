@@ -7,15 +7,18 @@ appear somewhere in the module as a plain name (an attribute base such as
 are the package's exports. A private name (`_foo`) bound at module level,
 or in the body of a module-level class, must be read somewhere under
 `src/`, as a plain name, an attribute (`nt._MAX_WINDOW`) or an imported name.
-`lenstra` imports neither `enclosure` nor `mpmath`: its box geometry is
-algebraic, so it needs no interval enclosures. No module under `src/`
+`lenstra`, `translate` and `codefile` import neither `enclosure` nor
+`mpmath`: the box geometry is algebraic, so it needs no interval
+enclosures. No module under `src/`
 imports numpy or mpmath, not even inside a function; both are test-only
 dependencies, and mpmath is the oracle of the interval kernel. No module
 imports `dataclasses`: the records are NamedTuples. `enclosure`
 is imported only inside the functions that use it, and the CLI imports
 each module inside the commands that need it: no command loads numpy or
 mpmath, and `import gvforge.cli` loads no other module of the package
-than `gvforge.errors`. No module reads the
+than `gvforge.errors`. Each command loads only the package modules it
+runs, and none that `construct` or `verify` loads compiles with a larger
+traced peak than `enclosure`. No module reads the
 environment, so no setting hides in a variable, and none keeps state
 between calls: no `global` statement and no `functools.cache` or
 `lru_cache` memo.
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -147,8 +151,11 @@ def test_checker_finds_interval_imports():
 
 
 def test_lenstra_imports_no_interval_arithmetic():
-    source = (SRC / "lenstra.py").read_text()
-    assert not {"enclosure", "mpmath"} & imported_modules(source)
+    """lenstra and the two modules split from it, translate and codefile,
+    import no interval arithmetic."""
+    for name in ("lenstra", "translate", "codefile"):
+        source = (SRC / (name + ".py")).read_text()
+        assert not {"enclosure", "mpmath"} & imported_modules(source), name
 
 
 # modules that `import gvforge.cli`, `certify` and `bounds` load; none may
@@ -227,7 +234,8 @@ def test_no_module_imports_dataclasses(path):
 # modules that `import gvforge.cli`, `construct` and `verify` load; none may
 # import `enclosure`, mpmath, or `bounds` (which imports `enclosure`) at
 # module level
-MPMATH_FREE = ("numtheory", "quadfield", "lenstra", "errors", "cli")
+MPMATH_FREE = ("numtheory", "quadfield", "lenstra", "translate", "codefile",
+               "errors", "cli")
 
 
 @pytest.mark.parametrize("name", MPMATH_FREE)
@@ -269,31 +277,63 @@ argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(argv) if argv else 0
 print(json.dumps([rc, [m for m in ("numpy", "mpmath", "csv")
-                       if m in sys.modules]]))
+                       if m in sys.modules],
+                  sorted(m[len("gvforge."):] for m in sys.modules
+                         if m.startswith("gvforge."))]))
 """
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CODE_LOADS = ["cli", "errors", "lenstra", "numtheory", "quadfield"]
+BOUNDS_LOADS = ["bounds", "cli", "enclosure", "errors", "numtheory"]
 
 
-@pytest.mark.parametrize("argv, rc, loaded", [
-    ([], 0, []),
-    (["verify", str(GOLDEN / "13_11_70_2.code")], 0, []),
-    (["verify", str(GOLDEN / "tampered.code")], 2, []),
+@pytest.mark.parametrize("argv, rc, loaded, package", [
+    ([], 0, [], ["cli", "errors"]),
+    (["verify", str(GOLDEN / "13_11_70_2.code")], 0, [],
+     sorted(CODE_LOADS + ["codefile"])),
+    (["verify", str(GOLDEN / "tampered.code")], 2, [],
+     sorted(CODE_LOADS + ["codefile"])),
     (["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1"], 0,
-     []),
-    (["certify", "--q", str(2 ** 42)], 0, []),
+     [], sorted(CODE_LOADS + ["translate"])),
+    (["certify", "--q", str(2 ** 42)], 0, [], BOUNDS_LOADS),
     (["bounds", "--q", "1048576", "--q", "1073741824", "--delta-grid",
-      "1/10:9/10:1/10"], 0, []),
-    (["tower", "--disc", "-19399380"], 0, []),
+      "1/10:9/10:1/10"], 0, [], BOUNDS_LOADS),
+    (["tower", "--disc", "-19399380"], 0, [],
+     ["cli", "enclosure", "errors", "numtheory", "quadfield"]),
 ], ids=("import", "verify", "verify_tampered", "construct", "certify",
         "bounds", "tower"))
-def test_commands_load_only_what_they_use(argv, rc, loaded):
+def test_commands_load_only_what_they_use(argv, rc, loaded, package):
     """In a fresh interpreter, neither `import gvforge.cli` nor any command
-    loads numpy, mpmath or csv: `bounds` joins its CSV fields itself."""
+    loads numpy, mpmath or csv: `bounds` joins its CSV fields itself. Each
+    loads only the package modules it runs: `construct` compiles no
+    codefile and `verify` no translate, the halves split from lenstra."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
-    assert json.loads(run.stdout) == [rc, loaded]
+    assert json.loads(run.stdout) == [rc, loaded, package]
+
+
+def compile_peak(name: str) -> int:
+    """The traced peak, in bytes, of compiling the source of module name."""
+    source = (SRC / (name + ".py")).read_text()
+    tracemalloc.start()
+    try:
+        compile(source, name + ".py", "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_code_commands_compile_no_module_larger_than_enclosure():
+    """Without a bytecode cache, every command compiles each module it
+    loads, and the largest compile sets a floor under its peak RSS. Each
+    module that `construct` or `verify` loads compiles below `enclosure`,
+    the largest that `certify`, `bounds` and `tower` compile, so growth
+    in one of them shows here before it shows in the code commands' peak."""
+    limit = compile_peak("enclosure")
+    peaks = {name: compile_peak(name)
+             for name in CODE_LOADS + ["translate", "codefile"]}
+    assert {name: peak for name, peak in peaks.items() if peak >= limit} == {}
 
 
 ENVIRONMENT = ("environ", "getenv")

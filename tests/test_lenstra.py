@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from gvforge import cli
+from gvforge import codefile as cf
 from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
+from gvforge import translate as tr
 from gvforge.errors import CapacityError, DomainError, TauSearchError
 
 from conftest import (basis_mp, box_mp, dense_distance_scan,
@@ -68,7 +70,7 @@ def test_box_at_domain_and_reach():
         with pytest.raises(DomainError):
             ln.box_at(r, G, None)
         with pytest.raises(DomainError):
-            ln.find_tau(K, r, G)
+            tr.find_tau(K, r, G)
     # R = (2 rho)^2 = 4 r^G 2^-t; the u-span brackets the box's u-extent,
     # (0, rho) for disc -4 and 5 and (-rho/sqrt 3, rho) for disc -3
     K5, K3 = qf.make_field(5), qf.make_field(-3)
@@ -130,7 +132,7 @@ def test_find_tau_meets_target():
              (-163, 2, 1), (5, 4, 1), (8, 3, 1), (12, 5, 2), (13, 4, 1)]
     for D, r, G in cases:
         K = qf.make_field(D)
-        box = ln.find_tau(K, r, G)
+        box = tr.find_tau(K, r, G)
         target = ln.minkowski_target(r, G, abs(D))
         pts = ln.enumerate_omega(K, box)
         assert len(pts) >= target, (D, r, G)
@@ -139,8 +141,8 @@ def test_find_tau_meets_target():
 
 def test_find_tau_deterministic():
     K = qf.make_field(-4)
-    b1 = ln.find_tau(K, 9, 1)
-    b2 = ln.find_tau(K, 9, 1)
+    b1 = tr.find_tau(K, 9, 1)
+    b2 = tr.find_tau(K, 9, 1)
     assert (b1.grid, b1.cell, b1.bumps) == (b2.grid, b2.cell, b2.bumps)
     assert ln.enumerate_omega(K, b1) == ln.enumerate_omega(K, b2)
 
@@ -150,7 +152,7 @@ def test_find_tau_rejects_a_start_grid_below_one(start_grid):
     """Doubling a grid of 0 never ends, and a negative grid is no grid."""
     K = qf.make_field(-4)
     with pytest.raises(DomainError, match="start grid"):
-        ln.find_tau(K, 9, 1, start_grid=start_grid)
+        tr.find_tau(K, 9, 1, start_grid=start_grid)
 
 
 def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
@@ -166,7 +168,7 @@ def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
         bf = tuple(float(b) for b in basis_mp(D))
     P = math.isqrt(4 * r ** G // (2 if D < 0 else 1)) + 1
     us = np.arange(-P, P + 1.0)
-    off = ln._GRID_OFFSET
+    off = tr._GRID_OFFSET
     g = start_grid
     while g <= max_grid:
         scored = []
@@ -197,7 +199,7 @@ def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
 
 def _tau_or_none(K, r, G, **grids):
     try:
-        box = ln.find_tau(K, r, G, **grids)
+        box = tr.find_tau(K, r, G, **grids)
     except TauSearchError:
         return None
     return box.grid, box.cell, box.shift
@@ -251,8 +253,8 @@ def test_grid_scores_match_per_cell_scores(D, r, q, G, g):
     bf = ln.make_embedding(K)
     rho = ln._box_floats(K, ln.box_at(r, G, None))[2]
     us = grid_columns(K, r, G)
-    want = grid_scores_oracle(bf, rho, us, g, float(ln._GRID_OFFSET))
-    assert ln._grid_scores(bf, rho, us, g).tolist() == want.tolist()
+    want = grid_scores_oracle(bf, rho, us, g, float(tr._GRID_OFFSET))
+    assert tr._grid_scores(bf, rho, us, g).tolist() == want.tolist()
 
 
 def test_grid_scores_hold_eight_bytes_a_cell():
@@ -264,7 +266,7 @@ def test_grid_scores_hold_eight_bytes_a_cell():
     us = grid_columns(K, 15, 3)
     tracemalloc.start()
     try:
-        score = ln._grid_scores(bf, rho, us, 256)
+        score = tr._grid_scores(bf, rho, us, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,23 +316,23 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
         rho = ln._box_floats(K, ln.box_at(r, G, None))[2]
         g = 64
         cells = np.arange(g * g)
-        si, sj = cells // g / g + float(ln._GRID_OFFSET), cells % g / g + float(
-            ln._GRID_OFFSET)
+        si, sj = cells // g / g + float(tr._GRID_OFFSET), cells % g / g + float(
+            tr._GRID_OFFSET)
         b00, b01, b10, b11 = bf
         vlo, vhi, alive = float_columns_oracle(
             bf, (b00 * si + b01 * sj)[:, None],
             (b10 * si + b11 * sj)[:, None], rho, dropped)
         assert not np.any(alive & (vhi >= vlo)), (D, r, G)
         old_range = range(-P, P + 1)
-        assert (ln._grid_scores(bf, rho, keep, g).tolist()
-                == ln._grid_scores(bf, rho, old_range, g).tolist())
+        assert (tr._grid_scores(bf, rho, keep, g).tolist()
+                == tr._grid_scores(bf, rho, old_range, g).tolist())
     assert 2 * new <= old
 
 
 def test_find_tau_exhaustion_raises():
     K = qf.make_field(-4)
     with pytest.raises(TauSearchError):
-        ln.find_tau(K, 4, 1, start_grid=1, max_grid=1)
+        tr.find_tau(K, 4, 1, start_grid=1, max_grid=1)
 
 
 def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
@@ -338,11 +340,11 @@ def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
     def never(*args):
         raise AssertionError("grid scored")
 
-    monkeypatch.setattr(ln, "_grid_scores", never)
+    monkeypatch.setattr(tr, "_grid_scores", never)
     K = qf.make_field(-4)
     with pytest.raises(CapacityError, match="grid 1000000 has 10+ cells"):
-        ln.find_tau(K, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
-    assert 1024 ** 2 <= ln.GRID_CELL_CAP < 2049 ** 2
+        tr.find_tau(K, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
+    assert 1024 ** 2 <= tr.GRID_CELL_CAP < 2049 ** 2
 
 
 BOX_POOL = [-3, -4, -7, -8, -15, -20, -23, 5, 8, 12, 13]
@@ -357,7 +359,7 @@ def test_enumerate_against_brute_force(rng):
         if r ** G > 400 or r ** (2 * G) < abs(D):
             continue
         K = qf.make_field(D)
-        box = ln.find_tau(K, r, G)
+        box = tr.find_tau(K, r, G)
         pts = ln.enumerate_omega(K, box)
         assert len(pts) == brute_box_count(D, box), (D, r, G)
         assert len(pts) >= ln.minkowski_target(r, G, abs(D))
@@ -431,7 +433,7 @@ def per_point_residues(columns, P, q):
 @pytest.mark.parametrize("D,r,q,G", ROADMAP_ROWS)
 def test_residue_map_matches_the_per_point_oracle(D, r, q, G):
     K = qf.make_field(D)
-    box = ln.find_tau(K, r, G)
+    box = tr.find_tau(K, r, G)
     omega = ln.enumerate_omega(K, box)
     columns, _ = ln.box_columns(K, box)
     assert [(u, v) for u, lo, hi in columns for v in range(lo, hi + 1)] == omega
@@ -473,12 +475,12 @@ def test_residue_map_on_seeded_fields(rng):
 
 def test_build_code_gaussian():
     K = qf.make_field(-4)
-    code = ln.build_code(K, 9, 13, 1)
+    code = tr.build_code(K, 9, 13, 1)
     assert (code.n, code.G) == (3, 1)
     assert len(code.codewords) >= 5
     assert all(len(w) == 3 for w in code.codewords)
     assert all(0 <= s <= 13 for w in code.codewords for s in w)
-    chk = ln.verify_code(code)
+    chk = cf.verify_code(code)
     assert chk.ok and chk.injective
     assert chk.M >= chk.min_target == 5
     assert chk.d >= 3
@@ -487,9 +489,9 @@ def test_build_code_gaussian():
 
 def test_build_code_genus_three():
     K = qf.make_field(-4)
-    code = ln.build_code(K, 9, 13, 3)
+    code = tr.build_code(K, 9, 13, 3)
     assert code.n == 3
-    chk = ln.verify_code(code)
+    chk = cf.verify_code(code)
     assert chk.ok
     assert chk.M >= 365
     assert chk.d >= 1
@@ -498,9 +500,9 @@ def test_build_code_genus_three():
 
 def test_build_code_real_field():
     K = qf.make_field(12)
-    code = ln.build_code(K, 5, 23, 2)
+    code = tr.build_code(K, 5, 23, 2)
     assert code.n == 6
-    chk = ln.verify_code(code)
+    chk = cf.verify_code(code)
     assert chk.ok
     assert chk.M >= ln.minkowski_target(5, 2, 12) == 8
     assert chk.d >= 5
@@ -510,15 +512,15 @@ def test_build_code_real_field():
 def test_build_code_rejects_bad_parameters():
     K = qf.make_field(-4)
     with pytest.raises(DomainError):
-        ln.build_code(K, 1, 13, 1)
+        tr.build_code(K, 1, 13, 1)
     with pytest.raises(DomainError):
-        ln.build_code(K, 9, 13, 0)
+        tr.build_code(K, 9, 13, 0)
     with pytest.raises(DomainError):
-        ln.build_code(K, 9, 13, 4)  # only 3 ideals available
+        tr.build_code(K, 9, 13, 4)  # only 3 ideals available
     with pytest.raises(DomainError):
-        ln.build_code(K, 6, 8, 1)   # no ideal norms in [6, 8]
+        tr.build_code(K, 6, 8, 1)   # no ideal norms in [6, 8]
     with pytest.raises(DomainError):
-        ln.build_code(qf.make_field(-163), 2, 5, 1)  # r^2G < |disc|
+        tr.build_code(qf.make_field(-163), 2, 5, 1)  # r^2G < |disc|
 
 
 # ------------------------------------------------------------ code files
@@ -526,13 +528,13 @@ def test_build_code_rejects_bad_parameters():
 
 def test_code_file_roundtrip(tmp_path):
     K = qf.make_field(-4)
-    code = ln.build_code(K, 9, 13, 1)
+    code = tr.build_code(K, 9, 13, 1)
     path = tmp_path / "code.txt"
     path.write_text(ln.format_code_file(code))
     text = path.read_text()
     assert text.startswith("# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=")
     assert text.endswith("\n")
-    back = ln.read_code_file(path)
+    back = cf.read_code_file(path)
     assert (back.q, back.r, back.G, back.disc, back.n) == (13, 9, 1, -4, 3)
     assert back.codewords == code.codewords
     assert back.tau == code.tau  # repr round-trips floats exactly
@@ -543,40 +545,40 @@ def test_code_file_roundtrip(tmp_path):
 def test_parse_code_file_reads_the_shift():
     head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0"
     rows = "\n1 2 3\n4 5 6\n"
-    assert ln.parse_code_file(head + rows).box is None
-    centred = ln.parse_code_file(head + " shift=none" + rows).box
+    assert cf.parse_code_file(head + rows).box is None
+    centred = cf.parse_code_file(head + " shift=none" + rows).box
     assert centred == ln.box_at(9, 1, None)
-    box = ln.parse_code_file(head + " shift=1/2,-3" + rows).box
+    box = cf.parse_code_file(head + " shift=1/2,-3" + rows).box
     assert box.shift == (Fraction(1, 2), Fraction(-3))
     for bad in ("1/2", "1/2,1/2,0", "1/0,0", "0.5,0", "1e9,0", "x,0", "",
                 "None", "1/-2,0", "+1,0", "1" * 5000 + ",0"):
         with pytest.raises(DomainError) as info:
-            ln.parse_code_file(head + " shift=" + bad + rows)
+            cf.parse_code_file(head + " shift=" + bad + rows)
         assert str(info.value).startswith("line 1: bad shift "), bad
 
 
 def test_parse_code_file_errors():
     with pytest.raises(DomainError, match="line 1"):
-        ln.parse_code_file("not a header\n1 2 3\n")
+        cf.parse_code_file("not a header\n1 2 3\n")
     with pytest.raises(DomainError, match="line 1"):
-        ln.parse_code_file("# lenstra q=13 r=nine G=1 disc=-4 n=3 tau=0.0,0.0\n")
+        cf.parse_code_file("# lenstra q=13 r=nine G=1 disc=-4 n=3 tau=0.0,0.0\n")
     with pytest.raises(DomainError, match="line 1"):
-        ln.parse_code_file("# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0\n")
+        cf.parse_code_file("# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0\n")
     with pytest.raises(DomainError, match="line 1"):
-        ln.parse_code_file("# lenstra q=13 junk r=9 G=1 disc=-4 n=3 tau=0.0,0.0\n")
+        cf.parse_code_file("# lenstra q=13 junk r=9 G=1 disc=-4 n=3 tau=0.0,0.0\n")
     with pytest.raises(DomainError, match="line 1: duplicate header key 'q'"):
-        ln.parse_code_file(
+        cf.parse_code_file(
             "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0 q=14\n1 2 3\n")
     head = "# lenstra q=13 r=9 G=1 disc=-4 n=3 tau=0.0,0.0\n"
     with pytest.raises(DomainError, match="line 2"):
-        ln.parse_code_file(head + "1 2\n")
+        cf.parse_code_file(head + "1 2\n")
     with pytest.raises(DomainError, match="line 3"):
-        ln.parse_code_file(head + "1 2 3\n4 x 6\n")
+        cf.parse_code_file(head + "1 2 3\n4 x 6\n")
     for bad in ("4 x 6", "4 5.0 6", "4 5 6e0", "1 2 3 ; 4"):
         with pytest.raises(DomainError) as info:
-            ln.parse_code_file(head + "1 2 3\n" + bad + "\n")
+            cf.parse_code_file(head + "1 2 3\n" + bad + "\n")
         assert str(info.value) == "line 3: non-integer symbol"
-    code = ln.parse_code_file(head + "1 2 3\n\n4 5 6\n")
+    code = cf.parse_code_file(head + "1 2 3\n\n4 5 6\n")
     assert code.codewords == ((1, 2, 3), (4, 5, 6))
 
 
@@ -591,17 +593,17 @@ def manual_code(words, q=29, r=5, G=1, disc=-4, omega=()):
 
 def test_verify_code_details():
     code = manual_code([(0, 0, 0), (0, 0, 1), (5, 5, 5)], G=3)
-    chk = ln.verify_code(code)
+    chk = cf.verify_code(code)
     assert (chk.M, chk.d, chk.injective) == (3, 1, True)
     assert chk.worst_pair == (0, 1)
 
     dup = manual_code([(0, 0, 0), (0, 0, 0)], G=3)
-    chk = ln.verify_code(dup)
+    chk = cf.verify_code(dup)
     assert not chk.injective and not chk.ok
     assert (chk.d, chk.worst_pair) == (0, (0, 1))
 
     single = manual_code([(1, 2, 3)], r=2, G=1)
-    chk = ln.verify_code(single)
+    chk = cf.verify_code(single)
     assert (chk.M, chk.d) == (1, 3)
     assert chk.worst_pair is None
 
@@ -616,39 +618,39 @@ def test_verify_code_counts_repeated_rows(rng):
         words = [rng.choice(pool) for _ in range(rng.randrange(2, 30))]
         equal = [(i, j) for i in range(len(words))
                  for j in range(i + 1, len(words)) if words[i] == words[j]]
-        chk = ln.verify_code(manual_code(words, q=5, r=2, G=1))
+        chk = cf.verify_code(manual_code(words, q=5, r=2, G=1))
         assert (chk.M, chk.injective) == (len(set(words)), not equal), words
         if equal:
             assert (chk.d, chk.worst_pair, chk.ok) == (0, min(equal), False)
     words = [(1, 1), (2, 2), (3, 3), (2, 2), (1, 1), (3, 3), (2, 2)]
-    chk = ln.verify_code(manual_code(words, q=5, r=2, G=1))
+    chk = cf.verify_code(manual_code(words, q=5, r=2, G=1))
     assert (chk.M, chk.d, chk.injective, chk.worst_pair) == (3, 0, False,
                                                              (0, 4))
 
 
 def test_verify_code_owns_the_symbol_range():
     words = [(0, 1, 2), (3, 4, 104), (3, 4, 5), (7, 8, -1)]
-    chk = ln.verify_code(manual_code(words, q=13, r=2, G=1))
+    chk = cf.verify_code(manual_code(words, q=13, r=2, G=1))
     assert chk.bad_symbol == (1, 104) and not chk.ok
     assert (chk.M, chk.d, chk.worst_pair) == (4, 1, (1, 2))
     # symbols are only compared, so ones past int64 keep d and the pair exact
     big = 10 ** 23
     words = [(big, 0, 1), (big + 1, 5, 6), (big, 0, 2)]
     for q, bad in ((13, (0, big)), (10 ** 30, None)):
-        chk = ln.verify_code(manual_code(words, q=q, r=2, G=1))
+        chk = cf.verify_code(manual_code(words, q=q, r=2, G=1))
         assert chk.bad_symbol == bad
         assert (chk.d, chk.worst_pair) == (1, (0, 2))
-    good = ln.verify_code(manual_code([(0, 1, 2), (3, 4, 5)], q=13, r=2, G=1))
+    good = cf.verify_code(manual_code([(0, 1, 2), (3, 4, 5)], q=13, r=2, G=1))
     assert good.ok and good.bad_symbol is None
 
 
 def test_verify_code_fails_a_target_past_the_pairwise_cap():
     # r^G / sqrt(4) = PAIRWISE_CAP exactly at r = 2 * PAIRWISE_CAP, G = 1
     words = [(0, 1), (1, 0)]
-    r = 2 * ln.PAIRWISE_CAP
-    at_cap = ln.verify_code(manual_code(words, q=r + 1, r=r, G=1))
-    assert at_cap.min_target == ln.PAIRWISE_CAP and not at_cap.ok
-    past = ln.verify_code(manual_code(words, q=r + 1, r=r + 1, G=1))
+    r = 2 * cf.PAIRWISE_CAP
+    at_cap = cf.verify_code(manual_code(words, q=r + 1, r=r, G=1))
+    assert at_cap.min_target == cf.PAIRWISE_CAP and not at_cap.ok
+    past = cf.verify_code(manual_code(words, q=r + 1, r=r + 1, G=1))
     assert past.min_target is None and not past.ok
     assert (past.M, past.d, past.injective) == (2, 2, True)
 
@@ -656,8 +658,8 @@ def test_verify_code_fails_a_target_past_the_pairwise_cap():
 def test_verify_code_threads_agree(rng):
     words = [tuple(rng.randrange(300) for _ in range(7)) for _ in range(500)]
     code = manual_code(words, q=300, G=7)
-    a = ln.verify_code(code, threads=1)
-    b = ln.verify_code(code, threads=3)
+    a = cf.verify_code(code, threads=1)
+    b = cf.verify_code(code, threads=3)
     assert (a.M, a.d, a.worst_pair) == (b.M, b.d, b.worst_pair)
 
 
@@ -692,8 +694,8 @@ def test_distance_scan_matches_dense_oracle(case):
     repeated rows included."""
     words, labels, block = case
     want = dense_distance_scan(labels)
-    assert ln._distance_scan(words, len(words[0]), block) == want
-    chk = ln.verify_code(manual_code(words))
+    assert cf._distance_scan(words, len(words[0]), block) == want
+    chk = cf.verify_code(manual_code(words))
     assert (chk.d, chk.worst_pair) == want
 
 
@@ -707,7 +709,7 @@ def test_distance_scan_gives_singletons_no_mask():
     words = tuple(map(tuple, rows))
     tracemalloc.start()
     try:
-        got = ln._distance_scan(words, 20)
+        got = cf._distance_scan(words, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,8 +722,8 @@ def test_distance_scan_splits_the_rows_into_blocks(monkeypatch):
     are scanned in blocks of 38 rows, and d and the pair stay exact."""
     rng = random.Random(8)
     rows = [[rng.randrange(50) for _ in range(20)] for _ in range(600)]
-    monkeypatch.setattr(ln, "_SCAN_BITS", 1 << 16)
-    assert ln._distance_scan(tuple(map(tuple, rows)), 20) == \
+    monkeypatch.setattr(cf, "_SCAN_BITS", 1 << 16)
+    assert cf._distance_scan(tuple(map(tuple, rows)), 20) == \
         dense_distance_scan(rows)
 
 
@@ -731,9 +733,9 @@ def test_norm_gap_check():
     K = qf.make_field(-4)
     # (9, 200, 1) has n = 43 positions, and 9^43 overflows int64
     for args in ((9, 13, 1), (9, 13, 3), (9, 200, 1)):
-        assert norm_gap_check(ln.build_code(K, *args))
-    assert norm_gap_check(ln.build_code(qf.make_field(13), 4, 17, 1))
-    code = ln.build_code(K, 9, 13, 1)
+        assert norm_gap_check(tr.build_code(K, *args))
+    assert norm_gap_check(tr.build_code(qf.make_field(13), 4, 17, 1))
+    code = tr.build_code(K, 9, 13, 1)
     # duplicating a lattice point forces N(a-b) = 0 below r^agree
     bad = ln.LenstraCode(disc=code.disc, q=code.q, r=code.r, G=code.G,
                          n=code.n, tau=code.tau, ideals=code.ideals,
@@ -758,9 +760,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def derived_and_scanned(path):
     """(derived verdict, verify_code's verdict) of the code file at path,
     which must take the derived path: its code holds no words."""
-    code, check = ln.check_code_file(path)
+    code, check = cf.check_code_file(path)
     assert code.box is not None and code.codewords == (), path
-    return check, ln.verify_code(ln.read_code_file(path))
+    return check, cf.verify_code(cf.read_code_file(path))
 
 
 @pytest.mark.parametrize("name", GOLDEN_CODES)
@@ -770,7 +772,7 @@ def test_box_distance_on_golden_codes(name):
     path = GOLDEN / (name + ".code")
     derived, scanned = derived_and_scanned(path)
     assert derived == scanned
-    words = ln.read_code_file(path).codewords
+    words = cf.read_code_file(path).codewords
     assert (derived.d, derived.worst_pair) == dense_distance_scan(words)
 
 
@@ -784,7 +786,7 @@ def test_check_code_file_factorizes_the_disc_once(monkeypatch):
         calls.append(n)
         return factorize(n)
     monkeypatch.setattr(nt, "factorize", counted)
-    code, check = ln.check_code_file(GOLDEN / "-23_12_60_2.code")
+    code, check = cf.check_code_file(GOLDEN / "-23_12_60_2.code")
     assert code.codewords == () and check.ok
     assert calls == [-23]
 
@@ -830,7 +832,7 @@ def test_box_distance_matches_the_scans_on_seeded_rows(seed, tmp_path):
     kinds, signs = set(), set()
     path = tmp_path / "code.txt"
     for D, r, q, G in seeded_rows(seed):
-        code = ln.build_code(qf.make_field(D), r, q, G)
+        code = tr.build_code(qf.make_field(D), r, q, G)
         path.write_text(ln.format_code_file(code))
         derived, scanned = derived_and_scanned(path)
         assert derived == scanned, (D, r, q, G)
@@ -853,7 +855,7 @@ def test_code_lines_are_the_words_in_decimal(D, r, q, G):
     symbols (M < q at (-4, 9, 13, 1)), in real fields and for inert,
     ramified and zero-root ideals; the golden files hold these rows."""
     K = qf.make_field(D)
-    code = ln.build_code(K, r, q, G)
+    code = tr.build_code(K, r, q, G)
     columns, M = ln.box_columns(K, code.box)
     lines = list(ln.code_lines(columns, code.ideals, q))
     assert M == len(lines) == len(code.omega)
@@ -873,7 +875,7 @@ def test_code_lines_read_inert_ideals_from_either_path():
     for D, r, q, G in [(-3, 9, 200, 3), (-4, 15, 200, 3), (5, 15, 300, 3),
                        (-23, 12, 60, 2)]:
         K = qf.make_field(D)
-        code = ln.plan_code(K, r, q, G)
+        code = tr.plan_code(K, r, q, G)
         columns, M = ln.box_columns(K, code.box)
         longest = max(hi - lo for _, lo, hi in columns)
         sides.update(P.p ** 2 * (longest // P.p + 2) <= M
@@ -890,7 +892,7 @@ def test_format_code_file_writes_the_codewords(name):
     files, and writes the words a code holds, edited or not, in the form
     of code_lines."""
     text = (GOLDEN / (name + ".code")).read_text()
-    code = ln.parse_code_file(text)
+    code = cf.parse_code_file(text)
     assert ln.format_code_file(code) == text
     words = code.codewords[::-1]
     edited = ln.format_code_file(code._replace(codewords=words))
@@ -917,7 +919,7 @@ def test_difference_distance_on_seeded_columns(rng):
             words = list(ln.code_words(columns, chosen, 60))
             if len(words) < 2:
                 continue
-            assert ln._difference_distance(columns, chosen, len(chosen)) == \
+            assert cf._difference_distance(columns, chosen, len(chosen)) == \
                 dense_distance_scan(words), (D, columns, chosen)
             done += 1
     assert done > 30
@@ -930,7 +932,7 @@ def test_difference_distance_leaves_255_hits_to_the_scan():
     columns = [(0, 0, 7), (5, -3, 3)]
     for copies, want in ((254, True), (255, False)):
         words = list(ln.code_words(columns, [P] * copies, 5))
-        got = ln._difference_distance(columns, [P] * copies, copies)
+        got = cf._difference_distance(columns, [P] * copies, copies)
         assert (got == dense_distance_scan(words)) is want
         assert (got is None) is not want
 
@@ -939,11 +941,11 @@ def test_difference_distance_holds_its_counts_in_bytes():
     """At (-4, 15, 200, 3), 1,764 points in 42 columns, the hit counts of
     the realised differences take one byte each: the derivation peaks
     below 256 KiB."""
-    code = ln.build_code(qf.make_field(-4), 15, 200, 3)
+    code = tr.build_code(qf.make_field(-4), 15, 200, 3)
     columns = list(ln._columns(qf.make_field(-4), code.box))
     tracemalloc.start()
     try:
-        got = ln._difference_distance(columns, code.ideals, code.n)
+        got = cf._difference_distance(columns, code.ideals, code.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -962,7 +964,7 @@ def tampered_files(text):
     token = head.split()[-1]
     assert token.startswith("shift=") and token != "shift=none"
     s1, s2 = (Fraction(x) for x in token[len("shift="):].split(","))
-    code = ln.parse_code_file(text)
+    code = cf.parse_code_file(text)
     K = qf.make_field(code.disc)
     # a q below the largest ideal norm lists fewer ideals than n columns
     low_q = max(P.norm for P in qf.prime_ideals_in_norm_range(
@@ -999,21 +1001,109 @@ def test_tampered_files_take_the_scan_path(name, tmp_path, monkeypatch):
     switched off."""
     text = (GOLDEN / (name + ".code")).read_text()
     path = tmp_path / "t.code"
-    derived_check = ln._derived_check
+    derived_check = cf._derived_check
     for what, tampered in tampered_files(text).items():
         path.write_bytes(tampered.encode())
-        monkeypatch.setattr(ln, "_derived_check", derived_check)
-        code, chk = ln.check_code_file(path)
+        monkeypatch.setattr(cf, "_derived_check", derived_check)
+        code, chk = cf.check_code_file(path)
         assert code.codewords, what
-        assert chk == ln.verify_code(code), what
+        assert chk == cf.verify_code(code), what
+        # the scan path holds rows as bytes, which numpy reads as strings
         assert (chk.d, chk.worst_pair) == dense_distance_scan(
-            code.codewords), what
+            [list(w) for w in code.codewords]), what
         outputs = []
         for derive in (derived_check, lambda code, K, fp: None):
-            monkeypatch.setattr(ln, "_derived_check", derive)
+            monkeypatch.setattr(cf, "_derived_check", derive)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 rc = cli.main(["verify", str(path)])
             outputs.append((rc, out.getvalue(), err.getvalue()))
         assert outputs[0] == outputs[1], what
+
+
+def symbol_edits(text, rng):
+    """Seeded edits of a code file's text, by name: a duplicated row, a
+    changed symbol, the symbols 255, 256, -1 and q, and a copy of a row
+    with one symbol s written as s + 256, which equals the row it copies
+    only if symbols are taken modulo 256."""
+    head, *lines = text.splitlines()
+    rows = [line.split() for line in lines]
+    q = int(head.split(" q=")[1].split()[0])
+
+    def edited(value):
+        """(i, row i with one seeded symbol s written as value(s))"""
+        i, k = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        row = list(rows[i])
+        row[k] = str(value(int(row[k])))
+        return i, row
+
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows) + 1)
+    files = {"duplicated row": rows[:j] + [rows[i]] + rows[j:],
+             "alias of a row": rows + [edited(lambda s: s + 256)[1]]}
+    for what, value in (("changed symbol", lambda s: (s + 1) % q),
+                        ("symbol 255", lambda s: 255),
+                        ("symbol 256", lambda s: 256),
+                        ("symbol -1", lambda s: -1),
+                        ("symbol q", lambda s: q)):
+        i, row = edited(value)
+        files[what] = rows[:i] + [row] + rows[i + 1:]
+    return {what: "\n".join([head] + [" ".join(row) for row in body]) + "\n"
+            for what, body in files.items()}
+
+
+def code_file_text(disc, r, q, G):
+    K = qf.make_field(disc)
+    code = tr.plan_code(K, r, q, G)
+    columns, _ = ln.box_columns(K, code.box)
+    return "".join(line + "\n" for line in ln.code_file_lines(code, columns))
+
+
+def test_byte_rows_give_the_verdict_of_tuple_rows(tmp_path, monkeypatch):
+    """With the derivation off, check_code_file scans every golden code
+    file, seeded edits of each, and a q = 300 file with rows on both sides
+    of 256, plain and with one symbol changed. It holds a row as bytes
+    exactly when its symbols lie in [0, 256), the same integers as the
+    tuple of parse_code_file, and its verdict is verify_code's on those
+    tuples, in every field."""
+    monkeypatch.setattr(cf, "_derived_check", lambda code, K, fp: None)
+    rng = random.Random(25)
+    texts = {}
+    for path in sorted(GOLDEN.glob("*.code")):
+        text = path.read_text()
+        texts[path.name] = text
+        for what, edited in symbol_edits(text, rng).items():
+            texts["%s, %s" % (path.name, what)] = edited
+    wide = code_file_text(-4, 17, 300, 2)
+    texts["q=300"] = wide
+    texts["q=300, changed symbol"] = symbol_edits(
+        wide, rng)["changed symbol"]
+    kinds = set()
+    path = tmp_path / "t.code"
+    for what, text in texts.items():
+        path.write_text(text)
+        code, check = cf.check_code_file(path)
+        want = cf.parse_code_file(text)
+        assert [tuple(w) for w in code.codewords] == list(want.codewords), what
+        for w in code.codewords:
+            assert isinstance(w, bytes) == all(0 <= s < 256 for s in w), what
+            kinds.add(type(w))
+        assert check == cf.verify_code(want), what
+    assert kinds == {bytes, tuple}
+    assert {max(w) >= 256 for w in cf.parse_code_file(wide).codewords} == {
+        True, False}
+
+
+def test_lenstra_forwards_only_the_public_functions_that_moved():
+    """The seven public functions that lenstra held before translate and
+    codefile were split from it are still its attributes, the very
+    functions of their modules; nothing else of those modules is."""
+    for module, names in ((tr, ("find_tau", "plan_code", "build_code")),
+                          (cf, ("read_code_file", "parse_code_file",
+                                "check_code_file", "verify_code"))):
+        for name in names:
+            assert getattr(ln, name) is getattr(module, name), name
+    for name in ("_grid_scores", "GRID_CELL_CAP", "_read_rows", "CodeCheck",
+                 "PAIRWISE_CAP", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ln, name)
