@@ -92,9 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--G", type=int, required=True)
-    c.add_argument("--grid", type=int, default=64,
-                   help="initial translate-search grid")
-    c.add_argument("--max-grid", type=int, default=1024)
     c.add_argument("--output", default=None,
                    help="code file path (default: stdout)")
 
@@ -216,8 +213,7 @@ def cmd_construct(args) -> int:
     from . import quadfield as qf
     from . import translate as tr
     K = qf.make_field(args.disc, prime_divisors=_parse_factors(args.factors))
-    code = tr.plan_code(K, args.r, args.q, args.G,
-                        start_grid=args.grid, max_grid=args.max_grid)
+    code = tr.plan_code(K, args.r, args.q, args.G)
     columns, M = ln.box_columns(K, code.box)
     _emit((line + "\n" for line in ln.code_file_lines(code, columns)),
           args.output)

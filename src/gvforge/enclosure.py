@@ -478,10 +478,6 @@ def gt_status(lhs, rhs) -> str:
     return lt_status(rhs, lhs)
 
 
-def is_positive(x) -> str:
-    return gt_status(x, 0)
-
-
 def _round_exact(lo: int, hi: int) -> int:
     if lo != hi:
         raise IndeterminateFloor((lo, hi))

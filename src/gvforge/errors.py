@@ -2,7 +2,8 @@
 
 Three externally meaningful failure classes, mirrored by CLI exit codes:
 argument/domain errors (exit 1), failed or undecidable checks (exit 2),
-and capacity refusals (exit 3).
+and capacity refusals (exit 3), among them a translate search whose last
+grid certifies no box.
 """
 
 
@@ -20,13 +21,6 @@ class CapacityError(GvforgeError):
 
 class IndeterminateError(GvforgeError):
     """An enclosure straddles a decision threshold and cannot certify either way."""
-
-
-class TauSearchError(CapacityError):
-    """Translate search exhausted its grid budget without a certified box.
-
-    Retry with a finer grid (larger max_grid); never returns an under-count.
-    """
 
 
 class ConditionFailure(GvforgeError):

@@ -189,7 +189,11 @@ def splitting_type(K: QuadraticField, p: int) -> list:
     p = int(p)
     if p < 2 or not _is_prime_small(p):
         raise DomainError("p = %r is not prime" % p)
-    sym = nt.kronecker_symbol(K.disc, p)
+    return _ideals_above(K, p, nt.kronecker_symbol(K.disc, p))
+
+
+def _ideals_above(K: QuadraticField, p: int, sym: int) -> list:
+    """splitting_type's records for a prime p with sym = (disc/p)."""
     T, N = K.trace_omega, K.norm_omega
     if sym == -1:
         return [PrimeIdealRecord(p, INERT, p * p, 0, None)]
@@ -222,15 +226,10 @@ def prime_ideals_in_norm_range(K: QuadraticField, r: int, q: int) -> list:
     if not 2 <= r <= q:
         raise DomainError("need 2 <= r <= q, got r=%r q=%r" % (r, q))
     out = []
-    inert_max = math.isqrt(q)
     for p in nt.sieve_primes(q):
         sym = nt.kronecker_symbol(K.disc, p)
-        if sym == -1:
-            if p <= inert_max and p * p >= r:
-                out.extend(splitting_type(K, p))
-        else:
-            if p >= r:
-                out.extend(splitting_type(K, p))
+        if r <= (p * p if sym == -1 else p) <= q:
+            out.extend(_ideals_above(K, p, sym))
     return out
 
 

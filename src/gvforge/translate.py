@@ -2,10 +2,10 @@
 
 find_tau ranks the translates of a grid over the basis cell by a float
 count of their boxes' points, scored in one pass over a fine lattice, and
-certifies the best by exact counts. plan_code lists the prime ideals and
-places the box, and build_code adds the box's points and their words.
-Only construct loads this module; the geometry and the words are
-lenstra's.
+certifies the best by exact counts; the grid doubles from 64 to 1024 until
+a box is certified. plan_code lists the prime ideals and places the box,
+and build_code adds the box's points and their words. Only construct
+loads this module; the geometry and the words are lenstra's.
 """
 
 import heapq
@@ -14,7 +14,7 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import CapacityError, DomainError, TauSearchError
+from .errors import CapacityError
 from .lenstra import (OMEGA_CAP, BoxSpec, LenstraCode, _box_floats,
                       _check_domain, _columns, _float_columns, _points,
                       _pow_above, _u_span, box_at, box_columns, code_words,
@@ -22,7 +22,8 @@ from .lenstra import (OMEGA_CAP, BoxSpec, LenstraCode, _box_floats,
 from .quadfield import QuadraticField, prime_ideals_in_norm_range
 
 _GRID_OFFSET = Fraction(1, 1 << 20)
-GRID_CELL_CAP = 1 << 22
+# the translate grids find_tau tries in turn; 1024^2 = 2^20 cells at most
+_GRIDS = (64, 128, 256, 512, 1024)
 
 
 def _check_point_cap(r: int, G: int, disc: int) -> None:
@@ -72,22 +73,15 @@ def _grid_scores(bf, rho: float, us, g: int):
     return score
 
 
-def find_tau(K: QuadraticField, r: int, G: int, start_grid: int = 64,
-             max_grid: int = 1024) -> BoxSpec:
+def find_tau(K: QuadraticField, r: int, G: int) -> BoxSpec:
     """Certified translate: the open box holds >= ceil(r^G/sqrt|disc|) points.
 
-    Deterministic: grid translates of the basis cell are ranked by a float
-    estimate, the best six and the centred box are counted exactly, and a
-    later candidate wins only with a strictly larger count. Exhausting every
-    grid up to max_grid raises TauSearchError (retry with a larger
-    max_grid); an under-counted box is never returned. A grid of more than
-    GRID_CELL_CAP cells raises CapacityError before it is scored.
+    Deterministic: for each grid of _GRIDS in turn, the grid translates of
+    the basis cell are ranked by a float estimate, the best six and the
+    centred box are counted exactly, and a later candidate wins only with a
+    strictly larger count. If no grid certifies the target, CapacityError
+    is raised; an under-counted box is never returned.
     """
-    if start_grid < 1:
-        raise DomainError("start grid must be >= 1, got %r" % (start_grid,))
-    if start_grid > max_grid:
-        raise DomainError("start grid %d exceeds max grid %d"
-                          % (start_grid, max_grid))
     _check_point_cap(r, G, K.disc)
     target = minkowski_target(r, G, abs(K.disc))
     centred = box_at(r, G, None)
@@ -97,11 +91,7 @@ def find_tau(K: QuadraticField, r: int, G: int, start_grid: int = 64,
     # every grid cell has 0 < s_1 < 1, so one u-range serves them all
     lo, hi = _u_span(K, r, G)
     us = range(math.floor(lo), math.ceil(hi + 1) + 1)
-    g = start_grid
-    while g <= max_grid:
-        if g * g > GRID_CELL_CAP:
-            raise CapacityError("translate grid %d has %d cells, cap %d"
-                                % (g, g * g, GRID_CELL_CAP))
+    for g in _GRIDS:
         score = _grid_scores(bf, rho_f, us, g)
         best, best_count = None, -1
         # nlargest is stable, so equal scores keep row-major order
@@ -119,14 +109,11 @@ def find_tau(K: QuadraticField, r: int, G: int, start_grid: int = 64,
             best, best_count = box_at(r, G, None, g), centred_count
         if best_count >= target:
             return best
-        g *= 2
-    raise TauSearchError(
-        "no translate certified %d points up to grid %d; retry with a finer grid"
-        % (target, max_grid))
+    raise CapacityError("no translate certified %d points up to grid %d"
+                        % (target, _GRIDS[-1]))
 
 
-def plan_code(K: QuadraticField, r: int, q: int, G: int,
-              start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
+def plan_code(K: QuadraticField, r: int, q: int, G: int) -> LenstraCode:
     """build_code's code with empty omega and codewords: box_columns and
     code_file_lines give them.
 
@@ -140,17 +127,16 @@ def plan_code(K: QuadraticField, r: int, q: int, G: int,
     ideals = prime_ideals_in_norm_range(K, r, q)
     n = len(ideals)
     _check_domain(r, q, G, n, K.disc)
-    box = find_tau(K, r, G, start_grid=start_grid, max_grid=max_grid)
+    box = find_tau(K, r, G)
     return LenstraCode(disc=K.disc, q=q, r=r, G=G, n=n,
                        tau=_box_floats(K, box)[:2], ideals=tuple(ideals),
                        omega=(), codewords=(), box=box)
 
 
-def build_code(K: QuadraticField, r: int, q: int, G: int,
-               start_grid: int = 64, max_grid: int = 1024) -> LenstraCode:
+def build_code(K: QuadraticField, r: int, q: int, G: int) -> LenstraCode:
     """Construct the length-n code over [0, q) from the field K: the code of
     plan_code with the points of its box (omega) and their words."""
-    code = plan_code(K, r, q, G, start_grid=start_grid, max_grid=max_grid)
+    code = plan_code(K, r, q, G)
     columns, _ = box_columns(K, code.box)
     omega = tuple((u, v) for u, lo, hi in columns for v in range(lo, hi + 1))
     return code._replace(omega=omega,

@@ -83,7 +83,7 @@ def test_criterion_2_rate_separation_at_half():
     gv = bd.gv_bound(Q42, Fraction(1, 2))
     nfc = bd.nfc_bound(Q42, Fraction(1, 2), cert.witness)
     margin = nfc - gv
-    verdict = encl.is_positive(margin)
+    verdict = encl.gt_status(margin, 0)
     with mp.workdps(50):
         lo = encl.lower(margin)
         wd = encl.width(margin)
@@ -179,7 +179,9 @@ FUNDAMENTAL_POOL = [-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31, -35,
                     -39, -40, 5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40]
 
 
-def test_criterion_4_box_counts_match_independent_scan():
+def test_criterion_4_box_counts_match_independent_scan(monkeypatch):
+    # start the translate search at grid 16, so coarse grids are tested too
+    monkeypatch.setattr(tr, "_GRIDS", (16, 32) + tr._GRIDS)
     rng = random.Random(20240817)
     bad = []
     done = 0
@@ -190,7 +192,7 @@ def test_criterion_4_box_counts_match_independent_scan():
         if r ** G > 300:
             continue
         K = qf.make_field(D)
-        box = tr.find_tau(K, r, G, start_grid=16)
+        box = tr.find_tau(K, r, G)
         pts = ln.enumerate_omega(K, box)
         want = ln.minkowski_target(r, G, abs(D))
         got = _scan_count(D, box)

@@ -391,7 +391,7 @@ def test_certify_deterministic():
 
 def final_margin_status(ell: int) -> str:
     lhs, rhs = bd._final_inequality_sides(ell)
-    return encl.is_positive(rhs - lhs)
+    return encl.gt_status(rhs - lhs, 0)
 
 
 def test_final_inequality_signs():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output shapes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -328,38 +329,25 @@ def test_construct_domain_errors(capsys):
     assert code == 1
 
 
-def test_construct_grid_below_one(capsys):
-    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
-                         "--q", "13", "--G", "1", "--grid", "0")
-    assert code == 1
-    assert err == "error: start grid must be >= 1, got 0\n"
-
-
-@pytest.mark.parametrize("flags, message", [
-    (("--grid", "3000"), "start grid 3000 exceeds max grid 1024"),
-    (("--max-grid", "0"), "start grid 64 exceeds max grid 0")])
-def test_construct_start_grid_above_max_grid(capsys, flags, message):
-    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
-                         "--q", "13", "--G", "1", *flags)
-    assert (code, out, err) == (1, "", "error: %s\n" % message)
-
-
-def test_construct_search_exhaustion(capsys):
+def test_construct_search_exhaustion(capsys, monkeypatch):
+    monkeypatch.setattr(tr, "_GRIDS", (1,))
     code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "4",
-                         "--q", "13", "--G", "1",
-                         "--grid", "1", "--max-grid", "1")
-    assert code == 3
-    assert "capacity" in err
+                         "--q", "13", "--G", "1")
+    assert (code, out) == (3, "")
+    assert err == "capacity: no translate certified 2 points up to grid 1\n"
 
 
-def test_construct_refuses_a_grid_past_the_cell_cap(capsys):
-    # 10^12 cells would need a 7.3 TiB score array
-    code, out, err = run(capsys, "construct", "--disc", "-4", "--r", "9",
-                         "--q", "13", "--G", "1",
-                         "--grid", "1000000", "--max-grid", "1000000")
-    assert code == 3 and out == ""
-    assert err == ("capacity: translate grid 1000000 has 1000000000000 "
-                   "cells, cap 4194304\n")
+@pytest.mark.parametrize("flag, value", [("--grid", "64"),
+                                         ("--max-grid", "1024")])
+def test_construct_takes_no_grid_option(capsys, flag, value):
+    """The translate grids are fixed; a grid option is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["construct", "--disc", "-4", "--r", "9", "--q", "13",
+                  "--G", "1", flag, value])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: %s %s\n"
+                        % (flag, value))
 
 
 def test_construct_refuses_a_box_past_the_point_cap_before_listing(
@@ -769,6 +757,36 @@ def test_tower_marginal_sc(capsys):
 
 
 # ------------------------------------------------------------- usage paths
+
+
+# every option of each subcommand, and the global ones under None, in the
+# order build_parser adds them; a positional argument is named by its dest
+OPTIONS = {
+    None: ("--threads",),
+    "bounds": ("--q", "--delta", "--delta-grid", "--budget", "--format",
+               "--output"),
+    "construct": ("--disc", "--factors", "--r", "--q", "--G", "--output"),
+    "verify": ("path",),
+    "certify": ("--q", "--schedule", "--C0", "--format", "--output"),
+    "tower": ("--disc", "--factors", "--sc-size", "--genus-only"),
+}
+
+
+def _option_strings(parser):
+    return tuple(s for a in parser._actions
+                 if not isinstance(a, (argparse._HelpAction,
+                                       argparse._SubParsersAction))
+                 for s in a.option_strings or [a.dest])
+
+
+def test_the_option_set_is_pinned():
+    """Adding or removing an option is an edit of OPTIONS."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {None: _option_strings(parser)}
+    got.update((name, _option_strings(p)) for name, p in sub.choices.items())
+    assert got == OPTIONS
 
 
 def test_usage_errors_exit_1(capsys):

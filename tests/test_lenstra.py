@@ -26,7 +26,7 @@ from gvforge import lenstra as ln
 from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 from gvforge import translate as tr
-from gvforge.errors import CapacityError, DomainError, TauSearchError
+from gvforge.errors import CapacityError, DomainError
 
 from conftest import (basis_mp, box_mp, dense_distance_scan,
                       float_columns_oracle, grid_scores_oracle, norm_gap_check,
@@ -147,15 +147,7 @@ def test_find_tau_deterministic():
     assert ln.enumerate_omega(K, b1) == ln.enumerate_omega(K, b2)
 
 
-@pytest.mark.parametrize("start_grid", [0, -1])
-def test_find_tau_rejects_a_start_grid_below_one(start_grid):
-    """Doubling a grid of 0 never ends, and a negative grid is no grid."""
-    K = qf.make_field(-4)
-    with pytest.raises(DomainError, match="start grid"):
-        tr.find_tau(K, 9, 1, start_grid=start_grid)
-
-
-def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
+def reference_find_tau(K, r, G, grids):
     """Oracle for find_tau: one float_columns_oracle call per grid cell, the cells
     sorted as (-score, i, j) tuples. Returns (grid, cell, shift), or None
     where every grid is exhausted."""
@@ -169,8 +161,7 @@ def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
     P = math.isqrt(4 * r ** G // (2 if D < 0 else 1)) + 1
     us = np.arange(-P, P + 1.0)
     off = tr._GRID_OFFSET
-    g = start_grid
-    while g <= max_grid:
+    for g in grids:
         scored = []
         for i in range(g):
             for j in range(g):
@@ -193,16 +184,22 @@ def reference_find_tau(K, r, G, start_grid=64, max_grid=1024):
             best, best_count = (g, (-1, -1), None), centred_count
         if best_count >= target:
             return best
-        g *= 2
     return None
 
 
-def _tau_or_none(K, r, G, **grids):
+def _tau_or_none(monkeypatch, K, r, G, grids):
+    monkeypatch.setattr(tr, "_GRIDS", grids)
     try:
-        box = tr.find_tau(K, r, G, **grids)
-    except TauSearchError:
+        box = tr.find_tau(K, r, G)
+    except CapacityError:
         return None
     return box.grid, box.cell, box.shift
+
+
+def _doubling(start, stop):
+    """The grids start, 2 start, ... up to stop; _doubling(64, 1024) is
+    find_tau's own _GRIDS."""
+    return tuple(start << i for i in range((stop // start).bit_length()))
 
 
 @pytest.mark.parametrize("D,r,G,start,stop", [
@@ -212,14 +209,15 @@ def _tau_or_none(K, r, G, **grids):
     (5, 15, 3, 64, 1024),
     # grids that climb to 8 and 4, and one that is exhausted
     (-3, 2, 1, 1, 64), (-3, 3, 1, 1, 64), (-4, 4, 1, 1, 1)])
-def test_find_tau_matches_per_cell_ranking(D, r, G, start, stop):
+def test_find_tau_matches_per_cell_ranking(monkeypatch, D, r, G, start,
+                                           stop):
     K = qf.make_field(D)
-    grids = {"start_grid": start, "max_grid": stop}
-    assert _tau_or_none(K, r, G, **grids) == reference_find_tau(K, r, G,
-                                                               **grids)
+    grids = _doubling(start, stop)
+    assert _tau_or_none(monkeypatch, K, r, G, grids) == reference_find_tau(
+        K, r, G, grids)
 
 
-def test_find_tau_matches_per_cell_ranking_random(rng):
+def test_find_tau_matches_per_cell_ranking_random(monkeypatch, rng):
     pool = [-3, -4, -7, -8, -11, -15, -20, -23, -24, 5, 8, 12, 13, 17, 21]
     done = 0
     while done < 8:
@@ -227,10 +225,27 @@ def test_find_tau_matches_per_cell_ranking_random(rng):
         if r ** G > 5000 or r ** (2 * G) < abs(D):
             continue
         K = qf.make_field(D)
-        grids = {"start_grid": rng.choice([1, 2, 4, 64]), "max_grid": 64}
-        want = reference_find_tau(K, r, G, **grids)
-        assert _tau_or_none(K, r, G, **grids) == want, (D, r, G, grids)
+        grids = _doubling(rng.choice([1, 2, 4, 64]), 64)
+        want = reference_find_tau(K, r, G, grids)
+        assert _tau_or_none(monkeypatch, K, r, G, grids) == want, (D, r, G,
+                                                                    grids)
         done += 1
+
+
+def test_default_grids_are_ample():
+    """find_tau's grids are fixed, so they must be ample: 60 seeded
+    parameter sets, over every field with -31 <= disc <= 29, r < 60, G <= 4
+    and r^G <= 2 10^5, all settle at the first or second grid."""
+    discs = [D for D in range(-31, 30) if D and qf.is_fundamental(D)]
+    rng = random.Random(26)
+    grids = []
+    while len(grids) < 60:
+        D, r, G = rng.choice(discs), rng.randrange(2, 60), rng.randrange(1, 5)
+        if r ** G > 2 * 10 ** 5 or r ** (2 * G) < abs(D):
+            continue
+        grids.append(tr.find_tau(qf.make_field(D), r, G).grid)
+    assert set(grids) <= set(tr._GRIDS[:2]), grids
+    assert tr._GRIDS == _doubling(64, 1024)
 
 
 # the four instances (disc, r, q, G) whose stages ROADMAP.md times
@@ -329,22 +344,12 @@ def test_columns_dropped_from_the_old_range_are_empty(seed):
     assert 2 * new <= old
 
 
-def test_find_tau_exhaustion_raises():
+def test_find_tau_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(tr, "_GRIDS", (1,))
     K = qf.make_field(-4)
-    with pytest.raises(TauSearchError):
-        tr.find_tau(K, 4, 1, start_grid=1, max_grid=1)
-
-
-def test_find_tau_refuses_a_grid_past_the_cell_cap(monkeypatch):
-    """The refusal comes before the grid's scores are allocated."""
-    def never(*args):
-        raise AssertionError("grid scored")
-
-    monkeypatch.setattr(tr, "_grid_scores", never)
-    K = qf.make_field(-4)
-    with pytest.raises(CapacityError, match="grid 1000000 has 10+ cells"):
-        tr.find_tau(K, 9, 1, start_grid=10 ** 6, max_grid=10 ** 6)
-    assert 1024 ** 2 <= tr.GRID_CELL_CAP < 2049 ** 2
+    with pytest.raises(CapacityError,
+                       match="no translate certified 2 points up to grid 1"):
+        tr.find_tau(K, 4, 1)
 
 
 BOX_POOL = [-3, -4, -7, -8, -15, -20, -23, 5, 8, 12, 13]
@@ -1103,7 +1108,7 @@ def test_lenstra_forwards_only_the_public_functions_that_moved():
                                 "check_code_file", "verify_code"))):
         for name in names:
             assert getattr(ln, name) is getattr(module, name), name
-    for name in ("_grid_scores", "GRID_CELL_CAP", "_read_rows", "CodeCheck",
+    for name in ("_grid_scores", "_GRIDS", "_read_rows", "CodeCheck",
                  "PAIRWISE_CAP", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(ln, name)

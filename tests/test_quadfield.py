@@ -203,26 +203,41 @@ def test_prime_ideals_in_norm_range():
 
 
 def test_prime_ideals_range_against_brute_force(rng):
+    """Whole records: primes by trial division, the splitting by Euler's
+    criterion, and the residue roots by trying every x mod p in
+    x^2 - T x + N."""
     discs = [-3, -4, -7, -8, -15, -20, -23, -84, 5, 8, 12, 13, 17, 21, 44]
     for _ in range(50):
         D = rng.choice(discs)
         r = rng.randrange(2, 60)
         q = r + rng.randrange(0, 120)
         K = qf.make_field(D)
-        got = [(rec.p, rec.split_type, rec.norm)
-               for rec in qf.prime_ideals_in_norm_range(K, r, q)]
+        T, N = K.trace_omega, K.norm_omega
+        got = [tuple(rec) for rec in qf.prime_ideals_in_norm_range(K, r, q)]
         want = []
         for p in range(2, q + 1):
             if not trial_division_is_prime(p):
                 continue
             sign = euler_split_sign(D, p)
+            roots = [x for x in range(p) if (x * x - T * x + N) % p == 0]
             if sign == 1 and r <= p:
-                want += [(p, qf.SPLIT, p), (p, qf.SPLIT, p)]
+                want += [(p, qf.SPLIT, p, i, c) for i, c in enumerate(roots)]
             elif sign == 0 and r <= p:
-                want.append((p, qf.RAMIFIED, p))
+                want.append((p, qf.RAMIFIED, p, 0, roots[0]))
             elif sign == -1 and r <= p * p <= q:
-                want.append((p, qf.INERT, p * p))
+                want.append((p, qf.INERT, p * p, 0, None))
         assert got == want, (D, r, q)
+
+
+def test_prime_ideals_in_norm_range_tests_no_sieved_prime_again(monkeypatch):
+    """The listing takes its primes from the sieve and does not run the
+    Miller-Rabin test that splitting_type applies to a p from outside."""
+    def tested(n):
+        raise AssertionError("%d tested for primality" % n)
+
+    monkeypatch.setattr(qf, "_is_prime_small", tested)
+    assert len(qf.prime_ideals_in_norm_range(qf.make_field(-4), 2, 1000)) \
+        == 1 + 2 * 80 + 6
 
 
 # ------------------------------------------------------------ class groups
