@@ -26,7 +26,7 @@ C_FINAL_C = Fraction(58, 100)
 
 def eligible_q_floor() -> int:
     """Smallest q admitted by the main schedule: ceil(exp(29))."""
-    return enc.resolve_int(lambda: iv.exp(iv.mpf(29)), enc.ceil_exact)
+    return enc.resolve_ceil(lambda: iv.exp(iv.mpf(29)))
 
 
 class ParamWitness(NamedTuple):
@@ -231,10 +231,10 @@ def _schedule(name: str, q: int, eps_fn) -> Schedule:
     """The tail both schedules share: r = ceil((1-eps)^2 q), ell =
     floor(q^(1/6)), k = floor((ell-2)^2/4 - (ell-2)) - 2.
 
-    eps_fn rebuilds eps from exact inputs, so resolve_int can raise the
+    eps_fn rebuilds eps from exact inputs, so resolve_ceil can raise the
     precision until the ceiling is unambiguous.
     """
-    r = enc.resolve_int(lambda: (1 - eps_fn()) ** 2 * q, enc.ceil_exact)
+    r = enc.resolve_ceil(lambda: (1 - eps_fn()) ** 2 * q)
     ell = nt.int_nth_root(q, 6)
     return Schedule(name=name, q=q, eps=eps_fn(), r=r, ell=ell, k=_largest_k(ell))
 
@@ -285,14 +285,11 @@ def theorem1_schedule(q: int, C0) -> Schedule:
     return _schedule("theorem1", q, _eps)
 
 
-def _mk_check(name: str, lhs, rhs, ok=None) -> CertCheck:
-    """Build a check row; if ok is None the status comes from the enclosures."""
+def _mk_check(name: str, lhs, rhs, status: str) -> CertCheck:
+    """A check row: lhs, rhs, the margin rhs - lhs and its width, printed,
+    with the status its caller decided."""
     lhs_e, rhs_e = enc.enc(lhs), enc.enc(rhs)
     margin = rhs_e - lhs_e
-    if ok is None:
-        status = enc.gt_status(margin, 0)
-    else:
-        status = enc.PASS if ok else enc.FAIL
     return CertCheck(name=name, lhs=enc.fmt(lhs_e), rhs=enc.fmt(rhs_e),
                      margin=enc.fmt(margin), width=enc.fmt_width(margin),
                      status=status)
@@ -301,14 +298,6 @@ def _mk_check(name: str, lhs, rhs, ok=None) -> CertCheck:
 def _skipped_check(name: str, reason: str) -> CertCheck:
     return CertCheck(name=name, lhs="-", rhs="-", margin="-",
                      width=reason, status=enc.FAIL)
-
-
-def _tristate(status: str):
-    if status == enc.PASS:
-        return True
-    if status == enc.FAIL:
-        return False
-    return None
 
 
 def _final_inequality_sides(ell: int):
@@ -342,52 +331,55 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         sch = theorem2_schedule(q)
         qfloor = eligible_q_floor()
         checks = [_mk_check("eligible_q_at_least_ceil_exp29", qfloor, q,
-                            ok=(q >= qfloor))]
+                            enc.PASS if q >= qfloor else enc.FAIL)]
     else:
         sch = theorem1_schedule(q, C0)
-        checks = [_mk_check("eligible_eps_in_unit_interval", sch.eps, 1)]
+        checks = [_mk_check("eligible_eps_in_unit_interval", sch.eps, 1,
+                            enc.lt_status(sch.eps, 1))]
 
     rows, witness, primes = _evaluate_conditions(q, sch.r, sch.ell, sch.k)
     p_ell = primes[-1]
     for (name, lhs, rhs, ok) in rows:
-        checks.append(_mk_check(name, lhs, rhs, ok=ok))
+        checks.append(_mk_check(name, lhs, rhs, enc.PASS if ok else enc.FAIL))
 
     ell, r = sch.ell, sch.r
 
     # sqrt(r) > 0.6745 sqrt(q), decided exactly on squares
     num, den = C_SQRT_FACTOR.numerator, C_SQRT_FACTOR.denominator
     ok_a1 = r * den * den > num * num * q
-    checks.append(_mk_check("chain_sqrt_r_above_const_sqrt_q",
-                            enc.enc(C_SQRT_FACTOR) * iv.sqrt(iv.mpf(q)),
-                            iv.sqrt(iv.mpf(r)), ok=ok_a1))
+    const_sqrt_q = enc.enc(C_SQRT_FACTOR) * iv.sqrt(iv.mpf(q))
+    checks.append(_mk_check("chain_sqrt_r_above_const_sqrt_q", const_sqrt_q,
+                            iv.sqrt(iv.mpf(r)), enc.PASS if ok_a1 else enc.FAIL))
     ell_log_term = 24 * ell * iv.log(iv.mpf(ell)) if ell >= 2 else iv.mpf(0)
     checks.append(_mk_check("chain_const_sqrt_q_above_24_ell_log_ell",
-                            ell_log_term,
-                            enc.enc(C_SQRT_FACTOR) * iv.sqrt(iv.mpf(q))))
-    st = enc.ge_status(ell_log_term, p_ell)
+                            ell_log_term, const_sqrt_q,
+                            enc.lt_status(ell_log_term, const_sqrt_q)))
     checks.append(_mk_check("chain_24_ell_log_ell_at_least_p_ell",
-                            p_ell, ell_log_term, ok=_tristate(st)))
+                            p_ell, ell_log_term,
+                            enc.ge_status(ell_log_term, p_ell)))
 
     if witness is not None:
         ratio = witness.D_log / (2 * witness.k)
         bound = enc.enc(C_LOGD_BOUND)
-        st = enc.le_status(ratio, bound)
-        checks.append(_mk_check("primorial_log_over_2k_bounded",
-                                ratio, bound, ok=_tristate(st)))
+        checks.append(_mk_check("primorial_log_over_2k_bounded", ratio,
+                                bound, enc.le_status(ratio, bound)))
     else:
         checks.append(_skipped_check("primorial_log_over_2k_bounded",
                                      "no witness"))
 
     theta = nt.chebyshev_theta(p_ell, primes)
     logp = iv.log(iv.mpf(p_ell))
-    checks.append(_mk_check("theta_p_ell_below_rosser_bound",
-                            theta, (1 + 3 / logp) * p_ell))
-    checks.append(_mk_check("p_ell_over_log_p_ell_below_ell",
-                            iv.mpf(p_ell) / logp, iv.mpf(ell)))
+    rosser = (1 + 3 / logp) * p_ell
+    checks.append(_mk_check("theta_p_ell_below_rosser_bound", theta, rosser,
+                            enc.lt_status(theta, rosser)))
+    p_over_log = iv.mpf(p_ell) / logp
+    checks.append(_mk_check("p_ell_over_log_p_ell_below_ell", p_over_log,
+                            ell, enc.lt_status(p_over_log, ell)))
 
     if ell >= 3:
         lhs_f, rhs_f = _final_inequality_sides(ell)
-        checks.append(_mk_check("final_inequality_at_ell", lhs_f, rhs_f))
+        checks.append(_mk_check("final_inequality_at_ell", lhs_f, rhs_f,
+                                enc.lt_status(lhs_f, rhs_f)))
     else:
         checks.append(_skipped_check("final_inequality_at_ell", "ell < 3"))
 
@@ -395,7 +387,8 @@ def certify(q: int, schedule: str = "theorem2", C0=None) -> Certificate:
         half = Fraction(1, 2)
         gv_half = gv_bound(q, half)
         nfc_half = nfc_bound(q, half, witness)
-        checks.append(_mk_check("nfc_rate_beats_gv_at_half", gv_half, nfc_half))
+        checks.append(_mk_check("nfc_rate_beats_gv_at_half", gv_half,
+                                nfc_half, enc.lt_status(gv_half, nfc_half)))
     else:
         checks.append(_skipped_check("nfc_rate_beats_gv_at_half", "no witness"))
 
@@ -458,8 +451,8 @@ def bound_points(q: int, deltas, budget: int = 6) -> list:
     when a witness certifies.
 
     The candidates are listed once, since a witness does not depend on
-    delta, and ranked at each delta: the largest nfc enclosure midpoint
-    wins, ties to smaller (ell, r).
+    delta, and ranked at each delta: the largest exact midpoint
+    (lo + hi) / 2 of the nfc enclosure wins, ties to smaller (ell, r).
     """
     _check_q(q)
     dfracs = [_delta(d) for d in deltas]

@@ -3,7 +3,7 @@
 A HighReal is an interval whose two endpoints are dyadic numbers m 2^e
 (integer m and e), rounded outward at the working precision `iv.prec`, 120
 bits by default, comfortably past 30 significant digits. The kernel is pure
-Python and keeps no state but `iv.prec`, which only `resolve_int` changes
+Python and keeps no state but `iv.prec`, which only `resolve_ceil` changes
 and restores:
 - +, -, *, / and integer powers are computed exactly on the endpoints and
   rounded once, outward;
@@ -15,16 +15,15 @@ and restores:
 Every module imports `iv` from here. Every comparison that decides a check
 goes through the three-way helpers here and returns "pass", "fail", or
 "indeterminate"; a straddling enclosure is never silently coerced to a
-boolean. `lower`, `upper`, `midpoint` and `width` return exact Fractions;
-`fmt` and `fmt_width` print the midpoint and width rounded to a double, as
-the certificates have always shown them.
+boolean. `midpoint` and `width` return the exact centre and width as
+Fractions, and `fmt` and `fmt_width` print them in decimal, rounded once.
 """
 
 import math
 from fractions import Fraction
 
 PREC_BITS = 120
-# resolve_int doubles the precision while it stays within this many bits
+# resolve_ceil doubles the precision while it stays within this many bits
 MAX_PREC_BITS = 640
 # Ziv's loop gives up past this working precision; it is never reached,
 # since log and exp of a dyadic number other than 1 and 0 are irrational
@@ -109,13 +108,9 @@ def _fraction(x) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _floor(x) -> int:
-    m, e = x
-    return m << e if e >= 0 else m >> -e
-
-
 def _ceil(x) -> int:
-    return -_floor((-x[0], x[1]))
+    m, e = x
+    return m << e if e >= 0 else -(-m >> -e)
 
 
 # --------------------------------------------- log and exp, Ziv's loop
@@ -402,47 +397,17 @@ def enc(x) -> HighReal:
     return iv.mpf(x)
 
 
-def lower(x) -> Fraction:
-    return _fraction(enc(x).lo)
-
-
-def upper(x) -> Fraction:
-    return _fraction(enc(x).hi)
-
-
-def _double(x) -> tuple:
-    """x rounded to 53 bits, to nearest with ties to even: a double."""
-    return _round(*x, 53, 0)
-
-
-def _mid(x):
-    """The midpoint as a double: a + b rounded to nearest at the working
-    precision, halved, then rounded to a double."""
-    x = enc(x)
-    m, e = _round(*_sum(x.lo, x.hi), iv.prec, 0)
-    return _double((m, e - 1))
-
-
-def _width(x):
-    """The width as a double: b - a rounded up at the working precision,
-    then rounded to a double."""
-    x = enc(x)
-    return _double(_round(*_sum(x.hi, x.lo, -1), iv.prec, 1))
-
-
 def midpoint(x) -> Fraction:
-    return _fraction(_mid(x))
+    """The exact centre (lo + hi) / 2."""
+    x = enc(x)
+    m, e = _sum(x.lo, x.hi)
+    return _fraction((m, e - 1))
 
 
 def width(x) -> Fraction:
-    return _fraction(_width(x))
-
-
-def contains(x, value) -> bool:
-    """True when the enclosure of x contains the exact number `value` (an
-    int, float or Fraction)."""
-    lo, hi = enc(x).ends
-    return lo <= Fraction(value) <= hi
+    """The exact width hi - lo."""
+    x = enc(x)
+    return _fraction(_sum(x.hi, x.lo, -1))
 
 
 def root(x, k: int) -> HighReal:
@@ -478,30 +443,9 @@ def gt_status(lhs, rhs) -> str:
     return lt_status(rhs, lhs)
 
 
-def _round_exact(lo: int, hi: int) -> int:
-    if lo != hi:
-        raise IndeterminateFloor((lo, hi))
-    return lo
-
-
-def floor_exact(x) -> int:
-    """Floor of an enclosure, when unambiguous."""
-    x = enc(x)
-    return _round_exact(_floor(x.lo), _floor(x.hi))
-
-
-def ceil_exact(x) -> int:
-    """Ceiling of an enclosure, when unambiguous."""
-    x = enc(x)
-    return _round_exact(_ceil(x.lo), _ceil(x.hi))
-
-
-class IndeterminateFloor(Exception):
-    """Enclosure straddles an integer; retry at higher precision."""
-
-
-def resolve_int(compute, rounder) -> int:
-    """Evaluate rounder(compute()) with escalating precision until unambiguous.
+def resolve_ceil(compute) -> int:
+    """The ceiling of compute()'s enclosure, doubling the precision until
+    both ends have the same one.
 
     `compute` must rebuild its enclosure from exact inputs each call so the
     tighter precision actually helps.
@@ -513,48 +457,44 @@ def resolve_int(compute, rounder) -> int:
         prec = saved
         while prec <= MAX_PREC_BITS:
             iv.prec = prec
-            try:
-                return rounder(compute())
-            except IndeterminateFloor:
-                prec *= 2
+            x = enc(compute())
+            lo = _ceil(x.lo)
+            if lo == _ceil(x.hi):
+                return lo
+            prec *= 2
         raise IndeterminateError(
             "enclosure still straddles an integer at %d bits" % MAX_PREC_BITS)
     finally:
         iv.prec = saved
 
 
-def _nstr(x, dps: int) -> str:
-    """A dyadic (m, e) printed with dps significant digits, exactly as
-    mpmath's nstr prints it: dps + 3 leading digits cut from a fixed-point
-    value of about that many bits, rounded half up at the last kept digit,
-    fixed notation when the leading digit's exponent lies strictly between
-    min(-(dps // 3), -5) and dps, trailing zeros stripped."""
-    m, e = x
-    if not m:
+def _decimal(v: Fraction, dps: int) -> str:
+    """v printed with dps significant digits, rounded half away from zero,
+    in mpmath's nstr layout: fixed notation when the leading digit's
+    exponent lies strictly between min(-(dps // 3), -5) and dps, trailing
+    zeros stripped."""
+    if not v:
         return "0.0"
-    sign = "-" if m < 0 else ""
-    m = abs(m)
-    fixprec = max(int((dps + 3) * math.log(10, 2)) + 10 - e - m.bit_length(), 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = e + fixprec
-    fixed = m << shift if shift >= 0 else m >> -shift
-    digits = str(fixed * 10 ** fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] in "56789":
-        kept = int(digits[:dps]) + 1
-        if kept == 10 ** dps:
-            kept //= 10
+    sign = "-" if v < 0 else ""
+    num, den = abs(v.numerator), v.denominator
+    # floor(log10 v), give or take one; the loop settles it
+    exponent = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        k = dps - 1 - exponent
+        n, d = (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
+        kept = (2 * n + d) // (2 * d)
+        if kept < 10 ** (dps - 1):
+            exponent -= 1
+        elif kept >= 10 ** dps:
             exponent += 1
-        digits = str(kept)
-    else:
-        digits = digits[:dps]
-    split = 1
+        else:
+            break
+    digits, split = str(kept), 1
     if min(-(dps // 3), -5) < exponent < dps:
         if exponent < 0:
             digits = "0" * -exponent + digits
         else:
             split = exponent + 1
-            digits = digits.ljust(split, "0")
         exponent = 0
     digits = (digits[:split] + "." + digits[split:]).rstrip("0")
     if digits.endswith("."):
@@ -563,9 +503,10 @@ def _nstr(x, dps: int) -> str:
 
 
 def fmt(x, digits: int = 24) -> str:
-    """Decimal string of the midpoint, for serialization."""
-    return _nstr(_mid(x), digits)
+    """The exact midpoint to `digits` significant digits."""
+    return _decimal(midpoint(x), digits)
 
 
 def fmt_width(x) -> str:
-    return _nstr(_width(x), 6)
+    """The exact width to 6 significant digits."""
+    return _decimal(width(x), 6)

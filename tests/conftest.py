@@ -18,12 +18,19 @@ def rng():
 
 def exact(x) -> Fraction:
     """The exact rational value of an int, float, Fraction or mpmath mpf.
-    The library's lower, upper, midpoint and width are exact Fractions, and
+    An enclosure's `ends`, midpoint and width are exact Fractions, and
     every comparison of them, or of an enclosure, with an mpmath value
     goes through this conversion, which never rounds."""
     if isinstance(x, mpmath.mpf):
         return Fraction(*mpmath.libmp.to_rational(x._mpf_))
     return Fraction(x)
+
+
+def encloses(x, value) -> bool:
+    """True when the exact ends of the enclosure x hold the exact `value`
+    (an int, float, Fraction or mpmath mpf)."""
+    lo, hi = x.ends
+    return lo <= exact(value) <= hi
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -27,7 +27,7 @@ from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 from gvforge import translate as tr
 
-from conftest import basis_mp, box_mp, embed_mp, exact, norm_gap_check
+from conftest import basis_mp, box_mp, embed_mp, encloses, exact, norm_gap_check
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145  # floor(exp(29)) + 1, the smallest eligible q
@@ -50,7 +50,7 @@ def test_criterion_1_certify_reference_scales():
     w = cfl.witness
     ratio = w.D_log / encl.enc(2 * w.k)
     with mp.workdps(50):
-        ratio_hi = float(encl.upper(ratio))
+        ratio_hi = float(ratio.ends[1])
 
     below = bd.certify(Q_FLOOR - 1)
     failing_below = [c.name for c in below.checks if c.status == "fail"]
@@ -85,7 +85,7 @@ def test_criterion_2_rate_separation_at_half():
     margin = nfc - gv
     verdict = encl.gt_status(margin, 0)
     with mp.workdps(50):
-        lo = encl.lower(margin)
+        lo = margin.ends[0]
         wd = encl.width(margin)
         mid = float(encl.midpoint(margin))
         rel = float(wd / lo) if lo > 0 else float("inf")
@@ -236,7 +236,7 @@ def test_criterion_6_tower_base_discriminant():
     cg = qf.class_group_imaginary(K)
     cert = qf.golod_shafarevich_check(K, cg.two_rank, 0)
     with mp.workdps(60):
-        thr_ok = encl.contains(cert.threshold, exact(2 + 2 * mp.sqrt(2)))
+        thr_ok = encloses(cert.threshold, 2 + 2 * mp.sqrt(2))
     ok = (cg.h == 1536 and cg.two_rank == 7 and cert.passes and thr_ok
           and (cg.two_rank - 2) ** 2 >= 4 * (0 + K.archimedean_places + 1))
     _report(6, ok,
@@ -284,7 +284,7 @@ def test_criterion_7_final_inequality_tail():
     for e in samples:
         sides = bd._final_inequality_sides(e)
         with mp.workdps(60):
-            if not all(encl.contains(s, exact(v)) for s, v in
+            if not all(encloses(s, v) for s, v in
                        zip(sides, final_inequality_sides_mp(e))):
                 not_enclosed.append(e)
     ok = (not below_guard and argmin == 125 and min_margin > 0

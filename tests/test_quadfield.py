@@ -16,7 +16,8 @@ from gvforge import numtheory as nt
 from gvforge import quadfield as qf
 from gvforge.errors import CapacityError, DomainError
 
-from conftest import exact, reduced_forms_oracle, trial_division_is_prime
+from conftest import (encloses, exact, reduced_forms_oracle,
+                      trial_division_is_prime)
 
 
 def oracle_is_fundamental(D: int) -> bool:
@@ -340,7 +341,7 @@ def test_golod_shafarevich_imaginary():
     # threshold is 2 + 2*sqrt(2): enclosure must contain the true value
     with mpmath.workdps(60):
         true = exact(2 + 2 * mpmath.mpf(2) ** mpmath.mpf("0.5"))
-    assert encl.lower(cert.threshold) <= true <= encl.upper(cert.threshold)
+    assert encloses(cert.threshold, true)
     assert encl.width(cert.threshold) < exact(mpmath.mpf("1e-30"))
     assert not qf.golod_shafarevich_check(K, 4, 0).passes  # 4 < 2 + 2*sqrt(2)
     assert qf.golod_shafarevich_check(K, 5, 0).passes      # 9 >= 8
