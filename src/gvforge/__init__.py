@@ -4,8 +4,9 @@ Modules: numtheory (exact sieve tables and enclosed analytic quantities),
 quadfield (fields, splitting, class groups, tower criterion), lenstra
 (lattice boxes and the words of their points), translate (the translate
 search and the codes construct builds), codefile (code files read back and
-verified), bounds (rate bounds, schedules, certificates), cli
-(command-line front end), enclosure (interval substrate), errors (the
+verified), bounds (rate bounds, schedules, certificates), sweep (the
+witness search over many deltas), cli (command-line front end), enclosure
+(interval substrate) with dyadic (its integer kernel), errors (the
 exception types). Import the module you need, as in
 `from gvforge import bounds`; the package itself imports none of them.
 The package depends on no third-party package: `enclosure` is its own

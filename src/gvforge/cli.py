@@ -9,13 +9,14 @@ check, 3 capacity refusal or running out of memory. Given identical
 arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
-loads only the exception types. `bounds` and `certify` load bounds,
-numtheory and enclosure, and json for JSON output; `construct` loads
-lenstra, translate and quadfield, and `verify` lenstra, codefile and
-quadfield, so neither compiles the other's half of the construction;
-`tower` loads quadfield and enclosure. The package has no third-party
-dependency, so no command loads numpy or mpmath, and `bounds` writes CSV
-without the csv module.
+loads only the exception types. `certify` loads bounds, numtheory and
+enclosure with its kernel dyadic, and json for JSON output; `bounds` loads
+these and the sweep; `construct` loads lenstra, translate and quadfield,
+and `verify` lenstra, codefile and quadfield, so neither compiles the
+other's half of the construction; `tower` loads quadfield and enclosure.
+The package has no third-party dependency, so no command loads numpy or
+mpmath, and `bounds` writes CSV without the csv module. Its delta column
+prints each delta exactly: as a decimal when one terminates, else as a/b.
 """
 
 import argparse
@@ -168,9 +169,18 @@ def _parse_factors(text: Optional[str]):
         raise DomainError("bad --factors list %r" % text)
 
 
+def _delta_text(delta) -> str:
+    """delta in (0, 1) as its exact decimal when that terminates, else a/b."""
+    num, den = delta.numerator, delta.denominator
+    k = den.bit_length()  # 10^k is a multiple of den when den = 2^a 5^b
+    if 10 ** k % den:
+        return "%d/%d" % (num, den)
+    return "0." + str(num * 10 ** k // den).zfill(k).rstrip("0")
+
+
 def cmd_bounds(args) -> int:
-    from . import bounds as bd
     from . import enclosure as enc
+    from . import sweep
     deltas = []
     if args.delta:
         deltas.extend(args.delta)
@@ -185,11 +195,11 @@ def cmd_bounds(args) -> int:
         raise DomainError("provide --delta or --delta-grid")
     rows = []
     for q in args.q:
-        for pt in bd.bound_points(q, deltas, budget=args.budget):
+        for pt in sweep.bound_points(q, deltas, budget=args.budget):
             w = pt.witness
             rows.append({
                 "q": q,
-                "delta": "%s" % float(pt.delta),
+                "delta": _delta_text(pt.delta),
                 "gv": enc.fmt(pt.gv, 15),
                 "plotkin": enc.fmt(pt.plotkin, 15),
                 "nfc": enc.fmt(pt.nfc, 15) if pt.nfc is not None else "",

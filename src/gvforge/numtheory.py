@@ -34,7 +34,7 @@ from .errors import CapacityError, DomainError
 HARD_SIEVE_CAP = 1 << 32
 _MIN_WINDOW = 1 << 19  # least and greatest slots per sieve segment
 _MAX_WINDOW = 1 << 21
-_REFILL = 1 << 16  # bytes of the block that refills a segment with ones
+_REFILL = 1 << 16  # bytes of the blocks that refill and strike a segment
 
 
 def check_cap(limit: int) -> None:
@@ -62,8 +62,10 @@ def _segments(start: int, stop: int, step: int, base: list):
     least sqrt(stop), ascending. Each segment holds `_segment_length(base)`
     slots, the last one fewer. One buffer holds every segment in turn, so
     the caller must be done with a segment before it asks for the next. It
-    is refilled with ones from a small block, and multiples are struck from
-    a zero buffer a third of its size, since the least base prime is 3.
+    is refilled with ones from a block of _REFILL bytes, and multiples are
+    struck from a zero block of the same size: a prime with more multiples
+    in the segment than the block holds (p < 8 at 2^19 slots) is struck a
+    block's length at a time.
 
     Offsets are carried: a prime joins once p^2 falls inside the current
     segment, with the slot of its first multiple p*m at or past max(lo, p^2)
@@ -78,7 +80,7 @@ def _segments(start: int, stop: int, step: int, base: list):
         n = (min(lo + step * width, stop + 1) - lo + step - 1) // step
         if seg is None:
             seg = bytearray(b"\x01") * n
-            zeros = memoryview(bytes(n // 3 + 1))
+            zeros = memoryview(bytes(min(n, _REFILL)))
             ones = memoryview(b"\x01" * min(n, _REFILL))
         else:
             del seg[n:]
@@ -91,7 +93,12 @@ def _segments(start: int, stop: int, step: int, base: list):
             m += (start * p - m) % step
             offsets.append((p * m - lo) // step)
         for k, (p, i) in enumerate(zip(base, offsets)):
-            seg[i::p] = zeros[:(n - 1 - i) // p + 1]
+            count = (n - 1 - i) // p + 1
+            if count <= _REFILL:
+                seg[i::p] = zeros[:count]
+            else:  # p < n / _REFILL: a block's length of strikes at a time
+                for j in range(0, count, _REFILL):
+                    seg[i + p * j:i + p * (j + _REFILL):p] = zeros[:count - j]
             offsets[k] = (i - n) % p
         yield lo, seg
 

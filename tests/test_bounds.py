@@ -19,6 +19,7 @@ from mpmath import mp
 from gvforge import bounds as bd
 from gvforge import enclosure as encl
 from gvforge import numtheory as nt
+from gvforge import sweep as sw
 from gvforge.errors import ConditionFailure, DomainError
 
 from conftest import encloses, exact, first_primes_oracle, inert_count_oracle
@@ -250,8 +251,9 @@ import mpmath
 if sys.argv[1] == "50":
     mpmath.mp.dps = 50
 from gvforge import bounds
+from gvforge.sweep import bound_points
 cert = bounds.certify(10 ** 16)
-sweep = bounds.bound_points(2 ** 30, [Fraction(i, 20) for i in range(1, 20)])
+sweep = bound_points(2 ** 30, [Fraction(i, 20) for i in range(1, 20)])
 print(json.dumps([[list(c.as_dict().values()) for c in cert.checks],
                   repr(cert.witness), [repr(p.witness) for p in sweep]]))
 """
@@ -331,7 +333,7 @@ def test_inert_count_sieves_only_the_window(monkeypatch):
     assert sieved and max(sieved) < 10 ** 5
     calls.clear()
     sieved.clear()
-    bd.bound_points(Q42, [Fraction(1, 2)], budget=6)
+    sw.bound_points(Q42, [Fraction(1, 2)], budget=6)
     assert len(calls) == 1 and len(calls[0]) > 1
     assert len(sieved) == 1 and max(sieved) < 10 ** 5  # one prime list
 
@@ -455,18 +457,18 @@ def test_search_params_no_witness_small_q():
 
 
 def test_bound_points():
-    pt, = bd.bound_points(64, [Fraction(1, 2)])
+    pt, = sw.bound_points(64, [Fraction(1, 2)])
     assert pt.nfc is None and pt.witness is None
     assert encl.midpoint(pt.gv) > 0
     assert encloses(pt.plotkin, 1 - Fraction(1, 2) * Fraction(64, 63))
-    pt, = bd.bound_points(10 ** 8, [Fraction(1, 2)])
+    pt, = sw.bound_points(10 ** 8, [Fraction(1, 2)])
     assert pt.witness is not None
     assert encl.le_status(pt.nfc, pt.plotkin) == encl.PASS
-    assert bd.bound_points(10 ** 8, []) == []
+    assert sw.bound_points(10 ** 8, []) == []
     with pytest.raises(DomainError):
-        bd.bound_points(10 ** 8, [Fraction(1, 2), 1])
+        sw.bound_points(10 ** 8, [Fraction(1, 2), 1])
     with pytest.raises(DomainError):
-        bd.bound_points(10 ** 8, [Fraction(1, 2)], budget=0)
+        sw.bound_points(10 ** 8, [Fraction(1, 2)], budget=0)
 
 
 def reference_witnesses(q, budget):
@@ -514,7 +516,7 @@ def test_candidates_count_each_window_in_the_union(q):
     """Each (r, ell) count read off the one union sieve equals the count of
     its own window. At q = 1000, p_8 = 19 lies inside the union window
     [16, 31], so the count must start after p_ell, not at it."""
-    got = [w for w, _, _ in bd._candidates(q, 6)]
+    got = [w for w, _, _ in sw._candidates(q, 6)]
     assert got == reference_witnesses(q, 6)
     assert bool(got) == (q > 100)
 
@@ -526,7 +528,7 @@ def test_primorials_match_the_trial_division_oracle(q):
     encloses its 60-digit mpmath log. certify's log D has the same endpoints
     as the search's at the same ell."""
     searched = {}
-    for w, _, dlog_2k in bd._candidates(q, 6):
+    for w, _, dlog_2k in sw._candidates(q, 6):
         assert dlog_2k.ends == (w.D_log / (2 * w.k)).ends
         searched.setdefault(w.ell, []).append(w)
     cert = bd.certify(q).witness
@@ -569,10 +571,11 @@ ORDER = """
 import sys
 from fractions import Fraction
 from gvforge import bounds
+from gvforge.sweep import bound_points
 def certificate():
     return repr(bounds.certify(10 ** 16).as_dict())
 def sweep():
-    return repr([(p.witness, p.nfc, p.gv, p.plotkin) for p in bounds.bound_points(
+    return repr([(p.witness, p.nfc, p.gv, p.plotkin) for p in bound_points(
         2 ** 30, [Fraction(i, 10) for i in range(1, 10)])])
 runs = [certificate, sweep]
 if sys.argv[1] == "sweep first":
@@ -599,7 +602,7 @@ def test_results_do_not_depend_on_which_runs_first():
 def test_bound_points_match_the_per_delta_search(q, budget):
     # delta = 1 - 1/q is past the point where gv is exactly 0
     deltas = [Fraction(i, 20) for i in range(1, 20)] + [Fraction(q - 1, q)]
-    got = bd.bound_points(q, deltas, budget=budget)
+    got = sw.bound_points(q, deltas, budget=budget)
     assert [pt.delta for pt in got] == deltas
     assert got[-1].gv.ends == encl.iv.mpf(0).ends
     witnesses = reference_witnesses(q, budget)

@@ -74,6 +74,22 @@ def test_bounds_multiple_q_and_delta(capsys):
         ("16", "0.25"), ("16", "0.5"), ("64", "0.25"), ("64", "0.5")]
 
 
+def test_bounds_prints_a_delta_that_does_not_terminate_as_a_fraction(capsys):
+    """A delta with a prime factor other than 2 and 5 in its denominator has
+    no exact decimal, so it prints as a/b, in CSV and in JSON; the others
+    print as their exact decimal."""
+    argv = ["bounds", "--q", "1048576", "--delta", "1/3", "--delta", "1/7",
+            "--delta", "1/1024"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [r["delta"] for r in csv.DictReader(io.StringIO(out))] == [
+        "1/3", "1/7", "0.0009765625"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert [r["delta"] for r in json.loads(out)] == [
+        "1/3", "1/7", "0.0009765625"]
+
+
 def test_bounds_large_budget_stops_once_r_reaches_q(capsys):
     """Past the i where ceil((1 - 2^-i)^2 q) reaches q every r is q again,
     so a huge budget lists the same candidates as a budget of 64."""
@@ -153,7 +169,7 @@ def test_bounds_refuses_a_delta_grid_past_the_cap(capsys, monkeypatch):
     assert code == 0 and err == ""
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == n
-    assert rows[-1]["delta"] == "%s" % float(Fraction(n, n + 1))
+    assert rows[-1]["delta"] == "%d/%d" % (n, n + 1)
     code, out, err = run(capsys, "bounds", "--q", "4", "--delta-grid",
                          "1/%d:%d/%d:1/%d" % (n + 2, n + 1, n + 2, n + 2))
     assert (code, out) == (3, "")

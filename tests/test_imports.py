@@ -17,8 +17,9 @@ is imported only inside the functions that use it, and the CLI imports
 each module inside the commands that need it: no command loads numpy or
 mpmath, and `import gvforge.cli` loads no other module of the package
 than `gvforge.errors`. Each command loads only the package modules it
-runs, and none that `construct` or `verify` loads compiles with a larger
-traced peak than `enclosure`. No module reads the
+runs, only `bounds` loads `sweep`, and none that `certify`, `bounds` or
+`tower` loads compiles with a larger traced peak than `lenstra`. Only
+`enclosure` imports its integer kernel `dyadic`. No module reads the
 environment, so no setting hides in a variable, and none keeps state
 between calls: no `global` statement and no `functools.cache` or
 `lru_cache` memo.
@@ -158,9 +159,11 @@ def test_lenstra_imports_no_interval_arithmetic():
         assert not {"enclosure", "mpmath"} & imported_modules(source), name
 
 
-# modules that `import gvforge.cli`, `certify` and `bounds` load; none may
-# import numpy, lenstra or quadfield at module level
-NUMPY_FREE = ("numtheory", "bounds", "enclosure", "errors", "cli")
+# modules that `import gvforge.cli`, `certify`, `bounds` and `tower` load,
+# `quadfield` aside; none may import numpy, lenstra or quadfield at module
+# level
+NUMPY_FREE = ("numtheory", "bounds", "sweep", "enclosure", "dyadic",
+              "errors", "cli")
 
 
 def module_level_imports(source: str) -> set:
@@ -283,7 +286,8 @@ print(json.dumps([rc, [m for m in ("numpy", "mpmath", "csv")
 """
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CODE_LOADS = ["cli", "errors", "lenstra", "numtheory", "quadfield"]
-BOUNDS_LOADS = ["bounds", "cli", "enclosure", "errors", "numtheory"]
+CERTIFY_LOADS = ["bounds", "cli", "dyadic", "enclosure", "errors", "numtheory"]
+TOWER_LOADS = ["cli", "dyadic", "enclosure", "errors", "numtheory", "quadfield"]
 
 
 @pytest.mark.parametrize("argv, rc, loaded, package", [
@@ -294,18 +298,18 @@ BOUNDS_LOADS = ["bounds", "cli", "enclosure", "errors", "numtheory"]
      sorted(CODE_LOADS + ["codefile"])),
     (["construct", "--disc", "-4", "--r", "9", "--q", "13", "--G", "1"], 0,
      [], sorted(CODE_LOADS + ["translate"])),
-    (["certify", "--q", str(2 ** 42)], 0, [], BOUNDS_LOADS),
+    (["certify", "--q", str(2 ** 42)], 0, [], CERTIFY_LOADS),
     (["bounds", "--q", "1048576", "--q", "1073741824", "--delta-grid",
-      "1/10:9/10:1/10"], 0, [], BOUNDS_LOADS),
-    (["tower", "--disc", "-19399380"], 0, [],
-     ["cli", "enclosure", "errors", "numtheory", "quadfield"]),
+      "1/10:9/10:1/10"], 0, [], sorted(CERTIFY_LOADS + ["sweep"])),
+    (["tower", "--disc", "-19399380"], 0, [], TOWER_LOADS),
 ], ids=("import", "verify", "verify_tampered", "construct", "certify",
         "bounds", "tower"))
 def test_commands_load_only_what_they_use(argv, rc, loaded, package):
     """In a fresh interpreter, neither `import gvforge.cli` nor any command
     loads numpy, mpmath or csv: `bounds` joins its CSV fields itself. Each
     loads only the package modules it runs: `construct` compiles no
-    codefile and `verify` no translate, the halves split from lenstra."""
+    codefile and `verify` no translate, the halves split from lenstra, and
+    only `bounds` compiles the sweep."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,
@@ -324,16 +328,28 @@ def compile_peak(name: str) -> int:
         tracemalloc.stop()
 
 
-def test_code_commands_compile_no_module_larger_than_enclosure():
+def test_certificate_commands_compile_no_module_larger_than_lenstra():
     """Without a bytecode cache, every command compiles each module it
     loads, and the largest compile sets a floor under its peak RSS. Each
-    module that `construct` or `verify` loads compiles below `enclosure`,
-    the largest that `certify`, `bounds` and `tower` compile, so growth
-    in one of them shows here before it shows in the code commands' peak."""
-    limit = compile_peak("enclosure")
+    module that `certify`, `bounds` or `tower` loads compiles below
+    `lenstra`, which `construct` and `verify` both compile, so growth in
+    one of them shows here before it shows in the certificate commands'
+    peak."""
+    limit = compile_peak("lenstra")
     peaks = {name: compile_peak(name)
-             for name in CODE_LOADS + ["translate", "codefile"]}
+             for name in set(CERTIFY_LOADS + TOWER_LOADS + ["sweep"])}
     assert {name: peak for name, peak in peaks.items() if peak >= limit} == {}
+
+
+def test_only_enclosure_imports_the_dyadic_kernel():
+    """`dyadic` is `enclosure`'s integer half: every other module goes
+    through `enclosure`, and `lenstra`, `translate` and `codefile` import
+    neither `dyadic` nor `sweep`."""
+    for path in SOURCES:
+        parts = imported_modules(path.read_text())
+        assert ("dyadic" in parts) == (path.name == "enclosure.py"), path.name
+        if path.stem in ("lenstra", "translate", "codefile"):
+            assert not {"dyadic", "sweep"} & parts, path.name
 
 
 ENVIRONMENT = ("environ", "getenv")

@@ -264,9 +264,10 @@ def test_inert_counts_at_many_lows(data):
 
 
 def test_inert_counts_memory_stays_within_a_segment():
-    """At q = 10^16 the window sieve holds one 2^19-slot segment, its zero
-    buffer and the offsets of 1,228 base primes: a traced peak under 1.5
-    MiB, which a 2^21-slot segment and its zero buffer (2.7 MiB) exceed."""
+    """At q = 10^16 the window sieve holds one 2^19-slot segment, its two
+    64 KiB blocks and the offsets of 1,228 base primes: a traced peak under
+    0.85 MiB, which a zero buffer of a third of the segment (0.98 MiB in
+    all) exceeds, and a 2^21-slot segment (2.7 MiB) far more."""
     tracemalloc.start()
     try:
         counts = nt.inert_counts(10 ** 16, [307, 69_900_000])
@@ -274,7 +275,30 @@ def test_inert_counts_memory_stays_within_a_segment():
     finally:
         tracemalloc.stop()
     assert counts == [2880918, 824353]
-    assert peak < 1.5 * 2 ** 20, peak
+    assert peak < 0.85 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("block, window", [(2, None), (3, None), (5, 16)])
+def test_chunked_strikes_match_the_oracles(monkeypatch, rng, block, window):
+    """With the blocks patched down to a few bytes, every prime with more
+    multiples in a segment than a block holds is struck a block's length
+    at a time, and each segment is refilled in as many pieces. Seeded
+    limits and windows, in full 2^19-slot segments and in short ones, still
+    give the odd primes of the bytearray sieve and the inert counts of the
+    numpy oracle."""
+    monkeypatch.setattr(nt, "_REFILL", block)
+    top = SEGMENT_SPAN  # two step-2 segments, or one step-4 segment
+    if window:
+        fix_segment_length(monkeypatch, window)
+        top = 4000
+    for limit in [rng.randrange(2, 3000) for _ in range(4)] + [
+            top // 2 + rng.randrange(-9, 10)]:
+        assert nt._odd_primes(limit) == bytearray_primes(limit)[1:], limit
+    hi = rng.randrange(1000, top)
+    q = hi * hi + rng.randrange(2 * hi + 1)
+    lows = [rng.randrange(hi + 4) for _ in range(6)]
+    assert nt.inert_counts(q, lows) == [inert_count_oracle(q, 1, lo - 1)
+                                        for lo in lows]
 
 
 def test_table_for_stops_at_x():
