@@ -1,18 +1,19 @@
 """Exact prime tables and certified analytic number theory helpers.
 
-Primes come from one segmented sieve of Eratosthenes over an odd arithmetic
-progression (the odd numbers, or the numbers = 3 (mod 4)), on bytearray
-segments, with no numpy. Each base prime's next multiple is carried from
-one segment to the next as an offset, and the segment length follows the
-number of base primes: 2^19 slots up to 2,048 of them (q <= 10^16 has
-1,228), 2^20 up to 4,096 and 2^21 beyond (the 2^32 cap has 6,541), so a
-small sieve stays in cache and a large one pays each prime's step over
-more slots. The module keeps no state between calls: each
-caller sieves exactly the primes it asks for, as an `array('I')` (exact
-below the 2^32 hard cap), either every prime up to a limit or the first n
-primes. The inert window of the construction is only counted, never
-listed: one pass over its class 3 (mod 4), with its own base primes, counts
-the primes above each of several lower ends at once.
+Primes come from one segmented sieve of Eratosthenes over arithmetic
+progressions (the odd numbers, or the classes 7 and 11 (mod 12)), on one
+bytearray buffer, with no numpy. Each base prime's next multiple is
+carried from one segment to the next as an offset, and the segment length
+follows the number of base primes: 2^18 slots up to 2,048 of them (q <=
+10^16 has 1,228), 2^19 up to 4,096, 2^20 up to 8,192 (the 2^32 cap has
+6,541) and 2^21 beyond, so a small sieve stays in cache and a large one
+pays each prime's step over more slots. The module keeps no state between
+calls: each caller sieves exactly the primes it asks for, as an
+`array('I')` (exact below the 2^32 hard cap), either every prime up to a
+limit or the first n primes. The inert window of the construction is only
+counted, never listed: one pass over the classes 7 and 11 (mod 12), which
+hold every prime = 3 (mod 4) but 3, with its own base primes, counts the
+primes above each of several lower ends at once by popcount.
 Chebyshev theta is returned as an interval enclosure from `enclosure`,
 which `chebyshev_theta` imports itself, so that the sieve and the exact
 helpers load no interval code. The primorial D = 4 p_1 ... p_ell of a
@@ -32,9 +33,9 @@ from itertools import accumulate, compress
 from .errors import CapacityError, DomainError
 
 HARD_SIEVE_CAP = 1 << 32
-_MIN_WINDOW = 1 << 19  # least and greatest slots per sieve segment
+_MIN_WINDOW = 1 << 18  # least and greatest slots per sieve segment
 _MAX_WINDOW = 1 << 21
-_REFILL = 1 << 16  # bytes of the blocks that refill and strike a segment
+_REFILL = 1 << 14  # bytes of the blocks that fill, strike and count a segment
 
 
 def check_cap(limit: int) -> None:
@@ -46,61 +47,73 @@ def check_cap(limit: int) -> None:
 
 def _segment_length(base: list) -> int:
     """Slots per segment of a sieve with base primes `base`: the least power
-    of two >= 256 len(base), clamped to [_MIN_WINDOW, _MAX_WINDOW]. Few base
+    of two >= 128 len(base), clamped to [_MIN_WINDOW, _MAX_WINDOW]. Few base
     primes leave a short segment that stays in cache; many keep it long, so
     each prime's step into a segment is paid over more slots."""
-    n = 1 << (256 * len(base) - 1).bit_length()
+    n = 1 << (128 * len(base) - 1).bit_length()
     return min(max(n, _MIN_WINDOW), _MAX_WINDOW)
 
 
-def _segments(start: int, stop: int, step: int, base: list):
-    """Yield (lo, seg) over the progression start, start + step, ... <= stop:
-    seg[j] is 1 when no prime in `base` divides lo + step*j, apart from the
-    base primes themselves, and 0 otherwise.
+def _fill(seg: bytearray, a: int, b: int, step: int, block: memoryview):
+    """Set seg[a:b:step] to the byte `block` repeats, a block's length of
+    slots at a time, without resizing seg."""
+    for j in range(a, b, step * len(block)):
+        seg[j:min(j + step * len(block), b):step] = block[
+            :(b - 1 - j) // step + 1]
 
-    step is 2 or 4 and start is odd; `base` holds the odd primes up to at
-    least sqrt(stop), ascending. Each segment holds `_segment_length(base)`
-    slots, the last one fewer. One buffer holds every segment in turn, so
-    the caller must be done with a segment before it asks for the next. It
-    is refilled with ones from a block of _REFILL bytes, and multiples are
-    struck from a zero block of the same size: a prime with more multiples
-    in the segment than the block holds (p < 8 at 2^19 slots) is struck a
-    block's length at a time.
+
+def _segments(starts, stop, step, base):
+    """Yield (lo, seg) over the progressions start, start + step, ... <= stop,
+    one start of `starts` after another: seg[j] is 1 when lo + step*j <= stop
+    and no prime in `base` divides it, apart from the base primes
+    themselves, and 0 otherwise.
+
+    step is 2 or 12; `base` holds, ascending, the primes up to at least
+    sqrt(stop) that do not divide step. Each segment holds
+    `_segment_length(base)` slots, or as many as the longest progression
+    when it is shorter. One buffer holds every segment of every progression
+    in turn, and is never resized, so the caller must be done with a
+    segment before it asks for the next: a short last segment strikes only
+    its first n slots and zeroes the rest. The buffer is refilled with ones
+    from a block of at most _REFILL bytes, and multiples are struck from a
+    zero block of the same size: a prime with more multiples in the segment
+    than the block holds (p < 16 at 2^18 slots) is struck a block's length
+    at a time.
 
     Offsets are carried: a prime joins once p^2 falls inside the current
     segment, with the slot of its first multiple p*m at or past max(lo, p^2)
-    in the progression, m = start*p (mod step) since p^2 = 1 (mod 8). Its
-    multiples then follow every p slots, so after striking a segment of n
-    slots from offset i < n + p, the next segment's offset is (i - n) mod p.
+    in the progression, m = start*p (mod step) since p^2 = 1 (mod 24) for
+    every prime p >= 5 (and p^2 = 1 (mod 2) for step 2). Its multiples then
+    follow every p slots, so after striking a segment of n slots from
+    offset i < n + p, the next segment's offset is (i - n) mod p.
     """
     width = _segment_length(base)
-    seg = None
-    offsets = []  # of the base primes base[:len(offsets)] whose p^2 <= end
-    for lo in range(start, stop + 1, step * width):
-        n = (min(lo + step * width, stop + 1) - lo + step - 1) // step
-        if seg is None:
-            seg = bytearray(b"\x01") * n
-            zeros = memoryview(bytes(min(n, _REFILL)))
-            ones = memoryview(b"\x01" * min(n, _REFILL))
-        else:
-            del seg[n:]
-            for k in range(0, n, _REFILL):
-                seg[k:k + _REFILL] = ones[:n - k]
-        end = lo + step * (n - 1)
-        while len(offsets) < len(base) and base[len(offsets)] ** 2 <= end:
-            p = base[len(offsets)]
-            m = -(-max(lo, p * p) // p)
-            m += (start * p - m) % step
-            offsets.append((p * m - lo) // step)
-        for k, (p, i) in enumerate(zip(base, offsets)):
-            count = (n - 1 - i) // p + 1
-            if count <= _REFILL:
-                seg[i::p] = zeros[:count]
-            else:  # p < n / _REFILL: a block's length of strikes at a time
-                for j in range(0, count, _REFILL):
-                    seg[i + p * j:i + p * (j + _REFILL):p] = zeros[:count - j]
-            offsets[k] = (i - n) % p
-        yield lo, seg
+    size = min(width, (stop - min(starts)) // step + 1)
+    if size < 1:
+        return
+    seg = bytearray(size)
+    ones = memoryview(b"\x01" * min(size, _REFILL))
+    zeros = memoryview(bytes(len(ones)))
+    for start in starts:
+        offsets = []  # of the base primes base[:len(offsets)] whose p^2 <= end
+        for lo in range(start, stop + 1, step * width):
+            n = min(width, (stop - lo) // step + 1)
+            _fill(seg, 0, n, 1, ones)
+            _fill(seg, n, size, 1, zeros)
+            end = lo + step * (n - 1)
+            while len(offsets) < len(base) and base[len(offsets)] ** 2 <= end:
+                p = base[len(offsets)]
+                m = -(-max(lo, p * p) // p)
+                m += (start * p - m) % step
+                offsets.append((p * m - lo) // step)
+            for k, (p, i) in enumerate(zip(base, offsets)):
+                count = (n - 1 - i) // p + 1
+                if count <= len(zeros):  # count >= 0, as i < n + p
+                    seg[i:n:p] = zeros[:count]
+                else:  # p < n / len(zeros): a block's length at a time
+                    _fill(seg, i, n, p, zeros)
+                offsets[k] = (i - n) % p
+            yield lo, seg
 
 
 def _survivors(lo: int, seg: bytearray, step: int):
@@ -113,7 +126,7 @@ def _odd_primes(n: int) -> list:
     n^2."""
     if n < 3:
         return []
-    return [p for lo, seg in _segments(3, n, 2, _odd_primes(math.isqrt(n)))
+    return [p for lo, seg in _segments([3], n, 2, _odd_primes(math.isqrt(n)))
             for p in _survivors(lo, seg, 2)]
 
 
@@ -130,7 +143,7 @@ def sieve_primes(limit: int) -> array:
         raise DomainError("sieve limit must be >= 2, got %r" % limit)
     check_cap(limit)
     primes = array("I")
-    for lo, seg in _segments(1, limit, 2, _odd_primes(math.isqrt(limit))):
+    for lo, seg in _segments([1], limit, 2, _odd_primes(math.isqrt(limit))):
         primes.extend(_survivors(lo, seg, 2))
     primes[0] = 2
     return primes
@@ -163,11 +176,14 @@ def inert_counts(q: int, lows) -> list:
     """For each lo in `lows`, the number of primes p = 3 (mod 4) with
     lo <= p <= isqrt(q): the candidate inert primes of the construction.
 
-    One count-only pass sieves the class 3 (mod 4) of [min(lows), isqrt(q)],
-    with base primes up to q^(1/4); no prime is kept. The distinct lows cut
-    the window into stretches, each segment counts its part of every
-    stretch once, and suffix sums give the count at each low. isqrt(q) must
-    be within the sieve cap unless no low reaches it.
+    Every such prime but 3 is 7 or 11 (mod 12). One count-only pass sieves
+    those two classes of [min(lows), isqrt(q)], one after the other in one
+    buffer, with the primes from 5 up to q^(1/4) as base primes; no prime is
+    kept, and 3 is counted on its own when a low reaches it. The distinct
+    lows cut the window into stretches, each segment's ones are counted once
+    per stretch it meets, by popcount, and suffix sums give the count at
+    each low. isqrt(q) must be within the sieve cap unless no low reaches
+    it.
     """
     lows = [max(int(lo), 3) for lo in lows]
     hi = math.isqrt(q)
@@ -175,18 +191,25 @@ def inert_counts(q: int, lows) -> list:
     if not edges:
         return [0] * len(lows)
     check_cap(hi)
-    start = edges[0] + (3 - edges[0]) % 4
     stretch = [0] * len(edges)  # primes in [edges[i], edges[i + 1])
-    for lo, seg in _segments(start, hi, 4, _odd_primes(math.isqrt(hi))):
+    stretch[0] = int(edges[0] == 3)
+    starts = [edges[0] + (c - edges[0]) % 12 for c in (7, 11)]
+    base = _odd_primes(math.isqrt(hi))[1:]  # 3 divides the step
+    for lo, seg in _segments(starts, hi, 12, base):
         n = len(seg)
-        top = lo + 4 * n
-        # slot j holds lo + 4*j; the first slot >= v is ceil((v - lo)/4)
+        top = lo + 12 * n
+        # slot j holds lo + 12*j; the first slot >= v is ceil((v - lo)/12)
         i = bisect_right(edges, lo) - 1
-        while i < len(edges) and edges[i] < top:
-            a = max((edges[i] - lo + 3) // 4, 0)
-            b = (edges[i + 1] - lo + 3) // 4 if i + 1 < len(edges) else n
-            stretch[i] += seg.count(1, a, min(b, n))
-            i += 1
+        with memoryview(seg) as view:
+            while i < len(edges) and edges[i] < top:
+                a = max((edges[i] - lo + 11) // 12, 0)
+                b = (edges[i + 1] - lo + 11) // 12 if i + 1 < len(edges) else n
+                b = min(b, n)
+                # the popcount of each block of _REFILL 0/1 bytes as one int
+                stretch[i] += sum(
+                    int.from_bytes(view[j:min(j + _REFILL, b)], "little")
+                    .bit_count() for j in range(a, b, _REFILL))
+                i += 1
     above = dict(zip(reversed(edges), accumulate(reversed(stretch))))
     return [above.get(lo, 0) for lo in lows]
 
@@ -327,8 +350,7 @@ def int_nth_root(n: int, k: int) -> int:
 
 
 # an integer or a/b with b > 0, and in group 1 a plain decimal
-_RATIONAL = re.compile(
-    r"-?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|([0-9]*\.[0-9]+|[0-9]+\.))")
+_RATIONAL = r"-?(?:[0-9]+(?:/[0-9]*[1-9][0-9]*)?|([0-9]*\.[0-9]+|[0-9]+\.))"
 RATIONAL_CHARS = 200
 
 
@@ -341,7 +363,7 @@ def parse_rational(text: str, decimals: bool = True):
     RATIONAL_CHARS are refused before any Fraction is built, so no text
     makes the parser build a large power of ten or a long integer.
     """
-    m = _RATIONAL.fullmatch(text) if len(text) <= RATIONAL_CHARS else None
+    m = re.fullmatch(_RATIONAL, text) if len(text) <= RATIONAL_CHARS else None
     if m is None or (m.group(1) and not decimals):
         return None
     return Fraction(text)

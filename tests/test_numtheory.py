@@ -70,9 +70,12 @@ def test_sieve_small_lists():
         nt.sieve_primes(1)
 
 
-# the step-2 segments start at the odd numbers 1 + 2k * _MIN_WINDOW: up to
-# 2^23 + 2, the base primes are too few to lengthen a segment
-WINDOW_EDGES = [1 + 2 * k * nt._MIN_WINDOW + d for k in (1, 2, 4, 8)
+# the values one step-12 segment of the window sieve spans, a class at a
+# time, and the step-2 segment edges of the prime lists, at the odd numbers
+# 1 + 2k * _MIN_WINDOW: up to 2^23 + 2 and to 10^6 + 3 * SEGMENT_SPAN, the
+# base primes are too few to lengthen a segment
+SEGMENT_SPAN = 12 * nt._MIN_WINDOW
+WINDOW_EDGES = [1 + 2 * k * nt._MIN_WINDOW + d for k in (1, 2, 4, 8, 16)
                 for d in (-2, -1, 0, 1)]
 
 
@@ -83,16 +86,17 @@ def fix_segment_length(monkeypatch, window):
 
 
 def test_segment_length_follows_the_base_primes():
-    """The least power of two >= 256 per base prime, in [2^19, 2^21]: the
-    floor up to q = 10^16 (1,228 odd base primes) and the ceiling at the
-    sieve cap, 2^32 (6,541). The segment edges the tests below straddle
-    are multiples of the floor."""
+    """The least power of two >= 128 per base prime, in [2^18, 2^21]: the
+    floor up to q = 10^16 (1,228 odd base primes) and past it up to 2,048,
+    and 2^20 at the sieve cap, 2^32 (6,541). The segment edges the tests
+    below straddle are multiples of the floor."""
     for limit in (WINDOW_EDGES[-1], 10 ** 6 + 3 + 3 * SEGMENT_SPAN):
         base = nt._odd_primes(math.isqrt(limit))
-        assert nt._segment_length(base) == nt._MIN_WINDOW == 1 << 19
-    for count, length in ((0, 1 << 19), (1228, 1 << 19), (2048, 1 << 19),
-                          (2049, 1 << 20), (4096, 1 << 20), (4097, 1 << 21),
-                          (6541, 1 << 21), (10 ** 6, 1 << 21)):
+        assert nt._segment_length(base) == nt._MIN_WINDOW == 1 << 18
+    for count, length in ((0, 1 << 18), (1228, 1 << 18), (2048, 1 << 18),
+                          (2049, 1 << 19), (4096, 1 << 19), (4097, 1 << 20),
+                          (6541, 1 << 20), (8192, 1 << 20), (8193, 1 << 21),
+                          (10 ** 6, 1 << 21)):
         assert nt._segment_length([3] * count) == length, count
     assert len(nt._odd_primes(10 ** 4)) == 1228
     assert len(nt._odd_primes(1 << 16)) == 6541
@@ -232,22 +236,20 @@ def test_inert_window_matches_oracle(data):
         inert_count_oracle(q, r2, p2), want]
 
 
-# the values one step-4 segment of the inert sieve spans: up to 10^6 +
-# 3 * SEGMENT_SPAN, the base primes are too few to lengthen a segment
-SEGMENT_SPAN = 4 * nt._MIN_WINDOW
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_inert_counts_at_many_lows(data):
     """Several lows per call, in any order and with repeats: at and across
-    the 2^19-slot segment edges of the sieve that starts at the least low,
-    at a prime p_ell and just past it, and above isqrt(q)."""
+    the 2^18-slot segment edges of the two classes 7 and 11 (mod 12) that
+    the sieve starts at the least low, at a prime p_ell and just past it,
+    and above isqrt(q)."""
     least = data.draw(st.integers(0, 10 ** 6), label="least")
-    first = max(least, 3) + (3 - max(least, 3)) % 4  # the sieve's slot 0
-    edges = [first + k * SEGMENT_SPAN + d for k in (1, 2) for d in range(-5, 6)]
+    firsts = [max(least, 3) + (c - max(least, 3)) % 12  # each class's slot 0
+              for c in (7, 11)]
+    edges = [first + k * SEGMENT_SPAN + d for first in firsts for k in (1, 2)
+             for d in range(-13, 14)]
     hi = data.draw(st.one_of(st.sampled_from(edges),
-                             st.integers(least, first + 3 * SEGMENT_SPAN)),
+                             st.integers(least, least + 3 * SEGMENT_SPAN)),
                    label="hi")
     q = hi * hi + data.draw(st.integers(0, 2 * hi), label="q - hi^2")
     primes = inert_primes_oracle(hi + 64)
@@ -264,10 +266,11 @@ def test_inert_counts_at_many_lows(data):
 
 
 def test_inert_counts_memory_stays_within_a_segment():
-    """At q = 10^16 the window sieve holds one 2^19-slot segment, its two
-    64 KiB blocks and the offsets of 1,228 base primes: a traced peak under
-    0.85 MiB, which a zero buffer of a third of the segment (0.98 MiB in
-    all) exceeds, and a 2^21-slot segment (2.7 MiB) far more."""
+    """At q = 10^16 the window sieve holds one 2^18-slot segment for both
+    classes, its two 16 KiB blocks, one 16 KiB popcount and the offsets of
+    1,227 base primes: a traced peak under 0.45 MiB, which one 2^19-slot
+    segment of the class 3 (mod 4) with 64 KiB blocks (0.78 MiB) exceeds,
+    and a 2^21-slot segment (2.7 MiB) far more."""
     tracemalloc.start()
     try:
         counts = nt.inert_counts(10 ** 16, [307, 69_900_000])
@@ -275,7 +278,7 @@ def test_inert_counts_memory_stays_within_a_segment():
     finally:
         tracemalloc.stop()
     assert counts == [2880918, 824353]
-    assert peak < 0.85 * 2 ** 20, peak
+    assert peak < 0.45 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("block, window", [(2, None), (3, None), (5, 16)])
@@ -283,11 +286,11 @@ def test_chunked_strikes_match_the_oracles(monkeypatch, rng, block, window):
     """With the blocks patched down to a few bytes, every prime with more
     multiples in a segment than a block holds is struck a block's length
     at a time, and each segment is refilled in as many pieces. Seeded
-    limits and windows, in full 2^19-slot segments and in short ones, still
+    limits and windows, in full 2^18-slot segments and in short ones, still
     give the odd primes of the bytearray sieve and the inert counts of the
     numpy oracle."""
     monkeypatch.setattr(nt, "_REFILL", block)
-    top = SEGMENT_SPAN  # two step-2 segments, or one step-4 segment
+    top = SEGMENT_SPAN  # top // 2: 3 step-2 segments; top: 1 step-12 a class
     if window:
         fix_segment_length(monkeypatch, window)
         top = 4000
@@ -299,6 +302,58 @@ def test_chunked_strikes_match_the_oracles(monkeypatch, rng, block, window):
     lows = [rng.randrange(hi + 4) for _ in range(6)]
     assert nt.inert_counts(q, lows) == [inert_count_oracle(q, 1, lo - 1)
                                         for lo in lows]
+
+
+# lows next to the wheel's classes: 3, the least base prime 5, the first
+# slots 7 and 11 of the two classes, 13 and 49 = 7^2, and each residue
+# 6, 7, 8, 10, 11 and 12 (mod 12) around a low of either class
+WHEEL_LOWS = [3, 5, 7, 11, 13, 49] + [12 * k + d for k in (1, 2, 7, 40, 833)
+                                      for d in (6, 7, 8, 10, 11, 12)]
+
+
+@pytest.mark.parametrize("block, window",
+                         [(None, None), (2, 1), (3, 2), (5, 3), (2, 5), (3, 7)])
+def test_wheel_edges_match_the_oracle(monkeypatch, block, window):
+    """The two classes 7 and 11 (mod 12) and the prime 3 counted on its own
+    give the inert counts of the numpy oracle: at lows on and next to each
+    class, at q below 9, 49 and 121 and at and next to prime squares, and
+    in windows where class 11 holds one slot more than class 7. With the
+    blocks and segments patched down to a few slots, each class ends in a
+    short segment whose stale tail must read as zeros, and the one buffer
+    passes from class 7 to class 11."""
+    if block:
+        monkeypatch.setattr(nt, "_REFILL", block)
+    if window:
+        fix_segment_length(monkeypatch, window)
+    squares = [p * p + d for p in (3, 5, 7, 11, 13, 19, 23, 43, 47, 71, 499,
+                                   10007) for d in (-1, 0, 1)]
+    for q in list(range(1, 9)) + [24, 25, 48, 49, 120, 121] + squares:
+        got = nt.inert_counts(q, WHEEL_LOWS)
+        assert got == [inert_count_oracle(q, 1, lo - 1) for lo in WHEEL_LOWS], q
+        assert [nt.inert_counts(q, [lo])[0] for lo in WHEEL_LOWS] == got, q
+    # from a low of 8 (mod 12), class 11 starts 8 below class 7, so a top
+    # of 11 (mod 12) gives it the one slot more, and that slot holds a prime
+    for lo, hi in ((8, 11), (8, 71), (10004, 10247)):
+        s7, s11 = (lo + (c - lo) % 12 for c in (7, 11))
+        assert (hi - s11) // 12 == (hi - s7) // 12 + 1
+        for q in (hi * hi, hi * hi + 2 * hi):
+            assert inert_count_oracle(q, 1, hi - 1) == 1
+            assert nt.inert_counts(q, [lo, hi, hi + 1]) == [
+                inert_count_oracle(q, 1, lo - 1), 1, 0]
+
+
+def test_small_window_sieves_allocate_no_long_blocks():
+    """At q = 2^20 the window holds 85 slots a class: the buffer and its
+    refill and zero blocks stay that short, a traced peak under 8 KiB."""
+    nt.inert_counts(2 ** 20, [3, 500])
+    tracemalloc.start()
+    try:
+        counts = nt.inert_counts(2 ** 20, [3, 500])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [inert_count_oracle(2 ** 20, 1, lo - 1) for lo in (3, 500)]
+    assert peak < 8 * 2 ** 10, peak
 
 
 def test_table_for_stops_at_x():
@@ -561,3 +616,14 @@ def test_parse_rational_refuses_exponents_and_long_text(monkeypatch):
                 "1/-2", "1_000", "nan", "inf", "", ".", "-", "1/2/3", "0x10",
                 "1" * (nt.RATIONAL_CHARS + 1), "0." + "1" * 5000):
         assert nt.parse_rational(bad) is None, bad
+
+
+
+def test_import_compiles_no_rational_pattern():
+    """The rational pattern is kept as text and compiled by `re` on the
+    first parse, so the commands that never read a rational do not pay to
+    compile it."""
+    import re
+    assert isinstance(nt._RATIONAL, str)
+    assert [name for name, value in vars(nt).items()
+            if isinstance(value, re.Pattern)] == []

@@ -6,6 +6,8 @@ w the number of units, and a plain scan of every b in (-a, a] for each a
 shares code with the root-and-CRT enumeration they check.
 """
 
+import tracemalloc
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -305,6 +307,33 @@ def test_class_group_matches_reduced_form_scan_near_cap(D):
 @example(-789503)  # 1 mod 8: the reduced form (512, -511, 513) needs roots mod 2^9
 def test_class_group_property_against_reduced_form_scan(D):
     assert summary(D) == reduced_forms_oracle(D)
+
+
+@pytest.mark.parametrize("D", (-99999768, -99999971))
+def test_class_group_memory_near_cap(D):
+    """Near the cap most a <= sqrt(|disc|/3) have no root, and each shares
+    the one empty tuple: a traced peak under 0.32 MiB, which a list of its
+    own for each of them (0.51-0.52 MiB) exceeds."""
+    K = qf.make_field(D)
+    tracemalloc.start()
+    try:
+        cg = qf.class_group_imaginary(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cg.h, cg.two_rank) == reduced_forms_oracle(D)
+    assert peak < 0.32 * 2 ** 20, peak
+
+
+def test_class_group_matches_reduced_form_scan_seeded_near_cap(rng):
+    """h and the 2-rank at seeded fundamental discriminants within 10^6 of
+    the cap, where the shared empty tuples are most of the root table."""
+    seen = 0
+    while seen < 3:
+        D = -rng.randrange(99 * 10 ** 6, 10 ** 8)
+        if oracle_is_fundamental(D):
+            assert summary(D) == reduced_forms_oracle(D), D
+            seen += 1
 
 
 def test_class_group_big_example():
