@@ -9,11 +9,13 @@ check, 3 capacity refusal or running out of memory. Given identical
 arguments the output bytes are identical.
 
 Each command imports what it uses when it runs, so `import gvforge.cli`
-loads only the exception types. `certify` loads bounds, numtheory and
-enclosure with its kernel dyadic, and json for JSON output; `bounds` loads
-these and the sweep; `construct` loads lenstra, translate and quadfield,
-and `verify` lenstra, codefile and quadfield, so neither compiles the
-other's half of the construction; `tower` loads quadfield and enclosure.
+loads only the exception types. `certify` loads bounds, certificate,
+numtheory and enclosure with its kernel dyadic, and json for JSON output;
+`bounds` loads the same but for certificate, and the sweep, so neither
+compiles the other's half of the bounds; `construct` loads lenstra,
+translate and quadfield, and `verify` lenstra, codefile and quadfield, so
+neither compiles the other's half of the construction; `tower` loads
+quadfield and enclosure.
 The package has no third-party dependency, so no command loads numpy or
 mpmath, and `bounds` writes CSV without the csv module. Its delta column
 prints each delta exactly: as a decimal when one terminates, else as a/b.

@@ -20,6 +20,7 @@ import numpy as np
 from mpmath import mp
 
 from gvforge import bounds as bd
+from gvforge import certificate as ct
 from gvforge import codefile as cf
 from gvforge import enclosure as encl
 from gvforge import lenstra as ln
@@ -254,7 +255,7 @@ def final_inequality_sides_mp(ell: int):
     (ell-2) - 3) in 60-digit plain mpmath, from the library's constants."""
     with mp.workdps(60):
         a, b, c = (mp.mpf(x.numerator) / x.denominator
-                   for x in (bd.C_FINAL_A, bd.C_FINAL_B, bd.C_FINAL_C))
+                   for x in (ct.C_FINAL_A, ct.C_FINAL_B, ct.C_FINAL_C))
         le = mp.log(ell)
         lhs = ell * (a + le + mp.log(le))
         rhs = b + c * (mp.mpf((ell - 2) ** 2) / 4 - (ell - 2) - 3)
@@ -266,8 +267,8 @@ def test_criterion_7_final_inequality_tail():
     # rounding error of a few float operations
     ell = np.arange(125, 10 ** 5 + 1, dtype=np.float64)
     le = np.log(ell)
-    lhs = ell * (float(bd.C_FINAL_A) + le + np.log(le))
-    rhs = float(bd.C_FINAL_B) + float(bd.C_FINAL_C) * (
+    lhs = ell * (float(ct.C_FINAL_A) + le + np.log(le))
+    rhs = float(ct.C_FINAL_B) + float(ct.C_FINAL_C) * (
         (ell - 2) ** 2 / 4 - (ell - 2) - 3)
     margin = rhs - lhs
     guard = 1e-9 * (np.abs(lhs) + np.abs(rhs) + 1)
@@ -282,7 +283,7 @@ def test_criterion_7_final_inequality_tail():
     samples = [125, 10 ** 5] + [rng.randint(126, 10 ** 5 - 1) for _ in range(20)]
     not_enclosed = []
     for e in samples:
-        sides = bd._final_inequality_sides(e)
+        sides = ct._final_inequality_sides(e)
         with mp.workdps(60):
             if not all(encloses(s, v) for s, v in
                        zip(sides, final_inequality_sides_mp(e))):

@@ -17,6 +17,7 @@ import pytest
 from mpmath import mp
 
 from gvforge import bounds as bd
+from gvforge import certificate as ct
 from gvforge import enclosure as encl
 from gvforge import numtheory as nt
 from gvforge import sweep as sw
@@ -389,7 +390,7 @@ def test_certify_deterministic():
 
 
 def final_margin_status(ell: int) -> str:
-    lhs, rhs = bd._final_inequality_sides(ell)
+    lhs, rhs = ct._final_inequality_sides(ell)
     return encl.gt_status(rhs - lhs, 0)
 
 
@@ -398,7 +399,7 @@ def test_final_inequality_signs():
     assert final_margin_status(73) == encl.FAIL
     assert final_margin_status(125) == encl.PASS
     with pytest.raises(DomainError):
-        bd._final_inequality_sides(2)
+        ct._final_inequality_sides(2)
 
 
 def test_final_inequality_float_oracle():
@@ -614,3 +615,48 @@ def test_bound_points_match_the_per_delta_search(q, budget):
             assert repr(x) == repr(y), delta
             assert getattr(x, "ends", None) == getattr(y, "ends", None)
     assert (got[0].witness is None) == (q == 64)
+
+
+# ------------------------------------------------- exact nfc > gv oracle
+
+
+def nfc_beats_gv_exactly(q: int, delta: Fraction, w) -> bool:
+    """nfc(q, delta, w) > gv(q, delta) decided in integers, for delta = a/b
+    < 1 - 1/q, with D = 4 p_1 ... p_ell from trial division.
+
+    Times log q and 2kb, nfc > gv reads 2k(b-a) log r + 2ka log(q-1) +
+    2kb log b > b log D + 2kb log q + 2ka log a + 2k(b-a) log(b-a), the
+    entropy term expanded; both sides exponentiate to integers."""
+    a, b = delta.numerator, delta.denominator
+    assert delta < Fraction(q - 1, q)
+    D = 4
+    for p in first_primes_oracle(w.ell):
+        D *= p
+    k = w.k
+    lhs = w.r ** (2 * k * (b - a)) * (q - 1) ** (2 * k * a) * b ** (2 * k * b)
+    rhs = (D ** b * q ** (2 * k * b) * a ** (2 * k * a)
+           * (b - a) ** (2 * k * (b - a)))
+    return lhs > rhs
+
+
+def test_sweep_nfc_against_gv_matches_the_exact_oracle():
+    """Every sweep row with a witness decides nfc > gv as the integer
+    oracle does, and both verdicts occur."""
+    verdicts = []
+    for q in (10 ** 6, 2 ** 30, 10 ** 9, 10 ** 12):
+        for pt in sw.bound_points(q, [Fraction(i, 10) for i in range(1, 10)]):
+            if pt.witness is None:
+                continue
+            want = nfc_beats_gv_exactly(q, pt.delta, pt.witness)
+            assert encl.gt_status(pt.nfc, pt.gv) == (
+                encl.PASS if want else encl.FAIL), (q, pt.delta)
+            verdicts.append(want)
+    assert len(verdicts) == 36 and set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("q", [Q_FLOOR, Q42])
+def test_certify_nfc_against_gv_matches_the_exact_oracle(q):
+    cert = bd.certify(q)
+    row, = (c for c in cert.checks if c.name == "nfc_rate_beats_gv_at_half")
+    want = nfc_beats_gv_exactly(q, Fraction(1, 2), cert.witness)
+    assert row.status == (encl.PASS if want else encl.FAIL)

@@ -17,8 +17,9 @@ is imported only inside the functions that use it, and the CLI imports
 each module inside the commands that need it: no command loads numpy or
 mpmath, and `import gvforge.cli` loads no other module of the package
 than `gvforge.errors`. Each command loads only the package modules it
-runs, only `bounds` loads `sweep`, and none that `certify`, `bounds` or
-`tower` loads compiles with a larger traced peak than `lenstra`. Only
+runs, only `bounds` loads `sweep` and only `certify` loads `certificate`,
+and none that `certify`, `bounds` or `tower` loads compiles with a larger
+traced peak than `lenstra`. Only
 `enclosure` imports its integer kernel `dyadic`. No module reads the
 environment, so no setting hides in a variable, and none keeps state
 between calls: no `global` statement and no `functools.cache` or
@@ -162,8 +163,8 @@ def test_lenstra_imports_no_interval_arithmetic():
 # modules that `import gvforge.cli`, `certify`, `bounds` and `tower` load,
 # `quadfield` aside; none may import numpy, lenstra or quadfield at module
 # level
-NUMPY_FREE = ("numtheory", "bounds", "sweep", "enclosure", "dyadic",
-              "errors", "cli")
+NUMPY_FREE = ("numtheory", "bounds", "certificate", "sweep", "enclosure",
+              "dyadic", "errors", "cli")
 
 
 def module_level_imports(source: str) -> set:
@@ -286,7 +287,8 @@ print(json.dumps([rc, [m for m in ("numpy", "mpmath", "csv")
 """
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CODE_LOADS = ["cli", "errors", "lenstra", "numtheory", "quadfield"]
-CERTIFY_LOADS = ["bounds", "cli", "dyadic", "enclosure", "errors", "numtheory"]
+BOUNDS_LOADS = ["bounds", "cli", "dyadic", "enclosure", "errors", "numtheory"]
+CERTIFY_LOADS = sorted(BOUNDS_LOADS + ["certificate"])
 TOWER_LOADS = ["cli", "dyadic", "enclosure", "errors", "numtheory", "quadfield"]
 
 
@@ -300,16 +302,19 @@ TOWER_LOADS = ["cli", "dyadic", "enclosure", "errors", "numtheory", "quadfield"]
      [], sorted(CODE_LOADS + ["translate"])),
     (["certify", "--q", str(2 ** 42)], 0, [], CERTIFY_LOADS),
     (["bounds", "--q", "1048576", "--q", "1073741824", "--delta-grid",
-      "1/10:9/10:1/10"], 0, [], sorted(CERTIFY_LOADS + ["sweep"])),
+      "1/10:9/10:1/10"], 0, [], sorted(BOUNDS_LOADS + ["sweep"])),
+    (["bounds", "--q", "1048576", "--delta", "1/2"], 0, [],
+     sorted(BOUNDS_LOADS + ["sweep"])),
     (["tower", "--disc", "-19399380"], 0, [], TOWER_LOADS),
 ], ids=("import", "verify", "verify_tampered", "construct", "certify",
-        "bounds", "tower"))
+        "bounds", "bounds_probe", "tower"))
 def test_commands_load_only_what_they_use(argv, rc, loaded, package):
     """In a fresh interpreter, neither `import gvforge.cli` nor any command
     loads numpy, mpmath or csv: `bounds` joins its CSV fields itself. Each
     loads only the package modules it runs: `construct` compiles no
-    codefile and `verify` no translate, the halves split from lenstra, and
-    only `bounds` compiles the sweep."""
+    codefile and `verify` no translate, the halves split from lenstra;
+    only `bounds` compiles the sweep, and only `certify` the certificate
+    chain split from bounds."""
     run = subprocess.run(
         [sys.executable, "-c", COMMAND_LOADS, json.dumps(argv)],
         capture_output=True, text=True, check=True,
@@ -332,9 +337,10 @@ def test_certificate_commands_compile_no_module_larger_than_lenstra():
     """Without a bytecode cache, every command compiles each module it
     loads, and the largest compile sets a floor under its peak RSS. Each
     module that `certify`, `bounds` or `tower` loads compiles below
-    `lenstra`, which `construct` and `verify` both compile, so growth in
-    one of them shows here before it shows in the certificate commands'
-    peak."""
+    `lenstra`, which `construct` and `verify` both compile: `bounds`, the
+    half that `certify` and the sweep share, and `certificate`, the chain
+    that only `certify` loads, included. So growth in one of them shows
+    here before it shows in the certificate commands' peak."""
     limit = compile_peak("lenstra")
     peaks = {name: compile_peak(name)
              for name in set(CERTIFY_LOADS + TOWER_LOADS + ["sweep"])}

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from gvforge import bounds as bd
 from gvforge import cli
 from gvforge import lenstra as ln
 from gvforge import quadfield as qf
@@ -50,3 +51,25 @@ def test_verify_code_takes_threads_and_exposes_what_the_tracer_counts():
 def test_cli_accepts_the_threads_then_verify_form(capsys):
     assert cli.main(["--threads", "2", "verify", str(CODE)]) == 0
     capsys.readouterr()
+
+
+def test_cli_certify_calls_the_bounds_names_the_tracer_wraps(monkeypatch,
+                                                            capsys):
+    """The tracer wraps bounds.certify and bounds.nfc_bound in bounds' own
+    dict; a CLI certify reaches both through those names, so a traced run
+    sees certify's span and counts its nfc_bound call."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(bd, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("certify", "nfc_bound"):
+        monkeypatch.setattr(bd, name, counting(name))
+    assert cli.main(["certify", "--q", str(2 ** 42)]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["certify", "nfc_bound"]
